@@ -1,7 +1,7 @@
 """Three-class relevance model: Multinomial Naive Bayes, rebalancing, ranking, evaluation.
 
-The Random Forest learner lives in `forest`; `predict`, `cross_validate`, and
-the model file I/O here accept either kind.
+The Random Forest learner lives in `forest`; `predict_many`, `cross_validate`,
+and the model file I/O here accept either kind.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import LABEL_ORDER, Corpus, Label
 from .forest import RfModel, train_rf
-from .text import ReplacementTable, Vocabulary, normalize, vectorize
+from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
 __all__ = [
     "LabeledDataset",
@@ -25,7 +25,7 @@ __all__ = [
     "EvalReport",
     "dataset_from_corpus",
     "train_mnnb",
-    "predict",
+    "train_model",
     "predict_many",
     "rebalance",
     "smote",
@@ -48,20 +48,24 @@ _LABEL_INDEX = {label: i for i, label in enumerate(LABEL_ORDER)}
 
 @dataclass
 class LabeledDataset:
-    """Parallel sparse count vectors and labels over a shared vocabulary."""
+    """Count-matrix rows and their labels over a shared vocabulary."""
 
-    vectors: list[dict[int, float]]
+    matrix: CountMatrix
     labels: list[Label]
     vocab: Vocabulary
 
     def __post_init__(self) -> None:
-        if len(self.vectors) != len(self.labels):
+        if len(self.matrix) != len(self.labels):
             raise ValueError(
-                f"{len(self.vectors)} vectors vs {len(self.labels)} labels"
+                f"{len(self.matrix)} vectors vs {len(self.labels)} labels"
+            )
+        if self.matrix.n_cols != len(self.vocab):
+            raise ValueError(
+                f"{self.matrix.n_cols} columns vs {len(self.vocab)} vocabulary terms"
             )
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.matrix)
 
     def class_counts(self) -> dict[Label, int]:
         counts = {label: 0 for label in LABEL_ORDER}
@@ -71,27 +75,23 @@ class LabeledDataset:
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
         return LabeledDataset(
-            [self.vectors[i] for i in indices],
-            [self.labels[i] for i in indices],
-            self.vocab,
+            self.matrix.rows(indices), [self.labels[i] for i in indices], self.vocab
         )
 
 
 def dataset_from_corpus(
-    corpus: Corpus, vocab: Vocabulary, table: ReplacementTable | None = None
+    corpus: Corpus,
+    table: ReplacementTable | None = None,
+    n_max: int = 1,
+    vocab: Vocabulary | None = None,
 ) -> LabeledDataset:
-    """Vectorize every labeled record of the corpus, keeping corpus order."""
-    if table is None:
-        table = ReplacementTable.default()
-    vectors: list[dict[int, float]] = []
-    labels: list[Label] = []
-    for record in corpus.records:
-        if record.label is None:
-            continue
-        vec = vectorize(normalize(record.text, table), vocab)
-        vectors.append({k: float(v) for k, v in vec.items()})
-        labels.append(record.label)
-    return LabeledDataset(vectors, labels, vocab)
+    """Count the n-grams of every labeled record, keeping corpus order.
+
+    Without a vocabulary, one is built from those records (see count_ngrams).
+    """
+    records = [r for r in corpus.records if r.label is not None]
+    vocab, matrix = count_ngrams((r.text for r in records), table, n_max, vocab)
+    return LabeledDataset(matrix, [r.label for r in records], vocab)
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,10 @@ class EvalReport:
     confusion: np.ndarray
 
 
+def _class_ids(labels: Sequence[Label]) -> np.ndarray:
+    return np.array([_LABEL_INDEX[label] for label in labels], dtype=np.int64)
+
+
 def _require_all_classes(labels: Sequence[Label]) -> None:
     present = set(labels)
     missing = [label.value for label in LABEL_ORDER if label not in present]
@@ -155,62 +159,40 @@ def train_mnnb(data: LabeledDataset, alpha: float = 1.0) -> MnnbModel:
         raise ValueError("cannot train on an empty dataset")
     _require_all_classes(data.labels)
     v_size = len(data.vocab)
+    y = _class_ids(data.labels)
+    X = data.matrix
     counts = np.zeros((3, v_size))
-    n_per_class = np.zeros(3)
-    for vec, label in zip(data.vectors, data.labels):
-        ci = _LABEL_INDEX[label]
-        n_per_class[ci] += 1
-        for tid, cnt in vec.items():
-            counts[ci, tid] += cnt
-    class_log_prior = np.log(n_per_class / len(data))
+    # unbuffered, in row then entry order: the same float sums as a plain loop
+    np.add.at(counts, (np.repeat(y, np.diff(X.indptr)), X.indices), X.data)
+    class_log_prior = np.log(np.bincount(y, minlength=3) / len(data))
     totals = counts.sum(axis=1, keepdims=True)
     term_log_prob = np.log((counts + alpha) / (totals + alpha * v_size))
     return MnnbModel(class_log_prior, term_log_prob, alpha, v_size)
 
 
-def predict(
-    model: MnnbModel | RfModel, v: dict[int, float]
-) -> tuple[Label, dict[Label, float]]:
-    """Label a sparse vector; ties go to the earliest class in LABEL_ORDER."""
+def predict_many(
+    model: MnnbModel | RfModel, X: CountMatrix
+) -> list[tuple[Label, dict[Label, float]]]:
+    """Label every row; ties go to the earliest class in LABEL_ORDER.
+
+    MNNB scores the whole batch in one scatter over the nonzeros and ignores
+    columns beyond its vocabulary; the forest walks each row.
+    """
+    n = len(X)
     if isinstance(model, MnnbModel):
-        log_post = model.class_log_prior.copy()
-        for tid, cnt in v.items():
-            if 0 <= tid < model.vocab_size:
-                log_post += cnt * model.term_log_prob[:, tid]
-        log_post -= log_post.max()
+        docs = np.repeat(np.arange(n), np.diff(X.indptr))
+        keep = X.indices < model.vocab_size
+        tids = X.indices[keep]
+        log_post = np.tile(model.class_log_prior, (n, 1))
+        contrib = X.data[keep][:, None] * model.term_log_prob[:, tids].T
+        np.add.at(log_post, docs[keep], contrib)
+        log_post -= log_post.max(axis=1, keepdims=True)
         probs = np.exp(log_post)
-        probs /= probs.sum()
+        probs /= probs.sum(axis=1, keepdims=True)
     elif isinstance(model, RfModel):
-        probs = model.distribution(v)
+        probs = np.array([model.distribution(*X.row(i)) for i in range(n)]).reshape(n, 3)
     else:
         raise TypeError(f"unsupported model type: {type(model).__name__}")
-    winner = LABEL_ORDER[int(np.argmax(probs))]
-    return winner, {label: float(probs[i]) for i, label in enumerate(LABEL_ORDER)}
-
-
-def predict_many(
-    model: MnnbModel | RfModel, vectors: Sequence[dict[int, float]]
-) -> list[tuple[Label, dict[Label, float]]]:
-    """predict() over many vectors; MNNB scores the whole batch in one pass."""
-    if not isinstance(model, MnnbModel):
-        return [predict(model, v) for v in vectors]
-    n = len(vectors)
-    tids = []
-    cnts = []
-    doc_ids = []
-    for i, vec in enumerate(vectors):
-        for tid, cnt in vec.items():
-            if 0 <= tid < model.vocab_size:
-                tids.append(tid)
-                cnts.append(cnt)
-                doc_ids.append(i)
-    log_post = np.tile(model.class_log_prior, (n, 1))
-    if tids:
-        contrib = np.asarray(cnts)[:, None] * model.term_log_prob[:, tids].T
-        np.add.at(log_post, np.asarray(doc_ids), contrib)
-    log_post -= log_post.max(axis=1, keepdims=True)
-    probs = np.exp(log_post)
-    probs /= probs.sum(axis=1, keepdims=True)
     winners = np.argmax(probs, axis=1)
     return [
         (
@@ -221,15 +203,14 @@ def predict_many(
     ]
 
 
-def smote(
-    minority: list[dict[int, float]], percent: int, k: int, seed: int
-) -> list[dict[int, float]]:
-    """Interpolate synthetic minority vectors between k-nearest-neighbor pairs.
+def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix:
+    """Interpolate synthetic minority rows between k-nearest-neighbor pairs.
 
-    Emits (percent/100)·|minority| vectors: one pass over the sources per 100
+    Emits (percent/100)·|minority| rows: one pass over the sources per 100
     percent, each source paired with one of its k nearest neighbors (Euclidean
-    distance over the sparse counts, ties by index) at a uniform random point
-    along the segment. Counts stay real-valued.
+    distance over the counts, ties by index) at a uniform random point along
+    the segment. Counts stay real-valued; each row lists its nonzero columns in
+    ascending order.
     """
     if percent < 0 or percent % 100 != 0:
         raise ValueError(f"percent must be a nonnegative multiple of 100, got {percent}")
@@ -239,26 +220,32 @@ def smote(
         raise ValueError(f"need more than k={k} minority vectors, got {len(minority)}")
     reps = percent // 100
     if reps == 0:
-        return []
-    dim = 1 + max((tid for vec in minority for tid in vec), default=-1)
-    dense = np.zeros((len(minority), dim))
-    for i, vec in enumerate(minority):
-        for tid, cnt in vec.items():
-            dense[i, tid] = cnt
+        return minority.rows([])
+    dense = minority.toarray()
     sq = np.einsum("ij,ij->i", dense, dense)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (dense @ dense.T)
     np.fill_diagonal(d2, np.inf)
     # argsort on (distance, index) pairs keeps neighbor choice total-ordered
     neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
     rng = np.random.default_rng([seed, len(minority), k])
-    out: list[dict[int, float]] = []
+    indptr = [0]
+    indices: list[np.ndarray] = []
+    data: list[np.ndarray] = []
     for _ in range(reps):
         for i in range(len(minority)):
             j = int(neighbor_ids[i, rng.integers(k)])
             lam = rng.random()
             point = dense[i] + lam * (dense[j] - dense[i])
-            out.append({int(t): float(point[t]) for t in np.nonzero(point)[0]})
-    return out
+            nonzero = np.flatnonzero(point)
+            indices.append(nonzero)
+            data.append(point[nonzero])
+            indptr.append(indptr[-1] + len(nonzero))
+    return CountMatrix(
+        np.array(indptr, dtype=np.int64),
+        np.concatenate(indices).astype(np.int64),
+        np.concatenate(data),
+        minority.n_cols,
+    )
 
 
 def subsample_spread(
@@ -292,14 +279,13 @@ def info_gain_rank(data: LabeledDataset) -> list[tuple[int, float]]:
         raise ValueError("cannot rank attributes of an empty dataset")
     n = len(data)
     v_size = len(data.vocab)
-    y = np.array([_LABEL_INDEX[label] for label in data.labels])
+    y = _class_ids(data.labels)
     class_totals = np.bincount(y, minlength=3)
     # doc counts per (class, term) for presence
+    X = data.matrix
+    nonzero = X.data != 0
     present = np.zeros((3, v_size))
-    for vec, ci in zip(data.vectors, y):
-        for tid in vec:
-            if vec[tid] != 0:
-                present[ci, tid] += 1
+    np.add.at(present, (np.repeat(y, np.diff(X.indptr))[nonzero], X.indices[nonzero]), 1)
 
     def entropy(counts: np.ndarray) -> np.ndarray:
         totals = counts.sum(axis=0)
@@ -371,20 +357,21 @@ def rebalance(
         sub_seed = int(np.random.SeedSequence(seed_parts + [1]).generate_state(1)[0])
         train = subsample_spread(train, config.spread_ratio, sub_seed)
     if config.smote_percent > 0:
-        minority = [
-            vec for vec, y in zip(train.vectors, train.labels) if y == Label.RELEVANT
-        ]
+        minority = train.matrix.rows(
+            [i for i, y in enumerate(train.labels) if y == Label.RELEVANT]
+        )
         smote_seed = int(np.random.SeedSequence(seed_parts + [2]).generate_state(1)[0])
         synthetic = smote(minority, config.smote_percent, config.smote_k, smote_seed)
         train = LabeledDataset(
-            train.vectors + synthetic,
+            train.matrix.concat(synthetic),
             train.labels + [Label.RELEVANT] * len(synthetic),
             train.vocab,
         )
     return train
 
 
-def _train(data: LabeledDataset, config: TrainingConfig, seed: int) -> MnnbModel | RfModel:
+def train_model(data: LabeledDataset, config: TrainingConfig, seed: int) -> MnnbModel | RfModel:
+    """Fit the configured classifier; seed drives the forest's draws."""
     if config.classifier == "mnnb":
         return train_mnnb(data, config.alpha)
     return train_rf(data, config.n_trees, seed)
@@ -411,9 +398,9 @@ def cross_validate(
         model_seed = int(
             np.random.SeedSequence([seed, fold_idx, 3]).generate_state(1)[0]
         )
-        model = _train(train, config, model_seed)
-        for i in test_indices:
-            predictions.append((i, predict(model, data.vectors[i])))
+        model = train_model(train, config, model_seed)
+        fold = predict_many(model, data.matrix.rows(test_indices))
+        predictions.extend(zip(test_indices, fold))
     predictions.sort(key=lambda pair: pair[0])
     return evaluate([p for _, p in predictions], [data.labels[i] for i, _ in predictions])
 
@@ -533,30 +520,45 @@ def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')!r}")
     if doc.get("label_order") != [label.value for label in LABEL_ORDER]:
         raise ValueError(f"{path}: unexpected label order {doc.get('label_order')!r}")
-    terms = doc["vocabulary"]
-    vocab = Vocabulary(
-        term_to_id={t: i for i, t in enumerate(terms)},
-        doc_freq={},
-        n_max=int(doc["n_max"]),
-        doc_count=0,
-        term_freq={},
-    )
-    params = doc["params"]
+    terms = doc.get("vocabulary")
+    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+        raise ValueError(f"{path}: 'vocabulary' must be a list of strings")
+    n_max = doc.get("n_max")
+    if type(n_max) is not int or not 1 <= n_max <= 3:
+        raise ValueError(f"{path}: 'n_max' must be an integer in 1..3, got {n_max!r}")
+    params = doc.get("params")
+    if not isinstance(params, dict):
+        raise ValueError(f"{path}: 'params' must be an object")
+    if not isinstance(doc.get("table_hash"), str):
+        raise ValueError(f"{path}: 'table_hash' must be a string")
+    vocab = Vocabulary({t: i for i, t in enumerate(terms)}, n_max)
+    if len(vocab) != len(terms):
+        raise ValueError(f"{path}: 'vocabulary' repeats a term")
     model: MnnbModel | RfModel
-    if doc["kind"] == "mnnb":
-        model = MnnbModel(
-            class_log_prior=np.array(params["class_log_prior"], dtype=float),
-            term_log_prob=np.array(params["term_log_prob"], dtype=float),
-            alpha=float(params["alpha"]),
-            vocab_size=len(terms),
+    try:
+        if doc.get("kind") == "mnnb":
+            model = MnnbModel(
+                class_log_prior=np.array(params["class_log_prior"], dtype=float),
+                term_log_prob=np.array(params["term_log_prob"], dtype=float),
+                alpha=float(params["alpha"]),
+                vocab_size=len(terms),
+            )
+        elif doc.get("kind") == "rf":
+            model = RfModel(
+                trees=tuple(_tree_from_obj(t) for t in params["trees"]),
+                n_trees=int(params["n_trees"]),
+                feature_subsample=int(params["feature_subsample"]),
+                seed=int(params["seed"]),
+            )
+        else:
+            raise ValueError(f"{path}: unknown model kind {doc.get('kind')!r}")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed model parameters: {exc!r}") from None
+    if isinstance(model, MnnbModel) and (
+        model.class_log_prior.shape != (3,) or model.term_log_prob.shape != (3, len(terms))
+    ):
+        raise ValueError(
+            f"{path}: MNNB parameters have shapes {model.class_log_prior.shape} and "
+            f"{model.term_log_prob.shape}, expected (3,) and (3, {len(terms)})"
         )
-    elif doc["kind"] == "rf":
-        model = RfModel(
-            trees=tuple(_tree_from_obj(t) for t in params["trees"]),
-            n_trees=int(params["n_trees"]),
-            feature_subsample=int(params["feature_subsample"]),
-            seed=int(params["seed"]),
-        )
-    else:
-        raise ValueError(f"{path}: unknown model kind {doc['kind']!r}")
-    return model, vocab, str(doc["table_hash"])
+    return model, vocab, doc["table_hash"]

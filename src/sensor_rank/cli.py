@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .classify import (
     TrainingConfig,
@@ -24,8 +25,7 @@ from .classify import (
     predict_many,
     rebalance,
     save_model,
-    train_mnnb,
-    train_rf,
+    train_model,
 )
 from .corpus import (
     Corpus,
@@ -35,7 +35,7 @@ from .corpus import (
     write_corpus,
     write_follower_graph,
 )
-from .keywords import SEED_KEYWORDS, expand_keywords
+from .keywords import SEED_KEYWORDS, expansion_candidates
 from .rank import (
     RankConfig,
     REPORT_METRICS,
@@ -49,22 +49,68 @@ from .rank import (
     write_report,
 )
 from .synth import SynthConfig, generate
-from .text import ReplacementTable, build_vocabulary, load_stopwords, normalize, tfidf_rank, vectorize
+from .text import ReplacementTable, count_ngrams, load_stopwords
 
 log = logging.getLogger("sensor_rank")
 
-_CONFIG_KEYS = {
-    "corpus", "graph", "model", "out", "seed", "gamma", "tol", "max_iter",
-    "min_relevant", "k", "ngrams", "classifier", "trees", "alpha",
-    "smote_percent", "smote_k", "spread_ratio", "folds", "exclusions",
-    "table", "stopwords", "seeds", "metric",
+
+class _Key(NamedTuple):
+    """One settings key: its value type, help text, allowed values, and whether
+    it is also a command-line flag (else it is read from --config only)."""
+
+    name: str
+    type: type  # str, int, float, or list (of strings)
+    help: str
+    choices: tuple | None = None
+    flag: bool = True
+
+
+_KEYS = {
+    key.name: key
+    for key in (
+        _Key("corpus", str, "tweet corpus (JSONL)"),
+        _Key("graph", str, "follower graph (CSV: follower_id,friend_id)"),
+        _Key("model", str, "model file path"),
+        _Key("out", str, "output directory"),
+        _Key("seed", int, "PRNG seed for stochastic steps"),
+        _Key("gamma", float, "teleportation damping (default 0.85)"),
+        _Key("tol", float, "L1 convergence threshold (default 1e-9)"),
+        _Key("max_iter", int, "iteration cap (default 1000)"),
+        _Key("min_relevant", int, "relevant-tweet threshold for candidates (default 3)"),
+        _Key("k", int, "report size / keyword expansion size (default 10)"),
+        _Key("ngrams", int, "n-gram order (default 3)", (1, 2, 3)),
+        _Key("classifier", str, "classifier kind (default rf)", ("mnnb", "rf")),
+        _Key("trees", int, "forest size (default 100)"),
+        _Key("alpha", float, "smoothing constant (default 1.0)"),
+        _Key("smote_percent", int, "minority over-sampling percent, multiple of 100 (default 100)"),
+        _Key("smote_k", int, "neighbors for SMOTE (default 5)"),
+        _Key("spread_ratio", float, "majority sub-sampling ratio cap (default: off)"),
+        _Key("folds", int, "cross-validation folds (default 10)"),
+        _Key("exclusions", str, "file with one excluded user id per line"),
+        _Key("table", str, "replacement table CSV (from,to)", flag=False),
+        _Key("stopwords", str, "stopword file, one term per line", flag=False),
+        _Key("seeds", list, "seed keywords", flag=False),
+        _Key("metric", str, "report metric: tr, tf or of", flag=False),
+    )
 }
 
-_FLAG_KEYS = (
-    "corpus", "graph", "model", "out", "seed", "gamma", "tol", "max_iter",
-    "min_relevant", "k", "ngrams", "classifier", "trees", "alpha",
-    "smote_percent", "smote_k", "spread_ratio", "folds", "exclusions",
-)
+
+def _config_value(key: _Key, value, path: str):
+    """A config-file value checked against its key; floats accept integers."""
+    if key.type is float:
+        ok = isinstance(value, (int, float))
+    elif key.type is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, key.type)
+    if not ok or isinstance(value, bool):
+        kind = "a list of strings" if key.type is list else f"a {key.type.__name__}"
+        raise ValueError(f"{path}: config key {key.name!r} must be {kind}, got {value!r}")
+    if key.choices and value not in key.choices:
+        raise ValueError(
+            f"{path}: config key {key.name!r} must be one of {key.choices}, got {value!r}"
+        )
+    return float(value) if key.type is float else value
 
 
 class Settings:
@@ -75,22 +121,25 @@ class Settings:
     """
 
     def __init__(self, args: argparse.Namespace, use_config_file: bool = True):
+        self.config_path = args.config
         values: dict = {}
         if use_config_file and args.config:
             with open(args.config, encoding="utf-8") as fh:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ValueError(f"{args.config}: config must be a JSON object")
-            unknown = set(raw) - _CONFIG_KEYS
+            unknown = set(raw) - set(_KEYS)
             if unknown:
                 raise ValueError(
                     f"{args.config}: unknown config key(s) {sorted(unknown)}"
                 )
-            values.update(raw)
-        for key in _FLAG_KEYS:
-            flag = getattr(args, key, None)
+            for name, value in raw.items():
+                if value is not None:  # null leaves the key unset
+                    values[name] = _config_value(_KEYS[name], value, args.config)
+        for key in _KEYS.values():  # config-only keys have no attribute on args
+            flag = getattr(args, key.name, None)
             if flag is not None:
-                values[key] = flag
+                values[key.name] = flag
         self.values = values
 
     def get(self, key: str, default=None):
@@ -127,25 +176,21 @@ def _out_dir(settings: Settings) -> Path:
 def _training_config(settings: Settings) -> TrainingConfig:
     return TrainingConfig(
         classifier=settings.get("classifier", "rf"),
-        alpha=float(settings.get("alpha", 1.0)),
-        n_trees=int(settings.get("trees", 100)),
-        smote_percent=int(settings.get("smote_percent", 100)),
-        smote_k=int(settings.get("smote_k", 5)),
-        spread_ratio=(
-            float(settings.values["spread_ratio"])
-            if settings.get("spread_ratio") is not None
-            else None
-        ),
+        alpha=settings.get("alpha", 1.0),
+        n_trees=settings.get("trees", 100),
+        smote_percent=settings.get("smote_percent", 100),
+        smote_k=settings.get("smote_k", 5),
+        spread_ratio=settings.get("spread_ratio"),
     )
 
 
 def _rank_config(settings: Settings) -> RankConfig:
     return RankConfig(
-        gamma=float(settings.get("gamma", 0.85)),
-        tol=float(settings.get("tol", 1e-9)),
-        max_iter=int(settings.get("max_iter", 1000)),
-        min_relevant=int(settings.get("min_relevant", 3)),
-        k=int(settings.get("k", 10)),
+        gamma=settings.get("gamma", 0.85),
+        tol=settings.get("tol", 1e-9),
+        max_iter=settings.get("max_iter", 1000),
+        min_relevant=settings.get("min_relevant", 3),
+        k=settings.get("k", 10),
     )
 
 
@@ -164,16 +209,10 @@ def cmd_keywords(settings: Settings) -> int:
     table = _table(settings)
     stopwords = _stopwords(settings)
     corpus = load_corpus(settings.require("corpus"))
-    seeds = [str(s) for s in settings.get("seeds", SEED_KEYWORDS)]
-    top_n = int(settings.get("k", 10))
-    vocab = build_vocabulary(corpus, table, n_max=1)
-    blocked = set(seeds)
-    expansion = [
-        (term, score)
-        for term, score in tfidf_rank(corpus, vocab, stopwords)
-        if term not in blocked
-    ][:top_n]
-    merged = expand_keywords(seeds, corpus, stopwords, table, top_n)
+    seeds = settings.get("seeds", list(SEED_KEYWORDS))
+    top_n = settings.get("k", 10)
+    expansion = expansion_candidates(seeds, corpus, stopwords, table, top_n)
+    merged = seeds + [term for term, _ in expansion]
     lines = [f"seed keywords ({len(seeds)}):"]
     lines += [f"  {s}" for s in seeds]
     lines.append(f"expansion candidates (top {top_n}):")
@@ -190,30 +229,19 @@ def cmd_keywords(settings: Settings) -> int:
     return 0
 
 
-def _fit(settings: Settings, corpus: Corpus):
-    """Shared by train: vocabulary, rebalanced dataset, fitted model."""
-    table = _table(settings)
-    tcfg = _training_config(settings)
-    seed = int(settings.require("seed"))
-    n_max = int(settings.get("ngrams", 3))
-    vocab = build_vocabulary(corpus, table, n_max=n_max)
-    data = dataset_from_corpus(corpus, vocab, table)
-    data = rebalance(data, tcfg, [seed])
-    if tcfg.classifier == "mnnb":
-        model = train_mnnb(data, tcfg.alpha)
-    else:
-        model = train_rf(data, tcfg.n_trees, seed)
-    return model, vocab, table, data
-
-
 def cmd_train(settings: Settings) -> int:
     corpus = _labeled_corpus(settings)
     model_path = settings.require("model")
-    model, vocab, table, data = _fit(settings, corpus)
-    save_model(model, vocab, table.table_hash(), model_path)
+    table = _table(settings)
+    tcfg = _training_config(settings)
+    seed = settings.require("seed")
+    data = dataset_from_corpus(corpus, table, settings.get("ngrams", 3))
+    train = rebalance(data, tcfg, [seed])
+    model = train_model(train, tcfg, seed)
+    save_model(model, data.vocab, table.table_hash(), model_path)
     log.info(
         "trained %s on %d instances (%d features) -> %s",
-        type(model).__name__, len(data), len(vocab), model_path,
+        type(model).__name__, len(train), len(data.vocab), model_path,
     )
     return 0
 
@@ -222,12 +250,10 @@ def cmd_eval(settings: Settings) -> int:
     corpus = _labeled_corpus(settings)
     table = _table(settings)
     tcfg = _training_config(settings)
-    seed = int(settings.require("seed"))
-    folds = int(settings.get("folds", 10))
-    n_max = int(settings.get("ngrams", 3))
+    seed = settings.require("seed")
+    folds = settings.get("folds", 10)
     out = _out_dir(settings)
-    vocab = build_vocabulary(corpus, table, n_max=n_max)
-    data = dataset_from_corpus(corpus, vocab, table)
+    data = dataset_from_corpus(corpus, table, settings.get("ngrams", 3))
     report = cross_validate(data, folds, tcfg, seed)
     doc = {
         "accuracy": report.accuracy,
@@ -272,11 +298,8 @@ def cmd_classify(settings: Settings) -> int:
             "replacement table hash mismatch: the model was trained with a "
             "different normalization table"
         )
-    vectors = [
-        {k: float(v) for k, v in vectorize(normalize(r.text, table), vocab).items()}
-        for r in corpus.records
-    ]
-    predictions = predict_many(model, vectors)
+    _, counts = count_ngrams((r.text for r in corpus.records), table, vocab=vocab)
+    predictions = predict_many(model, counts)
     records = tuple(
         dataclasses.replace(record, label=pred)
         for record, (pred, _) in zip(corpus.records, predictions)
@@ -336,22 +359,23 @@ def cmd_rank(settings: Settings) -> int:
 
 
 def cmd_report(settings: Settings) -> int:
-    metric = str(settings.get("metric", "tr"))
+    metric = settings.get("metric", "tr")
     _, rcfg, candidates, rank_vector = _rank_pipeline(settings)
     report = ranking_report(candidates, rank_vector, rcfg, metric)
     print(report_to_tsv(report), end="")
     return 0
 
 
-def cmd_synth(settings: Settings, args: argparse.Namespace) -> int:
-    if args.config:
-        config = SynthConfig.from_json(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
+def cmd_synth(settings: Settings) -> int:
+    seed = settings.get("seed")
+    if settings.config_path:
+        config = SynthConfig.from_json(settings.config_path)
+        if seed is not None:
+            config = dataclasses.replace(config, seed=seed)
+    elif seed is None:
+        raise ValueError("--seed is required when no --config is given")
     else:
-        if args.seed is None:
-            raise ValueError("--seed is required when no --config is given")
-        config = SynthConfig(seed=args.seed)
+        config = SynthConfig(seed=seed)
     out = _out_dir(settings)
     corpus, graph, _ = generate(config)
     write_corpus(corpus, out / "corpus.jsonl")
@@ -361,13 +385,13 @@ def cmd_synth(settings: Settings, args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "keywords": "print the seed keyword set with its TF-IDF expansion",
-    "train": "fit a classifier on a labeled corpus and save the model",
-    "eval": "stratified cross-validation report for a labeled corpus",
-    "classify": "label a corpus with a saved model",
-    "rank": "rank candidate users and write all three metric reports",
-    "report": "print one ranking report (config key 'metric': tr/tf/of) to stdout",
-    "synth": "generate a synthetic corpus and follower graph",
+    "keywords": (cmd_keywords, "print the seed keyword set with its TF-IDF expansion"),
+    "train": (cmd_train, "fit a classifier on a labeled corpus and save the model"),
+    "eval": (cmd_eval, "stratified cross-validation report for a labeled corpus"),
+    "classify": (cmd_classify, "label a corpus with a saved model"),
+    "rank": (cmd_rank, "rank candidate users and write all three metric reports"),
+    "report": (cmd_report, "print one ranking report (config key 'metric': tr/tf/of) to stdout"),
+    "synth": (cmd_synth, "generate a synthetic corpus and follower graph"),
 }
 
 
@@ -377,37 +401,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Classify topic-relevant posts and rank candidate social sensors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
+    for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file; flags override it")
-        sp.add_argument("--corpus", help="tweet corpus (JSONL)")
-        sp.add_argument("--graph", help="follower graph (CSV: follower_id,friend_id)")
-        sp.add_argument("--model", help="model file path")
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--seed", type=int, help="PRNG seed for stochastic steps")
-        sp.add_argument("--gamma", type=float, help="teleportation damping (default 0.85)")
-        sp.add_argument("--tol", type=float, help="L1 convergence threshold (default 1e-9)")
-        sp.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap (default 1000)")
-        sp.add_argument(
-            "--min-relevant", dest="min_relevant", type=int,
-            help="relevant-tweet threshold for candidates (default 3)",
-        )
-        sp.add_argument("--k", type=int, help="report size / keyword expansion size (default 10)")
-        sp.add_argument("--ngrams", type=int, choices=(1, 2, 3), help="n-gram order (default 3)")
-        sp.add_argument("--classifier", choices=("mnnb", "rf"), help="classifier kind (default rf)")
-        sp.add_argument("--trees", type=int, help="forest size (default 100)")
-        sp.add_argument("--alpha", type=float, help="smoothing constant (default 1.0)")
-        sp.add_argument(
-            "--smote-percent", dest="smote_percent", type=int,
-            help="minority over-sampling percent, multiple of 100 (default 100)",
-        )
-        sp.add_argument("--smote-k", dest="smote_k", type=int, help="neighbors for SMOTE (default 5)")
-        sp.add_argument(
-            "--spread-ratio", dest="spread_ratio", type=float,
-            help="majority sub-sampling ratio cap (default: off)",
-        )
-        sp.add_argument("--folds", type=int, help="cross-validation folds (default 10)")
-        sp.add_argument("--exclusions", help="file with one excluded user id per line")
+        for key in _KEYS.values():
+            if key.flag:
+                sp.add_argument(
+                    "--" + key.name.replace("_", "-"), type=key.type, choices=key.choices,
+                    help=key.help,
+                )
     return parser
 
 
@@ -436,21 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         settings = Settings(args, use_config_file=args.command != "synth")
-        if args.command == "keywords":
-            return cmd_keywords(settings)
-        if args.command == "train":
-            return cmd_train(settings)
-        if args.command == "eval":
-            return cmd_eval(settings)
-        if args.command == "classify":
-            return cmd_classify(settings)
-        if args.command == "rank":
-            return cmd_rank(settings)
-        if args.command == "report":
-            return cmd_report(settings)
-        if args.command == "synth":
-            return cmd_synth(settings, args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][0](settings)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -57,8 +57,11 @@ class TweetRecord:
         if not self.user.strip():
             raise ValueError(f"record {self.id}: user must be non-empty")
         _validate_timestamp(self.id, self.created_at)
-        if self.user_total_tweets is not None and self.user_total_tweets < 0:
-            raise ValueError(f"record {self.id}: user_total_tweets must be >= 0")
+        total = self.user_total_tweets
+        if total is not None and (type(total) is not int or total < 0):
+            raise ValueError(
+                f"record {self.id}: user_total_tweets must be an integer >= 0, got {total!r}"
+            )
 
 
 def _validate_timestamp(record_id: str, value: str) -> None:

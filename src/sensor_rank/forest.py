@@ -1,4 +1,4 @@
-"""Random forest of Gini decision trees over sparse count vectors.
+"""Random forest of Gini decision trees over sparse count rows.
 
 Trees split on "count(term) <= threshold" tests. Determinism: every random
 draw comes from a generator seeded by (seed, tree index), and nodes are grown
@@ -41,12 +41,14 @@ class RfModel:
     feature_subsample: int
     seed: int
 
-    def distribution(self, v: dict[int, float]) -> np.ndarray:
+    def distribution(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Mean leaf distribution for one sparse row; absent columns count as 0."""
+        row = dict(zip(indices.tolist(), values.tolist()))
         acc = np.zeros(3)
         for root in self.trees:
             node = root
             while node.dist is None:
-                value = v.get(node.feature, 0.0)
+                value = row.get(node.feature, 0.0)
                 node = node.left if value <= node.threshold else node.right
             acc += node.dist
         return acc / len(self.trees)
@@ -109,8 +111,7 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     best (feature, threshold) pair by impurity decrease wins, with ties going
     to the lowest feature id and then the lowest threshold.
     """
-    from .corpus import LABEL_ORDER
-    from .classify import _require_all_classes
+    from .classify import _class_ids, _require_all_classes
 
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -119,12 +120,8 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     _require_all_classes(data.labels)
     n = len(data)
     n_features = len(data.vocab)
-    X = np.zeros((n, n_features))
-    for i, vec in enumerate(data.vectors):
-        for tid, cnt in vec.items():
-            X[i, tid] = cnt
-    label_index = {label: i for i, label in enumerate(LABEL_ORDER)}
-    y = np.array([label_index[label] for label in data.labels])
+    X = data.matrix.toarray()
+    y = _class_ids(data.labels)
     m = min(n_features, math.ceil(math.sqrt(n_features)))
     trees = []
     for t in range(n_trees):

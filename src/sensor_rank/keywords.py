@@ -5,9 +5,15 @@ from __future__ import annotations
 from typing import Iterable
 
 from .corpus import Corpus
-from .text import ReplacementTable, build_vocabulary, tfidf_rank
+from .text import ReplacementTable, count_ngrams, tfidf_rank
 
-__all__ = ["SEED_KEYWORDS", "EXPANSION_KEYWORDS", "DEFAULT_KEYWORDS", "expand_keywords"]
+__all__ = [
+    "SEED_KEYWORDS",
+    "EXPANSION_KEYWORDS",
+    "DEFAULT_KEYWORDS",
+    "expansion_candidates",
+    "expand_keywords",
+]
 
 #: Hand-picked high-recall seed terms for the mosquito-borne disease topic.
 SEED_KEYWORDS: tuple[str, ...] = (
@@ -39,6 +45,25 @@ EXPANSION_KEYWORDS: tuple[str, ...] = (
 DEFAULT_KEYWORDS: tuple[str, ...] = SEED_KEYWORDS + EXPANSION_KEYWORDS
 
 
+def expansion_candidates(
+    seed: Iterable[str],
+    corpus: Corpus,
+    stopwords: Iterable[str] = (),
+    table: ReplacementTable | None = None,
+    top_n: int = 10,
+) -> list[tuple[str, float]]:
+    """The corpus's top_n unigrams by TF-IDF, with their scores, seeds excluded.
+
+    The corpus is expected to be a harvest made with the seed terms. Seeds and
+    stopwords never enter; terms come in descending score order.
+    """
+    if top_n < 0:
+        raise ValueError(f"top_n must be >= 0, got {top_n}")
+    blocked = {str(s) for s in seed}
+    vocab, counts = count_ngrams((r.text for r in corpus.records), table, n_max=1)
+    return [pair for pair in tfidf_rank(counts, vocab, stopwords) if pair[0] not in blocked][:top_n]
+
+
 def expand_keywords(
     seed: Iterable[str],
     corpus: Corpus,
@@ -48,20 +73,7 @@ def expand_keywords(
 ) -> list[str]:
     """Extend a seed keyword list with the corpus's top TF-IDF unigrams.
 
-    The corpus is expected to be a harvest made with the seed terms. Seeds and
-    stopwords never re-enter through the expansion; the result keeps the seed
-    order followed by the new terms in descending score order.
+    The result keeps the seed order followed by expansion_candidates' terms.
     """
-    if top_n < 0:
-        raise ValueError(f"top_n must be >= 0, got {top_n}")
     seed = [str(s) for s in seed]
-    vocab = build_vocabulary(corpus, table, n_max=1)
-    blocked = set(seed)
-    extra: list[str] = []
-    for term, _score in tfidf_rank(corpus, vocab, stopwords):
-        if term in blocked:
-            continue
-        extra.append(term)
-        if len(extra) == top_n:
-            break
-    return seed + extra
+    return seed + [term for term, _ in expansion_candidates(seed, corpus, stopwords, table, top_n)]

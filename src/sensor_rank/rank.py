@@ -9,6 +9,7 @@ occurrence vector.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -73,8 +74,8 @@ class RankConfig:
     def __post_init__(self) -> None:
         if not 0 < self.gamma < 1:
             raise ValueError(f"gamma must be in (0,1), got {self.gamma}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -1,4 +1,4 @@
-"""Text normalization, n-gram vocabularies, sparse count vectors, and TF-IDF ranking."""
+"""Text normalization, n-gram vocabularies, sparse count matrices, and TF-IDF ranking."""
 
 from __future__ import annotations
 
@@ -10,19 +10,18 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Mapping, Sequence
 
-if TYPE_CHECKING:
-    from .corpus import Corpus
+import numpy as np
 
 __all__ = [
     "DROP",
     "ReplacementTable",
     "Vocabulary",
+    "CountMatrix",
     "normalize",
     "ngrams",
-    "build_vocabulary",
-    "vectorize",
+    "count_ngrams",
     "tfidf_rank",
     "load_stopwords",
     "fold_accents",
@@ -173,15 +172,10 @@ class Vocabulary:
     """N-gram vocabulary with dense ids in first-appearance order.
 
     Immutable by convention once built; safe to share across workers.
-    `term_freq` holds corpus-level total counts so TF-IDF ranking does not
-    depend on re-tokenizing with the same replacement table.
     """
 
     term_to_id: dict[str, int]
-    doc_freq: dict[int, int]
     n_max: int
-    doc_count: int
-    term_freq: dict[int, int]
 
     def __len__(self) -> int:
         return len(self.term_to_id)
@@ -190,55 +184,133 @@ class Vocabulary:
         return sorted(self.term_to_id, key=self.term_to_id.__getitem__)
 
 
-def build_vocabulary(corpus: "Corpus", table: ReplacementTable | None = None, n_max: int = 1) -> Vocabulary:
-    """Collect all n-grams of the corpus's normalized records into a Vocabulary."""
+@dataclass(frozen=True, eq=False)
+class CountMatrix:
+    """Sparse rows of term counts in CSR form.
+
+    Row i holds `indices[indptr[i]:indptr[i+1]]` with values at the same
+    positions of `data`. Entries keep the order they were given in, which for
+    tokenized text is first appearance within the post; arithmetic that sums
+    along a row relies on that order for bit-stable results.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Mapping[int, float]], n_cols: int) -> "CountMatrix":
+        """Build from per-row {column: value} mappings, keeping their item order."""
+        rows = list(rows)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        nnz = int(indptr[-1])
+        indices = np.fromiter((c for row in rows for c in row), dtype=np.int64, count=nnz)
+        data = np.fromiter((v for row in rows for v in row.values()), dtype=float, count=nnz)
+        if nnz and not (0 <= indices.min() and indices.max() < n_cols):
+            raise ValueError(f"column index out of range for {n_cols} columns")
+        return cls(indptr, indices, data, n_cols)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(column ids, values) of row i."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return self.indices[lo:hi], self.data[lo:hi]
+
+    def rows(self, idx: Sequence[int]) -> "CountMatrix":
+        """The given rows, in the given order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        lengths = np.diff(self.indptr)[idx]
+        indptr = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        # position of every kept entry in the source arrays
+        take = np.repeat(self.indptr[idx] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CountMatrix(indptr, self.indices[take], self.data[take], self.n_cols)
+
+    def concat(self, other: "CountMatrix") -> "CountMatrix":
+        """This matrix's rows followed by other's."""
+        if other.n_cols != self.n_cols:
+            raise ValueError(f"cannot stack {other.n_cols} columns under {self.n_cols}")
+        return CountMatrix(
+            np.concatenate([self.indptr, other.indptr[1:] + self.indptr[-1]]),
+            np.concatenate([self.indices, other.indices]),
+            np.concatenate([self.data, other.data]),
+            self.n_cols,
+        )
+
+    def toarray(self) -> np.ndarray:
+        """Dense float64 copy, shape (rows, n_cols)."""
+        dense = np.zeros((len(self), self.n_cols))
+        dense[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = self.data
+        return dense
+
+
+def count_ngrams(
+    texts: Iterable[str],
+    table: ReplacementTable | None = None,
+    n_max: int = 1,
+    vocab: Vocabulary | None = None,
+) -> tuple[Vocabulary, CountMatrix]:
+    """Normalize each text once and count its 1..n_max-grams into one row.
+
+    Without a vocabulary, terms get ids in first-appearance order and the new
+    vocabulary is returned. With one, its n_max applies, unknown terms are
+    ignored, and it is returned unchanged. Each row lists its terms in order
+    of first appearance within the text.
+    """
     if table is None:
         table = ReplacementTable.default()
-    if len(corpus.records) == 0:
+    grow = vocab is None
+    if grow:
+        vocab = Vocabulary({}, n_max)
+    term_to_id = vocab.term_to_id
+    indptr = [0]
+    indices: list[int] = []
+    data: list[int] = []
+    for text in texts:
+        for gram, count in Counter(ngrams(normalize(text, table), vocab.n_max)).items():
+            tid = term_to_id.setdefault(gram, len(term_to_id)) if grow else term_to_id.get(gram)
+            if tid is not None:
+                indices.append(tid)
+                data.append(count)
+        indptr.append(len(indices))
+    if grow and len(indptr) == 1:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    term_to_id: dict[str, int] = {}
-    doc_freq: dict[int, int] = {}
-    term_freq: dict[int, int] = {}
-    for record in corpus.records:
-        grams = ngrams(normalize(record.text, table), n_max)
-        for g in grams:
-            tid = term_to_id.setdefault(g, len(term_to_id))
-            term_freq[tid] = term_freq.get(tid, 0) + 1
-        for g in set(grams):
-            tid = term_to_id[g]
-            doc_freq[tid] = doc_freq.get(tid, 0) + 1
-    return Vocabulary(term_to_id, doc_freq, n_max, len(corpus.records), term_freq)
-
-
-def vectorize(tokens: list[str], vocab: Vocabulary) -> dict[int, int]:
-    """Sparse counts of the in-vocabulary n-grams; unknown terms are ignored."""
-    counts: Counter[int] = Counter()
-    lookup = vocab.term_to_id
-    for g in ngrams(tokens, vocab.n_max):
-        tid = lookup.get(g)
-        if tid is not None:
-            counts[tid] += 1
-    return dict(counts)
+    matrix = CountMatrix(
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(data, dtype=float),
+        len(vocab),
+    )
+    return vocab, matrix
 
 
 def tfidf_rank(
-    corpus: "Corpus", vocab: Vocabulary, stopwords: Iterable[str] = ()
+    counts: CountMatrix, vocab: Vocabulary, stopwords: Iterable[str] = ()
 ) -> list[tuple[str, float]]:
     """Rank vocabulary terms by corpus-level TF-IDF, descending.
 
-    score(t) = tf_corpus(t) * ln(doc_count / doc_freq(t)). Stopword terms are
+    score(t) = tf_corpus(t) * ln(doc_count / doc_freq(t)), with one document
+    per row of counts. Stopword terms and terms absent from every row are
     excluded. Ties break lexicographically so the ordering is total.
     """
-    if len(corpus.records) != vocab.doc_count:
+    if counts.n_cols != len(vocab):
         raise ValueError(
-            f"vocabulary was built over {vocab.doc_count} documents, corpus has {len(corpus.records)}"
+            f"count matrix has {counts.n_cols} columns, vocabulary has {len(vocab)} terms"
         )
+    doc_count = len(counts)
+    doc_freq = np.bincount(counts.indices, minlength=counts.n_cols).tolist()
+    term_freq = np.bincount(counts.indices, counts.data, minlength=counts.n_cols).tolist()
     stop = {_canonical_token(s) for s in stopwords}
     scored = []
     for term, tid in vocab.term_to_id.items():
-        if term in stop:
+        if term in stop or not doc_freq[tid]:
             continue
-        score = vocab.term_freq[tid] * math.log(vocab.doc_count / vocab.doc_freq[tid])
+        # Python ints keep the scores bit-identical to integer tallies
+        score = int(term_freq[tid]) * math.log(doc_count / doc_freq[tid])
         scored.append((term, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored

@@ -15,7 +15,6 @@ from sensor_rank.classify import (
     TrainingConfig,
     cross_validate,
     dataset_from_corpus,
-    predict,
     predict_many,
     smote,
     train_mnnb,
@@ -33,19 +32,10 @@ from sensor_rank.rank import (
     overall_focus,
     twitterrank,
 )
-from sensor_rank.synth import (
-    SynthConfig,
-    generate,
-    oracle_linear_solve,
-    oracle_nb_posterior,
-)
-from sensor_rank.text import (
-    ReplacementTable,
-    Vocabulary,
-    build_vocabulary,
-    normalize,
-    vectorize,
-)
+from sensor_rank.synth import SynthConfig, generate
+from sensor_rank.text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
+
+from oracles import oracle_linear_solve, oracle_nb_posterior
 
 GAMMA = 0.85
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
@@ -160,7 +150,7 @@ def test_05_smote_doubles_minority_and_respects_segments():
     for _ in range(n):
         tids = rng.choice(dim, size=int(rng.integers(1, 5)), replace=False)
         minority.append({int(t): float(rng.integers(1, 6)) for t in tids})
-    synthetic = smote(minority, 100, k, seed=77)
+    synthetic = smote(CountMatrix.from_rows(minority, dim), 100, k, seed=77)
     total = len(minority) + len(synthetic)
 
     dense = np.zeros((n, dim))
@@ -174,7 +164,7 @@ def test_05_smote_doubles_minority_and_respects_segments():
     for idx in sample:
         i = int(idx) % n
         y = np.zeros(dim)
-        for t, c in synthetic[idx].items():
+        for t, c in zip(*synthetic.row(int(idx))):
             y[t] = c
         kth = np.sort(d2[i])[k - 1]
         admissible = np.nonzero(d2[i] <= kth + 1e-9)[0]
@@ -205,14 +195,12 @@ def test_05_smote_doubles_minority_and_respects_segments():
 def test_06_nb_posteriors_match_rational_arithmetic():
     vectors = [{0: 2, 1: 1}, {0: 1, 2: 1}, {1: 2, 3: 1}, {2: 1, 3: 2}]
     labels = [R, R, N, Z]
-    vocab = Vocabulary({f"w{i}": i for i in range(4)}, {}, 1, 0, {})
-    data = LabeledDataset(
-        [{k: float(v) for k, v in vec.items()} for vec in vectors], labels, vocab
-    )
+    vocab = Vocabulary({f"w{i}": i for i in range(4)}, 1)
+    data = LabeledDataset(CountMatrix.from_rows(vectors, 4), labels, vocab)
     model = train_mnnb(data, alpha=1.0)
     worst = 0.0
-    for query in ({0: 1}, {1: 1, 2: 1}, {0: 2, 3: 1}, {}, {0: 1, 1: 1, 2: 1, 3: 1}):
-        _, probs = predict(model, {k: float(v) for k, v in query.items()})
+    queries = ({0: 1}, {1: 1, 2: 1}, {0: 2, 3: 1}, {}, {0: 1, 1: 1, 2: 1, 3: 1})
+    for query, (_, probs) in zip(queries, predict_many(model, CountMatrix.from_rows(queries, 4))):
         exact = oracle_nb_posterior(vectors, labels, 4, 1.0, query)
         for label in (R, N, Z):
             worst = max(worst, abs(probs[label] - exact[label]))
@@ -245,14 +233,10 @@ def test_08_planted_influencer_recovered_across_seeds():
     for seed in range(1, 11):
         t0 = time.perf_counter()
         corpus, graph, _ = generate(SynthConfig(seed=seed))
-        vocab = build_vocabulary(corpus, table, n_max=1)
-        data = dataset_from_corpus(corpus, vocab, table)
+        data = dataset_from_corpus(corpus, table, n_max=1)
         model = train_mnnb(data)
-        vectors = [
-            {k: float(v) for k, v in vectorize(normalize(rec.text, table), vocab).items()}
-            for rec in corpus.records
-        ]
-        predictions = predict_many(model, vectors)
+        _, counts = count_ngrams((rec.text for rec in corpus.records), table, vocab=data.vocab)
+        predictions = predict_many(model, counts)
         stats = compute_user_stats(
             [(rec, label) for rec, (label, _) in zip(corpus.records, predictions)]
         )
@@ -287,16 +271,14 @@ def test_09_cross_validation_floors_on_separable_corpus():
     corpus, _, _ = generate(config)
     table = ReplacementTable.default()
 
-    vocab1 = build_vocabulary(corpus, table, n_max=1)
     mnnb = cross_validate(
-        dataset_from_corpus(corpus, vocab1, table),
+        dataset_from_corpus(corpus, table, n_max=1),
         10,
         TrainingConfig(classifier="mnnb", smote_percent=0),
         seed=7,
     )
-    vocab3 = build_vocabulary(corpus, table, n_max=3)
     rf = cross_validate(
-        dataset_from_corpus(corpus, vocab3, table),
+        dataset_from_corpus(corpus, table, n_max=3),
         10,
         TrainingConfig(classifier="rf", n_trees=100, smote_percent=100, smote_k=5),
         seed=7,

@@ -12,7 +12,6 @@ from sensor_rank.classify import (
     evaluate,
     info_gain_rank,
     load_model,
-    predict,
     predict_many,
     save_model,
     smote,
@@ -21,25 +20,36 @@ from sensor_rank.classify import (
 )
 from sensor_rank.corpus import Corpus, Label, TweetRecord
 from sensor_rank.forest import train_rf
-from sensor_rank.synth import oracle_nb_posterior
-from sensor_rank.text import Vocabulary
+from sensor_rank.text import CountMatrix, Vocabulary
+
+from oracles import oracle_nb_posterior
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
 
 def make_vocab(size, n_max=1):
-    return Vocabulary(
-        term_to_id={f"w{i}": i for i in range(size)},
-        doc_freq={},
-        n_max=n_max,
-        doc_count=0,
-        term_freq={},
-    )
+    return Vocabulary(term_to_id={f"w{i}": i for i in range(size)}, n_max=n_max)
+
+
+def matrix(rows, n_cols=None):
+    """CountMatrix of {term id: count} rows; n_cols defaults to 1 + the largest id."""
+    if n_cols is None:
+        n_cols = 1 + max((t for row in rows for t in row), default=-1)
+    return CountMatrix.from_rows(rows, n_cols)
+
+
+def rows_of(m):
+    """The rows of a CountMatrix as {term id: value} dicts, entry order kept."""
+    return [dict(zip(*(a.tolist() for a in m.row(i)))) for i in range(len(m))]
+
+
+def predict(model, query):
+    """predict_many on a single query row."""
+    return predict_many(model, matrix([query], 100))[0]
 
 
 def make_data(vectors, labels, vocab_size):
-    vecs = [{k: float(v) for k, v in vec.items()} for vec in vectors]
-    return LabeledDataset(vecs, list(labels), make_vocab(vocab_size))
+    return LabeledDataset(matrix(vectors, vocab_size), list(labels), make_vocab(vocab_size))
 
 
 def toy_data():
@@ -75,7 +85,7 @@ def test_dataset_class_counts_and_subset():
     assert data.class_counts() == {R: 2, N: 1, Z: 1}
     sub = data.subset([2, 0])
     assert sub.labels == [N, R]
-    assert sub.vectors[1] == {0: 2.0, 1: 1.0}
+    assert rows_of(sub.matrix)[1] == {0: 2.0, 1: 1.0}
 
 
 def test_dataset_from_corpus_skips_unlabeled():
@@ -89,9 +99,9 @@ def test_dataset_from_corpus_skips_unlabeled():
     corpus = Corpus(records)
     vocab = make_vocab(0)
     vocab.term_to_id.update({"zika": 0, "bom": 1, "dia": 2})
-    data = dataset_from_corpus(corpus, vocab)
+    data = dataset_from_corpus(corpus, vocab=vocab)
     assert data.labels == [R, Z]
-    assert data.vectors == [{0: 2.0}, {1: 1.0, 2: 1.0}]
+    assert rows_of(data.matrix) == [{0: 2.0}, {1: 1.0, 2: 1.0}]
 
 
 def test_train_mnnb_validation():
@@ -110,10 +120,32 @@ def test_train_mnnb_distributions_normalized():
     np.testing.assert_allclose(np.exp(model.term_log_prob).sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_mnnb_scatter_matches_plain_loops_bit_for_bit():
+    """The CSR scatters add in row then entry order, as per-entry loops do."""
+    rng = np.random.default_rng(43)
+    data = random_data(rng, 40, 15)
+    synthetic = smote(data.matrix.rows(range(20)), 100, 3, 5)  # real-valued rows
+    data = LabeledDataset(data.matrix.concat(synthetic), data.labels + [R] * 20, data.vocab)
+    model = train_mnnb(data, alpha=0.5)
+    counts = np.zeros((3, 15))
+    for vec, label in zip(rows_of(data.matrix), data.labels):
+        for tid, cnt in vec.items():
+            counts[[R, N, Z].index(label), tid] += cnt
+    totals = counts.sum(axis=1, keepdims=True)
+    assert np.array_equal(model.term_log_prob, np.log((counts + 0.5) / (totals + 0.5 * 15)))
+    for vec, (_, probs) in zip(rows_of(data.matrix), predict_many(model, data.matrix)):
+        log_post = model.class_log_prior.copy()
+        for tid, cnt in vec.items():
+            log_post += cnt * model.term_log_prob[:, tid]
+        want = np.exp(log_post - log_post.max())
+        want /= want.sum()
+        assert list(probs.values()) == want.tolist()
+
+
 def test_mnnb_matches_exact_rational_posterior():
     data = toy_data()
     model = train_mnnb(data, alpha=1.0)
-    int_vectors = [{k: int(v) for k, v in vec.items()} for vec in data.vectors]
+    int_vectors = [{k: int(v) for k, v in vec.items()} for vec in rows_of(data.matrix)]
     queries = [{0: 1}, {0: 2, 3: 1}, {1: 1, 2: 2}, {}, {0: 1, 1: 1, 2: 1, 3: 1}]
     for query in queries:
         _, probs = predict(model, {k: float(v) for k, v in query.items()})
@@ -125,7 +157,7 @@ def test_mnnb_matches_exact_rational_posterior():
 def test_mnnb_fractional_alpha_matches_oracle():
     data = toy_data()
     model = train_mnnb(data, alpha=0.5)
-    int_vectors = [{k: int(v) for k, v in vec.items()} for vec in data.vectors]
+    int_vectors = [{k: int(v) for k, v in vec.items()} for vec in rows_of(data.matrix)]
     _, probs = predict(model, {0: 1.0, 3: 1.0})
     exact = oracle_nb_posterior(int_vectors, data.labels, 4, 0.5, {0: 1, 3: 1})
     for label in (R, N, Z):
@@ -148,15 +180,15 @@ def test_predict_tie_prefers_earlier_class():
 
 def test_predict_rejects_unknown_model():
     with pytest.raises(TypeError):
-        predict(object(), {0: 1.0})
+        predict_many(object(), matrix([{0: 1.0}]))
 
 
 def test_predict_many_matches_single_mnnb():
     rng = np.random.default_rng(7)
     data = random_data(rng, 30, 12)
     model = train_mnnb(data)
-    queries = data.vectors + [{}, {99: 5.0}]
-    batch = predict_many(model, queries)
+    queries = rows_of(data.matrix) + [{}, {99: 5.0}]
+    batch = predict_many(model, matrix(queries))
     for query, (label, probs) in zip(queries, batch):
         one_label, one_probs = predict(model, query)
         assert label is one_label
@@ -168,15 +200,15 @@ def test_predict_many_matches_single_rf():
     rng = np.random.default_rng(11)
     data = random_data(rng, 24, 8)
     model = train_rf(data, n_trees=5, seed=3)
-    batch = predict_many(model, data.vectors)
-    for query, (label, probs) in zip(data.vectors, batch):
+    batch = predict_many(model, data.matrix)
+    for query, (label, probs) in zip(rows_of(data.matrix), batch):
         one_label, one_probs = predict(model, query)
         assert label is one_label
         assert probs == one_probs
 
 
 def test_smote_validation():
-    minority = [{0: float(i)} for i in range(6)]
+    minority = matrix([{0: float(i)} for i in range(6)])
     with pytest.raises(ValueError, match="percent"):
         smote(minority, 150, 5, 1)
     with pytest.raises(ValueError, match="percent"):
@@ -188,25 +220,25 @@ def test_smote_validation():
 
 
 def test_smote_counts():
-    minority = [{0: float(i), 1: 1.0} for i in range(8)]
-    assert smote(minority, 0, 5, 1) == []
+    minority = matrix([{0: float(i), 1: 1.0} for i in range(8)])
+    assert rows_of(smote(minority, 0, 5, 1)) == []
     assert len(smote(minority, 100, 5, 1)) == 8
     assert len(smote(minority, 300, 5, 1)) == 24
 
 
 def test_smote_deterministic():
     rng = np.random.default_rng(5)
-    minority = [
+    minority = matrix([
         {int(t): float(rng.integers(1, 4)) for t in rng.choice(10, size=3, replace=False)}
         for _ in range(20)
-    ]
-    assert smote(minority, 200, 5, 42) == smote(minority, 200, 5, 42)
-    assert smote(minority, 200, 5, 42) != smote(minority, 200, 5, 43)
+    ])
+    assert rows_of(smote(minority, 200, 5, 42)) == rows_of(smote(minority, 200, 5, 42))
+    assert rows_of(smote(minority, 200, 5, 42)) != rows_of(smote(minority, 200, 5, 43))
 
 
 def test_smote_identical_sources_reproduce_themselves():
-    minority = [{0: 2.0, 3: 1.0}] * 7
-    for point in smote(minority, 100, 5, 9):
+    minority = matrix([{0: 2.0, 3: 1.0}] * 7)
+    for point in rows_of(smote(minority, 100, 5, 9)):
         assert point == {0: 2.0, 3: 1.0}
 
 
@@ -223,7 +255,7 @@ def test_smote_points_lie_between_source_and_a_nearest_neighbor():
     for i, vec in enumerate(minority):
         for t, c in vec.items():
             dense[i, t] = c
-    synthetic = smote(minority, 200, k, 77)
+    synthetic = rows_of(smote(matrix(minority), 200, k, 77))
     assert len(synthetic) == 2 * n
     for idx, point in enumerate(synthetic):
         i = idx % n
@@ -267,7 +299,7 @@ def test_subsample_spread_caps_majorities():
 def test_subsample_spread_no_op_when_within_ratio():
     data = toy_data()
     out = subsample_spread(data, 2.0, 1)
-    assert out.vectors == data.vectors
+    assert rows_of(out.matrix) == rows_of(data.matrix)
     assert out.labels == data.labels
 
 
@@ -277,8 +309,9 @@ def test_subsample_spread_keeps_original_order_and_minority():
     out = subsample_spread(data, 1.5, 99)
     # survivors appear in their original relative order
     pos = 0
-    for vec, label in zip(out.vectors, out.labels):
-        while data.vectors[pos] != vec or data.labels[pos] != label:
+    vectors = rows_of(data.matrix)
+    for vec, label in zip(rows_of(out.matrix), out.labels):
+        while vectors[pos] != vec or data.labels[pos] != label:
             pos += 1
         pos += 1
     counts = data.class_counts()
@@ -296,7 +329,7 @@ def test_subsample_spread_deterministic():
     data = random_data(rng, 30, 5)
     a = subsample_spread(data, 1.0, 8)
     b = subsample_spread(data, 1.0, 8)
-    assert a.vectors == b.vectors and a.labels == b.labels
+    assert rows_of(a.matrix) == rows_of(b.matrix) and a.labels == b.labels
 
 
 def test_info_gain_zero_for_uninformative_term():
@@ -478,7 +511,7 @@ def test_model_roundtrip_rf(tmp_path):
     save_model(model, data.vocab, "h", path)
     loaded, _, _ = load_model(path)
     assert loaded.n_trees == 4
-    for query in data.vectors:
+    for query in rows_of(data.matrix):
         assert predict(loaded, query) == predict(model, query)
 
 

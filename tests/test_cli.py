@@ -286,6 +286,15 @@ def test_keywords_respects_stopwords(tmp_path, capsys):
     assert "comum" in stdout
 
 
+def test_keywords_zero_expansion_keeps_only_seeds(tmp_path, capsys):
+    corpus = tmp_path / "kw.jsonl"
+    corpus.write_text(json.dumps({"id": "t1", "user": "a", "text": "zika surto",
+                                  "created_at": "2016-09-01T00:00:00Z"}) + "\n", encoding="utf-8")
+    assert main(["keywords", "--corpus", str(corpus), "--k", "0"]) == 0
+    merged = f"merged keywords ({len(SEED_KEYWORDS)}):\n" + "".join(f"  {s}\n" for s in SEED_KEYWORDS)
+    assert capsys.readouterr().out.endswith(merged)
+
+
 def test_console_module_smoke(tmp_path):
     env = dict(os.environ, SENSOR_RANK_LOG="info")
     corpus = tmp_path / "c.jsonl"
@@ -322,3 +331,86 @@ def test_log_env_values(tmp_path):
     env = dict(os.environ, SENSOR_RANK_LOG="banana")
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
     assert "unknown SENSOR_RANK_LOG" in proc.stderr
+
+
+@pytest.mark.parametrize("raw", [
+    '{"k": [1]}', '{"k": true}', '{"k": "5"}', '{"k": 2.0}', '{"gamma": "0.5"}',
+    '{"corpus": 3}', '{"seeds": "dengue"}', '{"seeds": [1]}', '{"ngrams": 4}',
+])
+def test_config_values_are_type_checked(pipeline, tmp_path, capsys, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(raw, encoding="utf-8")
+    code = main(["report", "--config", str(cfg), "--corpus", str(pipeline["classified"]),
+                 "--graph", str(pipeline["graph"])])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: config key ")
+
+
+def test_config_accepts_ints_for_floats_and_null(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gamma": 0, "k": null}', encoding="utf-8")
+    args = ["report", "--config", str(cfg), "--corpus", str(pipeline["classified"]),
+            "--graph", str(pipeline["graph"])]
+    assert main(args) == 2  # gamma 0 is read as 0.0 and fails the range check
+    assert "gamma must be in (0,1), got 0.0" in capsys.readouterr().err
+    cfg.write_text('{"gamma": 0.85, "k": null}', encoding="utf-8")
+    assert main(args) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 11  # null k leaves the default 10
+
+
+@pytest.mark.parametrize("total", ['"5"', "true", "2.5", "-1"])
+def test_corpus_rejects_non_integer_tweet_totals(pipeline, tmp_path, capsys, total):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        '{"id": "t1", "user": "a", "text": "zika", "created_at": "2016-09-01T00:00:00Z", '
+        f'"label": "Relevant", "user_total_tweets": {total}}}\n',
+        encoding="utf-8",
+    )
+    code = main(["rank", "--corpus", str(bad), "--graph", str(pipeline["graph"]),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 1: ")
+    assert "user_total_tweets" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tol", "nan"], ["--tol", "inf"], ["--gamma", "nan"], ["--gamma", "inf"],
+])
+def test_rank_rejects_non_finite_settings(pipeline, tmp_path, capsys, flags):
+    code = main(["rank", "--corpus", str(pipeline["classified"]),
+                 "--graph", str(pipeline["graph"]), "--out", str(tmp_path / "o"), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0][2:]} must be ")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("vocabulary"),
+    lambda d: d.update(vocabulary="zika"),
+    lambda d: d["vocabulary"].append(7),
+    lambda d: d["vocabulary"].append("extra"),
+    lambda d: d["vocabulary"].append(d["vocabulary"][0]),
+    lambda d: d.pop("n_max"),
+    lambda d: d.update(n_max="1"),
+    lambda d: d.update(n_max=True),
+    lambda d: d.update(n_max=4),
+    lambda d: d.pop("kind"),
+    lambda d: d.update(kind=["mnnb"]),
+    lambda d: d.update(kind="rf"),
+    lambda d: d.update(params=[1]),
+    lambda d: d["params"].pop("alpha"),
+    lambda d: d["params"].pop("class_log_prior"),
+    lambda d: d["params"]["term_log_prob"].pop(),
+    lambda d: d["params"].update(term_log_prob=None),
+    lambda d: d.pop("table_hash"),
+])
+def test_classify_rejects_malformed_model(pipeline, tmp_path, capsys, edit):
+    doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
+    edit(doc)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["classify", "--corpus", str(pipeline["corpus"]), "--model", str(bad),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")

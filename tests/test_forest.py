@@ -1,27 +1,22 @@
 import numpy as np
 import pytest
 
-from sensor_rank.classify import LabeledDataset, dumps_json, predict
+from sensor_rank.classify import LabeledDataset, dumps_json, predict_many
 from sensor_rank.corpus import Label
 from sensor_rank.forest import RfModel, TreeNode, train_rf
-from sensor_rank.text import Vocabulary
+from sensor_rank.text import CountMatrix, Vocabulary
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
 
 def make_data(vectors, labels, vocab_size):
-    vocab = Vocabulary(
-        term_to_id={f"w{i}": i for i in range(vocab_size)},
-        doc_freq={},
-        n_max=1,
-        doc_count=0,
-        term_freq={},
-    )
-    return LabeledDataset(
-        [{k: float(v) for k, v in vec.items()} for vec in vectors],
-        list(labels),
-        vocab,
-    )
+    vocab = Vocabulary(term_to_id={f"w{i}": i for i in range(vocab_size)}, n_max=1)
+    return LabeledDataset(CountMatrix.from_rows(vectors, vocab_size), list(labels), vocab)
+
+
+def predict(model, query):
+    """predict_many on a single {term id: count} row."""
+    return predict_many(model, CountMatrix.from_rows([query], 1 + max(query, default=0)))[0]
 
 
 def separable_data(rng, per_class=20, v_size=9):
@@ -60,7 +55,7 @@ def test_rf_fits_separable_training_data():
     rng = np.random.default_rng(2)
     data = separable_data(rng)
     model = train_rf(data, n_trees=15, seed=7)
-    hits = sum(predict(model, v)[0] is y for v, y in zip(data.vectors, data.labels))
+    hits = sum(label is y for (label, _), y in zip(predict_many(model, data.matrix), data.labels))
     assert hits == len(data)
 
 
@@ -69,7 +64,7 @@ def test_rf_generalizes_on_separable_holdout():
     train = separable_data(rng, per_class=25)
     test = separable_data(rng, per_class=8)
     model = train_rf(train, n_trees=15, seed=11)
-    hits = sum(predict(model, v)[0] is y for v, y in zip(test.vectors, test.labels))
+    hits = sum(label is y for (label, _), y in zip(predict_many(model, test.matrix), test.labels))
     assert hits / len(test) >= 0.9
 
 
@@ -119,8 +114,7 @@ def test_rf_prediction_probabilities():
     rng = np.random.default_rng(10)
     data = separable_data(rng, per_class=10)
     model = train_rf(data, n_trees=6, seed=29)
-    for vec in data.vectors[:10]:
-        _, probs = predict(model, vec)
+    for _, probs in predict_many(model, data.matrix.rows(range(10))):
         total = sum(probs.values())
         assert total == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 <= p <= 1.0 for p in probs.values())
@@ -149,8 +143,8 @@ def test_rf_single_class_purity_short_circuit(tmp_path):
 
     rng = np.random.default_rng(0)
     dense = np.zeros((3, 2))
-    for i, vec in enumerate(data.vectors):
-        for t, c in vec.items():
+    for i in range(len(data)):
+        for t, c in zip(*data.matrix.row(i)):
             dense[i, int(t)] = c
     y = np.array([0, 0, 0])
     root = _grow_tree(dense, y, boot=np.array([0, 1, 2]), m=1, rng=rng)

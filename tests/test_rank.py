@@ -19,7 +19,8 @@ from sensor_rank.rank import (
     twitterrank,
     write_report,
 )
-from sensor_rank.synth import oracle_linear_solve
+
+from oracles import oracle_linear_solve
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -87,6 +88,13 @@ def test_rank_config_validation():
         RankConfig(tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         RankConfig(max_iter=0)
+
+
+@pytest.mark.parametrize("field", ["gamma", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_rank_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        RankConfig(**{field: value})
 
 
 def test_compute_user_stats_tallies():

@@ -11,12 +11,9 @@ from sensor_rank.rank import (
     overall_focus,
     topic_focus,
 )
-from sensor_rank.synth import (
-    SynthConfig,
-    generate,
-    oracle_linear_solve,
-    oracle_nb_posterior,
-)
+from sensor_rank.synth import SynthConfig, generate
+
+from oracles import oracle_linear_solve, oracle_nb_posterior
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 

@@ -1,26 +1,25 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sensor_rank.corpus import Corpus, TweetRecord
 from sensor_rank.text import (
     DROP,
+    CountMatrix,
     ReplacementTable,
-    build_vocabulary,
+    count_ngrams,
     fold_accents,
     load_stopwords,
     ngrams,
     normalize,
     tfidf_rank,
-    vectorize,
 )
 
 
-def make_corpus(texts):
-    records = tuple(
-        TweetRecord(id=f"t{i}", user=f"u{i % 3}", text=text, created_at="2016-09-01T00:00:00Z")
-        for i, text in enumerate(texts)
-    )
-    return Corpus(records)
+def row_dict(matrix, i):
+    return dict(zip(*(a.tolist() for a in matrix.row(i))))
 
 
 def test_fold_accents():
@@ -140,69 +139,121 @@ def test_ngrams_bounds():
 
 
 def test_build_vocabulary_ids_and_frequencies():
-    corpus = make_corpus(["febre febre alta", "febre baixa"])
-    vocab = build_vocabulary(corpus, n_max=1)
+    vocab, counts = count_ngrams(["febre febre alta", "febre baixa"], n_max=1)
     assert vocab.terms_in_id_order() == ["febre", "alta", "baixa"]
-    assert vocab.doc_count == 2
+    assert len(counts) == 2
     f = vocab.term_to_id["febre"]
-    assert vocab.doc_freq[f] == 2
-    assert vocab.term_freq[f] == 3
+    assert np.bincount(counts.indices)[f] == 2
+    assert np.bincount(counts.indices, counts.data)[f] == 3
 
 
 def test_build_vocabulary_empty_corpus():
     with pytest.raises(ValueError, match="empty"):
-        build_vocabulary(Corpus(()), n_max=1)
+        count_ngrams([], n_max=1)
 
 
 def test_vectorize_counts_and_ignores_unknown():
-    corpus = make_corpus(["a b a", "b c"])
-    vocab = build_vocabulary(corpus, n_max=1)
-    vec = vectorize(["a", "a", "zz", "c"], vocab)
-    assert vec == {vocab.term_to_id["a"]: 2, vocab.term_to_id["c"]: 1}
+    vocab, _ = count_ngrams(["a b a", "b c"], n_max=1)
+    _, counts = count_ngrams(["a a zz c"], vocab=vocab)
+    assert row_dict(counts, 0) == {vocab.term_to_id["a"]: 2, vocab.term_to_id["c"]: 1}
 
 
 def test_vectorize_respects_vocab_ngram_order():
-    corpus = make_corpus(["a b"])
-    vocab = build_vocabulary(corpus, n_max=2)
-    vec = vectorize(["a", "b"], vocab)
-    assert vec == {
+    vocab, _ = count_ngrams(["a b"], n_max=2)
+    _, counts = count_ngrams(["a b"], vocab=vocab)
+    assert row_dict(counts, 0) == {
         vocab.term_to_id["a"]: 1,
         vocab.term_to_id["a_b"]: 1,
         vocab.term_to_id["b"]: 1,
     }
 
 
+def test_one_pass_matches_per_record_counting():
+    texts = ["Zika zika e dengue", "kkkk 123 dengue http://x.co/a", "", "dengue zika zika zika"]
+    vocab, counts = count_ngrams(texts, n_max=2)
+    _, again = count_ngrams(texts + ["palavra nova"], vocab=vocab)
+    assert len(vocab) == counts.n_cols == again.n_cols
+    for i, text in enumerate(texts):
+        # first-appearance order, as Counter gives it, with unknown terms dropped
+        expected = {vocab.term_to_id[g]: c for g, c in Counter(ngrams(normalize(text), 2)).items()}
+        assert list(row_dict(counts, i).items()) == list(expected.items())
+        assert list(row_dict(again, i).items()) == list(expected.items())
+    assert row_dict(again, len(texts)) == {}
+
+
+sparse_rows = st.integers(1, 12).flatmap(
+    lambda n_cols: st.tuples(
+        st.just(n_cols),
+        st.lists(
+            st.dictionaries(
+                st.integers(0, n_cols - 1),
+                st.floats(-1e6, 1e6, allow_nan=False),
+                max_size=n_cols,
+            ),
+            max_size=8,
+        ),
+    )
+)
+
+
+@given(sparse_rows)
+def test_count_matrix_rows_round_trip_in_order(case):
+    n_cols, rows = case
+    m = CountMatrix.from_rows(rows, n_cols)
+    assert len(m) == len(rows)
+    assert [list(row_dict(m, i).items()) for i in range(len(m))] == [list(r.items()) for r in rows]
+    picked = list(range(len(rows)))[::-2]
+    sub = m.rows(picked)
+    assert [row_dict(sub, i) for i in range(len(sub))] == [rows[i] for i in picked]
+    both = m.concat(sub)
+    assert [row_dict(both, i) for i in range(len(both))] == rows + [rows[i] for i in picked]
+
+
+@given(sparse_rows)
+def test_count_matrix_toarray_matches_dict_densification(case):
+    n_cols, rows = case
+    dense = np.zeros((len(rows), n_cols))
+    for i, row in enumerate(rows):
+        for t, c in row.items():
+            dense[i, t] = c
+    assert np.array_equal(CountMatrix.from_rows(rows, n_cols).toarray(), dense)
+
+
+def test_count_matrix_rejects_out_of_range_columns():
+    with pytest.raises(ValueError, match="column"):
+        CountMatrix.from_rows([{3: 1.0}], 3)
+    with pytest.raises(ValueError, match="columns"):
+        CountMatrix.from_rows([], 2).concat(CountMatrix.from_rows([], 3))
+
+
 def test_tfidf_rank_hand_computed():
     # "comum" in both docs -> idf 0; "raro" tf=2 in one doc
-    corpus = make_corpus(["comum raro raro", "comum outro"])
-    vocab = build_vocabulary(corpus, n_max=1)
-    ranked = dict(tfidf_rank(corpus, vocab))
+    vocab, counts = count_ngrams(["comum raro raro", "comum outro"], n_max=1)
+    ranked = dict(tfidf_rank(counts, vocab))
     assert ranked["comum"] == 0.0
     np.testing.assert_allclose(ranked["raro"], 2 * np.log(2))
     np.testing.assert_allclose(ranked["outro"], np.log(2))
-    order = [t for t, _ in tfidf_rank(corpus, vocab)]
+    order = [t for t, _ in tfidf_rank(counts, vocab)]
     assert order == ["raro", "outro", "comum"]
 
 
 def test_tfidf_rank_excludes_stopwords():
-    corpus = make_corpus(["comum raro raro", "comum outro"])
-    vocab = build_vocabulary(corpus, n_max=1)
-    terms = [t for t, _ in tfidf_rank(corpus, vocab, stopwords={"raro"})]
+    vocab, counts = count_ngrams(["comum raro raro", "comum outro"], n_max=1)
+    terms = [t for t, _ in tfidf_rank(counts, vocab, stopwords={"raro"})]
     assert "raro" not in terms
 
 
 def test_tfidf_rank_ties_break_alphabetically():
-    corpus = make_corpus(["bb aa", "cc dd"])
-    vocab = build_vocabulary(corpus, n_max=1)
-    terms = [t for t, _ in tfidf_rank(corpus, vocab)]
+    vocab, counts = count_ngrams(["bb aa", "cc dd"], n_max=1)
+    terms = [t for t, _ in tfidf_rank(counts, vocab)]
     assert terms == sorted(terms)
 
 
 def test_tfidf_rank_corpus_mismatch():
-    corpus = make_corpus(["a", "b"])
-    vocab = build_vocabulary(corpus, n_max=1)
-    with pytest.raises(ValueError, match="documents"):
-        tfidf_rank(make_corpus(["a"]), vocab)
+    vocab, _ = count_ngrams(["a", "b"], n_max=1)
+    _, other = count_ngrams(["a"], n_max=1)
+    with pytest.raises(ValueError, match="columns"):
+        tfidf_rank(other, vocab)
 
 
 def test_load_stopwords_canonicalizes(tmp_path):
