@@ -127,6 +127,12 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.classifier not in ("mnnb", "rf"):
             raise ValueError(f"classifier must be 'mnnb' or 'rf', got {self.classifier!r}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if self.spread_ratio is not None and not 1 <= self.spread_ratio < math.inf:
+            raise ValueError(
+                f"spread_ratio must be finite and >= 1, got {self.spread_ratio}"
+            )
 
 
 @dataclass(frozen=True)
@@ -221,7 +227,9 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
     reps = percent // 100
     if reps == 0:
         return minority.rows([])
-    dense = minority.toarray()
+    # only the columns the minority uses: integer counts keep distances exact
+    used, local = np.unique(minority.indices, return_inverse=True)
+    dense = CountMatrix(minority.indptr, local, minority.data, len(used)).toarray()
     sq = np.einsum("ij,ij->i", dense, dense)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (dense @ dense.T)
     np.fill_diagonal(d2, np.inf)
@@ -237,7 +245,7 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
             lam = rng.random()
             point = dense[i] + lam * (dense[j] - dense[i])
             nonzero = np.flatnonzero(point)
-            indices.append(nonzero)
+            indices.append(used[nonzero])
             data.append(point[nonzero])
             indptr.append(indptr[-1] + len(nonzero))
     return CountMatrix(

@@ -329,20 +329,17 @@ def _rank_pipeline(settings: Settings):
     stats = compute_user_stats(pairs)
     candidates = candidate_filter(stats, rcfg, _exclusions(settings))
     matrix = build_transition(candidates, graph)
-    rank_vector = twitterrank(matrix, candidates, rcfg)
-    return graph, rcfg, candidates, rank_vector
+    return matrix, rcfg, candidates, twitterrank(matrix, candidates, rcfg)
 
 
 def cmd_rank(settings: Settings) -> int:
     out = _out_dir(settings)
-    graph, rcfg, candidates, rank_vector = _rank_pipeline(settings)
+    matrix, rcfg, candidates, rank_vector = _rank_pipeline(settings)
     for metric in REPORT_METRICS:
         report = ranking_report(candidates, rank_vector, rcfg, metric)
         for path in write_report(report, out):
             log.info("wrote %s", path)
-    components, friend_pairs = connected_components(
-        graph, {u.user_id for u in candidates}
-    )
+    components, friend_pairs = connected_components(matrix)
     comp_doc = {
         "components": components,
         "friend_pairs": [list(p) for p in friend_pairs],

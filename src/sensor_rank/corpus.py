@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
@@ -108,8 +108,6 @@ class FollowerGraph:
     """Directed follow edges; an edge (follower, friend) means follower follows friend."""
 
     edges: frozenset[tuple[str, str]]
-    followers_of: dict[str, tuple[str, ...]] = field(init=False, repr=False)
-    friends_of: dict[str, tuple[str, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for follower, friend in self.edges:
@@ -117,25 +115,6 @@ class FollowerGraph:
                 raise ValueError("graph edge endpoints must be non-empty")
             if follower == friend:
                 raise ValueError(f"self-follow edge not allowed: {follower!r}")
-        followers: dict[str, list[str]] = {}
-        friends: dict[str, list[str]] = {}
-        for follower, friend in sorted(self.edges):
-            followers.setdefault(friend, []).append(follower)
-            friends.setdefault(follower, []).append(friend)
-        object.__setattr__(
-            self, "followers_of", {u: tuple(v) for u, v in followers.items()}
-        )
-        object.__setattr__(
-            self, "friends_of", {u: tuple(v) for u, v in friends.items()}
-        )
-
-    def nodes(self) -> list[str]:
-        """All endpoint names, sorted."""
-        out: set[str] = set()
-        for follower, friend in self.edges:
-            out.add(follower)
-            out.add(friend)
-        return sorted(out)
 
 
 _REQUIRED_FIELDS = ("id", "user", "text", "created_at")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -78,6 +79,8 @@ class RankConfig:
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.min_relevant < 1:
+            raise ValueError(f"min_relevant must be >= 1, got {self.min_relevant}")
 
 
 @dataclass(frozen=True)
@@ -202,33 +205,23 @@ def build_transition(
     """Restrict the graph to candidates and weight each follow edge.
 
     For i following j: P(i,j) = R(j) / (sum of R over i's candidate friends)
-    times sim(i,j) = 1 - |v(i) - v(j)|.
+    times sim(i,j) = 1 - |v(i) - v(j)|. Every candidate-to-candidate edge is
+    kept, zero weights included, ordered by (follower index, friend index).
     """
     index = {u.user_id: i for i, u in enumerate(candidates)}
+    endpoints = chain.from_iterable(graph.edges)
+    ends = np.fromiter(
+        map(index.get, endpoints, repeat(-1)), dtype=int, count=2 * len(graph.edges)
+    ).reshape(-1, 2)
+    follower, friend = ends[(ends >= 0).all(axis=1)].T
+    order = np.lexsort((friend, follower))
+    rows, cols = follower[order], friend[order]
     r = np.array([u.relevant_count for u in candidates], dtype=float)
     v = np.array([u.v for u in candidates])
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for u in candidates:
-        i = index[u.user_id]
-        friends = [
-            index[f] for f in graph.friends_of.get(u.user_id, ()) if f in index
-        ]
-        if not friends:
-            continue
-        denom = r[friends].sum()
-        for j in friends:
-            sim = 1.0 - abs(v[i] - v[j])
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(r[j] / denom * sim))
-    return TransitionMatrix(
-        index,
-        np.array(rows, dtype=int),
-        np.array(cols, dtype=int),
-        np.array(vals, dtype=float),
-    )
+    # sums of integer counts: exact in any order
+    denom = np.bincount(rows, weights=r[cols], minlength=len(candidates))
+    vals = r[cols] / denom[rows] * (1.0 - np.abs(v[rows] - v[cols]))
+    return TransitionMatrix(index, rows, cols, vals)
 
 
 def twitterrank(
@@ -281,41 +274,37 @@ def overall_focus(u: UserStats) -> float:
 
 
 def connected_components(
-    graph: FollowerGraph, candidates: Iterable[str]
+    P: TransitionMatrix,
 ) -> tuple[list[list[str]], list[tuple[str, str]]]:
     """Weak components of the candidate-restricted graph, plus mutual pairs.
 
-    Every candidate appears in exactly one component (isolated users form
-    singletons). Components are sorted largest first, then by first member;
-    mutual-follow pairs are returned as sorted (a, b) tuples with a < b.
+    P carries every candidate-to-candidate follow edge. Every candidate
+    appears in exactly one component (isolated users form singletons).
+    Components are sorted largest first, then by first member; mutual-follow
+    pairs are returned as sorted (a, b) tuples with a < b.
     """
-    cand = set(candidates)
-    adj: dict[str, set[str]] = {uid: set() for uid in cand}
-    directed: set[tuple[str, str]] = set()
-    for follower, friend in graph.edges:
-        if follower in cand and friend in cand:
-            adj[follower].add(friend)
-            adj[friend].add(follower)
-            directed.add((follower, friend))
-    seen: set[str] = set()
-    components: list[list[str]] = []
-    for uid in sorted(cand):
-        if uid in seen:
-            continue
-        comp = []
-        queue = [uid]
-        seen.add(uid)
-        while queue:
-            cur = queue.pop()
-            comp.append(cur)
-            for nxt in sorted(adj[cur]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        components.append(sorted(comp))
-    components.sort(key=lambda c: (-len(c), c[0]))
+    ids = list(P.index)
+    # hook each root onto the smallest root across its edges, then flatten,
+    # until every edge joins one root; a root is its component's least index
+    root = np.arange(P.n)
+    while True:
+        a, b = root[P.rows], root[P.cols]
+        if np.array_equal(a, b):
+            break
+        low = np.minimum(a, b)
+        np.minimum.at(root, a, low)
+        np.minimum.at(root, b, low)
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    members: dict[int, list[str]] = {}
+    for uid, r in zip(ids, root.tolist()):
+        members.setdefault(r, []).append(uid)
+    components = sorted(
+        (sorted(c) for c in members.values()), key=lambda c: (-len(c), c[0])
+    )
+    mutual = np.isin(P.rows * P.n + P.cols, P.cols * P.n + P.rows) & (P.rows < P.cols)
     pairs = sorted(
-        (a, b) for a, b in directed if a < b and (b, a) in directed
+        tuple(sorted((ids[i], ids[j]))) for i, j in zip(P.rows[mutual], P.cols[mutual])
     )
     return components, pairs
 

@@ -10,8 +10,45 @@ from fractions import Fraction
 
 import numpy as np
 
-from sensor_rank.corpus import LABEL_ORDER, Label
-from sensor_rank.rank import TransitionMatrix
+from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label
+from sensor_rank.rank import TransitionMatrix, UserStats
+
+
+def oracle_transition(
+    candidates: list[UserStats], graph: FollowerGraph
+) -> TransitionMatrix:
+    """The transition weights built one candidate and one friend at a time.
+
+    Walks candidates in list order and each one's friends in name order, so
+    for candidates sorted by user_id the entries come out in (follower index,
+    friend index) order.
+    """
+    index = {u.user_id: i for i, u in enumerate(candidates)}
+    friends_of: dict[str, list[str]] = {}
+    for follower, friend in sorted(graph.edges):
+        friends_of.setdefault(follower, []).append(friend)
+    r = np.array([u.relevant_count for u in candidates], dtype=float)
+    v = np.array([u.v for u in candidates])
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for u in candidates:
+        i = index[u.user_id]
+        friends = [index[f] for f in friends_of.get(u.user_id, ()) if f in index]
+        if not friends:
+            continue
+        denom = r[friends].sum()
+        for j in friends:
+            sim = 1.0 - abs(v[i] - v[j])
+            rows.append(i)
+            cols.append(j)
+            vals.append(float(r[j] / denom * sim))
+    return TransitionMatrix(
+        index,
+        np.array(rows, dtype=int),
+        np.array(cols, dtype=int),
+        np.array(vals, dtype=float),
+    )
 
 
 def oracle_linear_solve(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,27 @@ def test_smote_deterministic():
     ])
     assert rows_of(smote(minority, 200, 5, 42)) == rows_of(smote(minority, 200, 5, 42))
     assert rows_of(smote(minority, 200, 5, 42)) != rows_of(smote(minority, 200, 5, 43))
+
+
+def test_smote_ignores_unused_columns():
+    # the same rows inside a vastly wider matrix give the same synthetic rows
+    rng = np.random.default_rng(6)
+    rows = [
+        {int(t): float(rng.integers(1, 4)) for t in sorted(rng.choice(40, size=4, replace=False))}
+        for _ in range(12)
+    ]
+    narrow = smote(matrix(rows), 200, 3, 8)
+    spread = matrix([{t * 25_000: c for t, c in row.items()} for row in rows], 1_000_000)
+    tracemalloc.start()
+    try:
+        wide = smote(spread, 200, 3, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense block at the full width would take 12 x 1e6 x 8 bytes = 96 MB
+    assert peak < 8_000_000
+    assert wide.n_cols == 1_000_000
+    assert rows_of(wide) == [{t * 25_000: c for t, c in row.items()} for row in rows_of(narrow)]
 
 
 def test_smote_identical_sources_reproduce_themselves():
@@ -476,6 +498,15 @@ def test_cross_validate_deterministic():
 def test_training_config_validation():
     with pytest.raises(ValueError, match="classifier"):
         TrainingConfig(classifier="svm")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", 0.0), ("alpha", -1.0), ("alpha", math.nan), ("alpha", math.inf),
+    ("spread_ratio", 0.5), ("spread_ratio", math.nan), ("spread_ratio", math.inf),
+])
+def test_training_config_rejects_bad_alpha_and_spread_ratio(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainingConfig(**{field: value})
 
 
 def test_dumps_json_formatting():

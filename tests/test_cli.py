@@ -385,6 +385,30 @@ def test_rank_rejects_non_finite_settings(pipeline, tmp_path, capsys, flags):
     assert err.startswith(f"error: {flags[0][2:]} must be ")
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_rank_rejects_min_relevant_below_one(pipeline, tmp_path, capsys, value):
+    code = main(["rank", "--corpus", str(pipeline["classified"]), "--graph", str(pipeline["graph"]),
+                 "--out", str(tmp_path / "o"), "--min-relevant", value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: min_relevant must be >= 1")
+    assert not (tmp_path / "o" / "report_tr.tsv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "0"],
+    ["--spread-ratio", "nan"], ["--spread-ratio", "inf"], ["--spread-ratio", "0.5"],
+])
+def test_train_rejects_bad_alpha_and_spread_ratio(pipeline, tmp_path, capsys, flags):
+    model = tmp_path / "m.json"
+    code = main(["train", "--corpus", str(pipeline["corpus"]), "--model", str(model),
+                 *TRAIN_FLAGS, *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0][2:].replace('-', '_')} must be ")
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("vocabulary"),
     lambda d: d.update(vocabulary="zika"),

@@ -147,14 +147,6 @@ def test_keyword_filter_empty_keywords():
         keyword_filter(Corpus((record(1),)), [])
 
 
-def test_follower_graph_accessors():
-    g = FollowerGraph(frozenset({("a", "b"), ("c", "b"), ("b", "a")}))
-    assert g.followers_of["b"] == ("a", "c")
-    assert g.friends_of["a"] == ("b",)
-    assert "zz" not in g.friends_of
-    assert g.nodes() == ["a", "b", "c"]
-
-
 def test_follower_graph_rejects_self_follow():
     with pytest.raises(ValueError, match="self"):
         FollowerGraph(frozenset({("a", "a")}))

@@ -20,7 +20,7 @@ from sensor_rank.rank import (
     write_report,
 )
 
-from oracles import oracle_linear_solve
+from oracles import oracle_linear_solve, oracle_transition
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -88,6 +88,9 @@ def test_rank_config_validation():
         RankConfig(tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         RankConfig(max_iter=0)
+    for value in (0, -1):
+        with pytest.raises(ValueError, match="min_relevant"):
+            RankConfig(min_relevant=value)
 
 
 @pytest.mark.parametrize("field", ["gamma", "tol"])
@@ -178,6 +181,22 @@ def test_build_transition_ignores_outsiders():
     assert P.entries() == {}
 
 
+def test_build_transition_matches_per_candidate_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        stats, graph = random_instance(rng)
+        users = sorted(stats)
+        # excluded users leave edges with an endpoint outside the candidates
+        excluded = rng.choice(users, size=int(rng.integers(0, len(users))), replace=False)
+        candidates = candidate_filter(stats, RankConfig(), excluded.tolist())
+        got = build_transition(candidates, graph)
+        want = oracle_transition(candidates, graph)
+        assert got.index == want.index
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.cols, want.cols)
+        assert np.array_equal(got.vals, want.vals)
+
+
 def test_twitterrank_isolated_candidate_floor():
     a = UserStats("a", 5, 5, 5, v=1.0)
     P = build_transition([a], FollowerGraph(frozenset()))
@@ -266,9 +285,15 @@ def test_focus_metrics():
         overall_focus(UserStats("w", 0, 0, 0))
 
 
+def components_of(graph, users):
+    """connected_components over the transition matrix of equal candidates."""
+    candidates = candidate_filter({u: UserStats(u, 3, 3, 3) for u in users}, RankConfig())
+    return connected_components(build_transition(candidates, graph))
+
+
 def test_connected_components_basics():
     graph = FollowerGraph(frozenset({("a", "b"), ("c", "d"), ("d", "c"), ("x", "y")}))
-    comps, mutual = connected_components(graph, ["a", "b", "c", "d", "e"])
+    comps, mutual = components_of(graph, ["a", "b", "c", "d", "e"])
     assert comps == [["a", "b"], ["c", "d"], ["e"]]
     assert mutual == [("c", "d")]
 
@@ -276,17 +301,28 @@ def test_connected_components_basics():
 def test_connected_components_ignore_noncandidate_bridges():
     # a-x-b would connect a and b, but x is not a candidate
     graph = FollowerGraph(frozenset({("a", "x"), ("x", "b")}))
-    comps, mutual = connected_components(graph, ["a", "b"])
+    comps, mutual = components_of(graph, ["a", "b"])
     assert comps == [["a"], ["b"]]
     assert mutual == []
 
 
+def long_path_instance(rng, n=500):
+    """One path through n users in random order, each edge in a random direction."""
+    users = [f"p{i:03d}" for i in rng.permutation(n)]
+    edges = {
+        (a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(users, users[1:])
+    }
+    return {u: UserStats(u, 3, 3, 3) for u in users}, FollowerGraph(frozenset(edges))
+
+
 def test_connected_components_match_union_find():
     rng = np.random.default_rng(99)
-    for _ in range(20):
-        stats, graph = random_instance(rng)
+    instances = [random_instance(rng) for _ in range(20)] + [long_path_instance(rng)]
+    for stats, graph in instances:
         users = sorted(stats)
-        comps, mutual = connected_components(graph, users)
+        comps, mutual = connected_components(
+            build_transition(candidate_filter(stats, RankConfig()), graph)
+        )
         uf = UnionFind(users)
         for a, b in graph.edges:
             if a in stats and b in stats:
@@ -300,6 +336,12 @@ def test_connected_components_match_union_find():
         for a, b in mutual:
             assert a < b
             assert (a, b) in graph.edges and (b, a) in graph.edges
+        assert mutual == sorted(
+            (a, b) for a, b in graph.edges
+            if a < b and (b, a) in graph.edges and a in stats and b in stats
+        )
+        assert comps == sorted(comps, key=lambda c: (-len(c), c[0]))
+        assert all(c == sorted(c) for c in comps)
 
 
 def test_ranking_report_orders_and_cross_ranks():
