@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LABEL_ORDER, Corpus, Label
-from .forest import RfModel, train_rf
+from .forest import RfModel, predict_proba, train_rf
 from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
 __all__ = [
@@ -44,6 +44,9 @@ MODEL_FORMAT = "sensor-rank-model"
 MODEL_VERSION = 1
 
 _LABEL_INDEX = {label: i for i, label in enumerate(LABEL_ORDER)}
+
+# minority rows per block of SMOTE's neighbor search
+_SMOTE_BLOCK = 256
 
 
 @dataclass
@@ -182,7 +185,7 @@ def predict_many(
     """Label every row; ties go to the earliest class in LABEL_ORDER.
 
     MNNB scores the whole batch in one scatter over the nonzeros and ignores
-    columns beyond its vocabulary; the forest walks each row.
+    columns beyond its vocabulary; the forest routes all rows one tree at a time.
     """
     n = len(X)
     if isinstance(model, MnnbModel):
@@ -196,7 +199,7 @@ def predict_many(
         probs = np.exp(log_post)
         probs /= probs.sum(axis=1, keepdims=True)
     elif isinstance(model, RfModel):
-        probs = np.array([model.distribution(*X.row(i)) for i in range(n)]).reshape(n, 3)
+        probs = predict_proba(model, X)
     else:
         raise TypeError(f"unsupported model type: {type(model).__name__}")
     winners = np.argmax(probs, axis=1)
@@ -231,10 +234,21 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
     used, local = np.unique(minority.indices, return_inverse=True)
     dense = CountMatrix(minority.indptr, local, minority.data, len(used)).toarray()
     sq = np.einsum("ij,ij->i", dense, dense)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (dense @ dense.T)
-    np.fill_diagonal(d2, np.inf)
-    # argsort on (distance, index) pairs keeps neighbor choice total-ordered
-    neighbor_ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    neighbor_ids = np.empty((len(dense), k), dtype=np.int64)
+    # a block of rows at a time: memory grows with the rows, not their square
+    for lo in range(0, len(dense), _SMOTE_BLOCK):
+        hi = min(lo + _SMOTE_BLOCK, len(dense))
+        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (dense[lo:hi] @ dense.T)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        # the k first by (distance, index): all below the k-th smallest
+        # distance, then the lowest-index ties at it
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        near = d2 < kth
+        tie = d2 == kth
+        near |= tie & (np.cumsum(tie, axis=1) <= k - near.sum(axis=1, keepdims=True))
+        cols = np.nonzero(near)[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
+        neighbor_ids[lo:hi] = np.take_along_axis(cols, order, axis=1)
     rng = np.random.default_rng([seed, len(minority), k])
     indptr = [0]
     indices: list[np.ndarray] = []

@@ -168,6 +168,7 @@ def _exclusions(settings: Settings) -> frozenset[str]:
 
 
 def _out_dir(settings: Settings) -> Path:
+    """Create --out; commands call it once nothing is left to refuse."""
     out = Path(settings.require("out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -252,9 +253,9 @@ def cmd_eval(settings: Settings) -> int:
     tcfg = _training_config(settings)
     seed = settings.require("seed")
     folds = settings.get("folds", 10)
-    out = _out_dir(settings)
     data = dataset_from_corpus(corpus, table, settings.get("ngrams", 3))
     report = cross_validate(data, folds, tcfg, seed)
+    out = _out_dir(settings)
     doc = {
         "accuracy": report.accuracy,
         "weighted_f": report.weighted_f,
@@ -291,13 +292,13 @@ def cmd_eval(settings: Settings) -> int:
 def cmd_classify(settings: Settings) -> int:
     corpus = load_corpus(settings.require("corpus"))
     table = _table(settings)
-    out = _out_dir(settings)
     model, vocab, saved_hash = load_model(settings.require("model"))
     if saved_hash != table.table_hash():
         raise ValueError(
             "replacement table hash mismatch: the model was trained with a "
             "different normalization table"
         )
+    out = _out_dir(settings)
     _, counts = count_ngrams((r.text for r in corpus.records), table, vocab=vocab)
     predictions = predict_many(model, counts)
     records = tuple(
@@ -333,8 +334,8 @@ def _rank_pipeline(settings: Settings):
 
 
 def cmd_rank(settings: Settings) -> int:
-    out = _out_dir(settings)
     matrix, rcfg, candidates, rank_vector = _rank_pipeline(settings)
+    out = _out_dir(settings)
     for metric in REPORT_METRICS:
         report = ranking_report(candidates, rank_vector, rcfg, metric)
         for path in write_report(report, out):
@@ -373,8 +374,8 @@ def cmd_synth(settings: Settings) -> int:
         raise ValueError("--seed is required when no --config is given")
     else:
         config = SynthConfig(seed=seed)
-    out = _out_dir(settings)
     corpus, graph, _ = generate(config)
+    out = _out_dir(settings)
     write_corpus(corpus, out / "corpus.jsonl")
     write_follower_graph(graph, out / "graph.csv")
     print(f"wrote {len(corpus)} tweets and {len(graph.edges)} edges")

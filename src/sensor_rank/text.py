@@ -223,7 +223,7 @@ class CountMatrix:
     def rows(self, idx: Sequence[int]) -> "CountMatrix":
         """The given rows, in the given order."""
         idx = np.asarray(idx, dtype=np.int64)
-        lengths = np.diff(self.indptr)[idx]
+        lengths = self.indptr[idx + 1] - self.indptr[idx]
         indptr = np.zeros(len(idx) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         # position of every kept entry in the source arrays

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label
+from sensor_rank.forest import TreeNode
 from sensor_rank.rank import TransitionMatrix, UserStats
 
 
@@ -49,6 +50,107 @@ def oracle_transition(
         np.array(cols, dtype=int),
         np.array(vals, dtype=float),
     )
+
+
+def oracle_grow_tree(
+    X: np.ndarray, y: np.ndarray, boot: np.ndarray, m: int, rng: np.random.Generator
+) -> TreeNode:
+    """One Gini tree grown over a dense design matrix, every split by brute force.
+
+    At each node the m sampled columns of the node's rows (bootstrap repeats
+    included) are sorted and every prefix is scored; the first minimum in
+    feature-major order wins. Draws from rng in the same sequence as the
+    forest's own grower.
+    """
+    eye3 = np.eye(3)
+    n_features = X.shape[1]
+    root = TreeNode()
+    stack: list[tuple[TreeNode, np.ndarray]] = [(root, boot)]
+    while stack:
+        node, idx = stack.pop()
+        counts = np.bincount(y[idx], minlength=3).astype(float)
+        if len(idx) < 2 or counts.max() == len(idx):
+            node.dist = counts / counts.sum()
+            continue
+        feats = np.sort(rng.choice(n_features, size=m, replace=False))
+        sub = X[np.ix_(idx, feats)]
+        order = np.argsort(sub, axis=0, kind="stable")
+        svals = np.take_along_axis(sub, order, axis=0)
+        cum = np.cumsum(eye3[y[idx]][order], axis=0)
+        nn = len(idx)
+        left_counts = cum[:-1]
+        nl = np.arange(1, nn, dtype=float)[:, None]
+        right_counts = counts[None, None, :] - left_counts
+        cost = -(left_counts**2).sum(axis=2) / nl - (right_counts**2).sum(axis=2) / (nn - nl)
+        cost = np.where(svals[1:] > svals[:-1], cost, np.inf)
+        by_feature = cost.T
+        best = int(np.argmin(by_feature))
+        if not np.isfinite(by_feature.flat[best]):
+            node.dist = counts / counts.sum()
+            continue
+        fj, pos = divmod(best, nn - 1)
+        feature = int(feats[fj])
+        threshold = float((svals[pos, fj] + svals[pos + 1, fj]) / 2.0)
+        mask = X[idx, feature] <= threshold
+        left_idx, right_idx = idx[mask], idx[~mask]
+        if len(left_idx) == 0 or len(right_idx) == 0:
+            node.dist = counts / counts.sum()
+            continue
+        node.feature = feature
+        node.threshold = threshold
+        node.left = TreeNode()
+        node.right = TreeNode()
+        stack.append((node.right, right_idx))
+        stack.append((node.left, left_idx))
+    return root
+
+
+def oracle_forest_proba(model, X) -> np.ndarray:
+    """Every row walked down every tree on its own, the leaf distributions summed.
+
+    A row's cells come from a dict of its entries, so a repeated column keeps
+    its later value and an absent one reads 0.
+    """
+    out = np.zeros((len(X), 3))
+    for i in range(len(X)):
+        cols, vals = X.row(i)
+        row = dict(zip(cols.tolist(), vals.tolist()))
+        acc = np.zeros(3)
+        for root in model.trees:
+            node = root
+            while node.dist is None:
+                node = node.left if row.get(node.feature, 0.0) <= node.threshold else node.right
+            acc += node.dist
+        out[i] = acc / len(model.trees)
+    return out
+
+
+def oracle_smote(
+    rows: list[dict[int, float]], n_cols: int, percent: int, k: int, seed: int
+) -> list[dict[int, float]]:
+    """SMOTE by brute force: every pairwise distance, neighbors by (distance, index).
+
+    Draws from the same generator sequence as `classify.smote`, one neighbor
+    pick and one position per synthetic row, and returns the synthetic rows
+    as {column: value} dicts in ascending column order.
+    """
+    dense = np.zeros((len(rows), n_cols))
+    for i, row in enumerate(rows):
+        for col, value in row.items():
+            dense[i, col] = value
+    neighbors = []
+    for i in range(len(rows)):
+        d2 = ((dense - dense[i]) ** 2).sum(axis=1).tolist()
+        ranked = sorted((d, j) for j, d in enumerate(d2) if j != i)
+        neighbors.append([j for _, j in ranked[:k]])
+    rng = np.random.default_rng([seed, len(rows), k])
+    out = []
+    for _ in range(percent // 100):
+        for i in range(len(rows)):
+            j = neighbors[i][int(rng.integers(k))]
+            point = dense[i] + rng.random() * (dense[j] - dense[i])
+            out.append({int(c): float(point[c]) for c in np.flatnonzero(point)})
+    return out
 
 
 def oracle_linear_solve(

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sensor_rank import classify
 from sensor_rank.classify import (
     LabeledDataset,
     TrainingConfig,
@@ -23,7 +24,7 @@ from sensor_rank.corpus import Corpus, Label, TweetRecord
 from sensor_rank.forest import train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
-from oracles import oracle_nb_posterior
+from oracles import oracle_nb_posterior, oracle_smote
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -256,6 +257,22 @@ def test_smote_ignores_unused_columns():
     assert peak < 8_000_000
     assert wide.n_cols == 1_000_000
     assert rows_of(wide) == [{t * 25_000: c for t, c in row.items()} for row in rows_of(narrow)]
+
+
+def test_smote_matches_brute_force_across_blocks():
+    # small counts over few columns: many distance ties, broken by index
+    rng = np.random.default_rng(15)
+    n, dim, k = 700, 10, 4
+    assert n > 2 * classify._SMOTE_BLOCK
+    rows = [
+        {int(t): float(rng.integers(1, 4)) for t in rng.choice(dim, size=rng.integers(1, 4),
+                                                                replace=False)}
+        for _ in range(n)
+    ]
+    got = rows_of(smote(matrix(rows, dim), 200, k, 31))
+    assert [list(row.items()) for row in got] == [
+        list(row.items()) for row in oracle_smote(rows, dim, 200, k, 31)
+    ]
 
 
 def test_smote_identical_sources_reproduce_themselves():

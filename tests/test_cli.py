@@ -395,6 +395,52 @@ def test_rank_rejects_min_relevant_below_one(pipeline, tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("flags", [
+    ["--min-relevant", "0"], ["--gamma", "nan"], ["--graph", "missing.csv"],
+])
+def test_rejected_rank_leaves_no_out_dir(pipeline, tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    code = main(["rank", "--corpus", str(pipeline["classified"]), "--graph", str(pipeline["graph"]),
+                 "--out", str(out), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["table", "model", "missing"])
+def test_rejected_classify_leaves_no_out_dir(pipeline, tmp_path, capsys, case):
+    out = tmp_path / "o"
+    model = pipeline["model"]
+    extra = []
+    if case == "table":
+        table = tmp_path / "table.csv"
+        table.write_text("zika,zikavirus\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"table": str(table)}), encoding="utf-8")
+        extra = ["--config", str(cfg)]
+    elif case == "model":
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc.pop("vocabulary")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        model = tmp_path / "absent.json"
+    code = main(["classify", "--corpus", str(pipeline["corpus"]), "--model", str(model),
+                 "--out", str(out), *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_rejected_eval_leaves_no_out_dir(pipeline, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["eval", "--corpus", str(pipeline["corpus"]), "--out", str(out),
+                 *TRAIN_FLAGS, "--folds", "100000"])
+    assert code == 2
+    assert "fewer than folds=100000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
     ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "0"],
     ["--spread-ratio", "nan"], ["--spread-ratio", "inf"], ["--spread-ratio", "0.5"],
 ])

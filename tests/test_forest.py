@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sensor_rank.classify import LabeledDataset, dumps_json, predict_many
+from sensor_rank.classify import LabeledDataset, dumps_json, predict_many, smote
 from sensor_rank.corpus import Label
-from sensor_rank.forest import RfModel, TreeNode, train_rf
+from sensor_rank.forest import RfModel, TreeNode, _columns, _grow_tree, predict_proba, train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
+
+from oracles import oracle_forest_proba, oracle_grow_tree
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -139,14 +145,130 @@ def test_rf_single_class_purity_short_circuit(tmp_path):
     # all labels equal: every tree is a single pure leaf
     data = make_data([{0: 1}, {1: 1}, {0: 2}], [R, R, R], 2)
     # bypass the all-classes gate to probe the growth routine directly
-    from sensor_rank.forest import _grow_tree
-
     rng = np.random.default_rng(0)
-    dense = np.zeros((3, 2))
-    for i in range(len(data)):
-        for t, c in zip(*data.matrix.row(i)):
-            dense[i, int(t)] = c
     y = np.array([0, 0, 0])
-    root = _grow_tree(dense, y, boot=np.array([0, 1, 2]), m=1, rng=rng)
+    root = _grow_tree(_columns(data.matrix), y, boot=np.array([0, 1, 2]), m=1, rng=rng)
     assert root.dist is not None
     np.testing.assert_allclose(root.dist, [1.0, 0.0, 0.0])
+
+
+def tree_tuple(node):
+    """A tree as nested tuples: (feature, threshold, left, right) or the leaf's floats."""
+    if node.dist is not None:
+        return tuple(node.dist.tolist())
+    return (node.feature, node.threshold, tree_tuple(node.left), tree_tuple(node.right))
+
+
+def assert_same_tree(matrix, y, boot, m, seed):
+    """The sparse grower and the dense oracle build the identical tree from one seed."""
+    sparse = _grow_tree(_columns(matrix), y, boot, m, np.random.default_rng(seed))
+    dense = oracle_grow_tree(matrix.toarray(), y, boot, m, np.random.default_rng(seed))
+    assert tree_tuple(sparse) == tree_tuple(dense)
+
+
+def random_rows(rng, n, v, density, values):
+    """n rows over v columns in shuffled entry order; each cell kept with prob. density."""
+    rows = []
+    for _ in range(n):
+        cols = [int(c) for c in rng.permutation(v) if rng.random() < density]
+        rows.append({c: float(values(rng)) for c in cols})
+    return CountMatrix.from_rows(rows, v)
+
+
+CELL_VALUES = {
+    "counts": lambda r: r.integers(1, 4),
+    "explicit_zeros": lambda r: r.integers(0, 3),  # stored zeros act like absent cells
+    "negative": lambda r: r.integers(-3, 4),
+    "real": lambda r: r.normal(),
+    "all_zero_columns": lambda r: r.integers(1, 3),
+    "m_is_vocab": lambda r: r.integers(1, 5),
+}
+
+
+@pytest.mark.parametrize("case", list(CELL_VALUES))
+def test_sparse_splitter_matches_dense_oracle(case):
+    rng = np.random.default_rng(list(CELL_VALUES).index(case))
+    values = CELL_VALUES[case]
+    for trial in range(25):
+        n, v = int(rng.integers(2, 80)), int(rng.integers(1, 25))
+        density = 0.05 if case == "all_zero_columns" else 0.3
+        matrix = random_rows(rng, n, v, density, values)
+        y = rng.integers(0, 3, size=n)
+        boot = rng.integers(0, n, size=n)  # repeats rows, as a bootstrap does
+        m = v if case == "m_is_vocab" else int(rng.integers(1, v + 1))
+        assert_same_tree(matrix, y, boot, m, trial)
+
+
+def test_sparse_splitter_matches_dense_oracle_on_smote_rows():
+    # real-valued synthetic rows next to the integer counts they came from
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        n, v = 40, 12
+        counts = random_rows(rng, n, v, 0.3, lambda r: r.integers(1, 4))
+        y = rng.integers(0, 3, size=n)
+        y[:12] = 0
+        synthetic = smote(counts.rows(range(12)), 200, 3, trial)
+        matrix = counts.concat(synthetic)
+        y = np.concatenate([y, np.zeros(len(synthetic), dtype=np.int64)])
+        boot = rng.integers(0, len(y), size=len(y))
+        assert_same_tree(matrix, y, boot, 4, trial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda v: st.tuples(
+        st.just(v),
+        st.lists(
+            st.tuples(
+                st.dictionaries(st.integers(0, v - 1), st.sampled_from([-1.5, 0.0, 0.5, 1.0, 2.0]),
+                                max_size=v),
+                st.integers(0, 2),
+            ),
+            min_size=2, max_size=30,
+        ),
+    )),
+    st.data(),
+)
+def test_sparse_splitter_matches_dense_oracle_hypothesis(case, data):
+    v, labeled = case
+    matrix = CountMatrix.from_rows([row for row, _ in labeled], v)
+    y = np.array([label for _, label in labeled])
+    n = len(labeled)
+    boot = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    m = data.draw(st.integers(1, v))
+    assert_same_tree(matrix, y, boot, m, data.draw(st.integers(0, 2**32 - 1)))
+
+
+def test_train_rf_memory_follows_nonzeros():
+    # a few rows in a very wide vocabulary: nothing may scale with rows x width
+    rng = np.random.default_rng(13)
+    data = separable_data(rng, per_class=4)
+    width = 1_000_000
+    wide = make_data(
+        [{t * 100_000: c for t, c in zip(*(a.tolist() for a in data.matrix.row(i)))}
+         for i in range(len(data))],
+        data.labels, width,
+    )
+    tracemalloc.start()
+    try:
+        model = train_rf(wide, n_trees=3, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense design matrix alone would take 12 x 1e6 x 8 bytes = 96 MB; the
+    # column pointers and per-column counts take 8 MB each
+    assert peak < 24_000_000
+    assert model.feature_subsample == 1000
+
+
+def test_predict_proba_matches_per_row_walk():
+    rng = np.random.default_rng(14)
+    data = separable_data(rng, per_class=15)
+    model = train_rf(data, n_trees=7, seed=3)
+    queries = random_rows(rng, 60, 12, 0.3, lambda r: r.integers(-1, 4) + r.random())
+    # rows that list column 0 twice: the later entry wins, as in a dict
+    repeated = CountMatrix(
+        np.array([0, 2, 4]), np.array([0, 0, 0, 0]), np.array([9.0, 0.0, 0.0, 9.0]), 1
+    )
+    for X in (data.matrix, queries, repeated):
+        assert np.array_equal(predict_proba(model, X), oracle_forest_proba(model, X))
