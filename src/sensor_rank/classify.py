@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LABEL_ORDER, Corpus, Label
-from .forest import RfModel, predict_proba, train_rf
+from .corpus import LABEL_ORDER, Corpus, Label, class_ids, require_all_classes
+from .forest import RfModel, TreeNode, predict_proba, train_rf
 from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
 __all__ = [
@@ -43,25 +43,28 @@ __all__ = [
 MODEL_FORMAT = "sensor-rank-model"
 MODEL_VERSION = 1
 
-_LABEL_INDEX = {label: i for i, label in enumerate(LABEL_ORDER)}
-
 # minority rows per block of SMOTE's neighbor search
 _SMOTE_BLOCK = 256
 
 
 @dataclass
 class LabeledDataset:
-    """Count-matrix rows and their labels over a shared vocabulary."""
+    """Count-matrix rows over a shared vocabulary, with y holding each row's
+    class id: its label's position in LABEL_ORDER (see corpus.class_ids)."""
 
     matrix: CountMatrix
-    labels: list[Label]
+    y: np.ndarray
     vocab: Vocabulary
 
     def __post_init__(self) -> None:
-        if len(self.matrix) != len(self.labels):
-            raise ValueError(
-                f"{len(self.matrix)} vectors vs {len(self.labels)} labels"
-            )
+        y = self.y
+        if not (isinstance(y, np.ndarray) and y.dtype == np.int64 and y.ndim == 1):
+            got = f"{y.dtype} array of shape {y.shape}" if isinstance(y, np.ndarray) else type(y)
+            raise ValueError(f"y must be a one-dimensional int64 array, got {got}")
+        if len(self.matrix) != len(self.y):
+            raise ValueError(f"{len(self.matrix)} vectors vs {len(self.y)} class ids")
+        if ((self.y < 0) | (self.y >= len(LABEL_ORDER))).any():
+            raise ValueError(f"class ids must lie in 0..{len(LABEL_ORDER) - 1}")
         if self.matrix.n_cols != len(self.vocab):
             raise ValueError(
                 f"{self.matrix.n_cols} columns vs {len(self.vocab)} vocabulary terms"
@@ -70,16 +73,13 @@ class LabeledDataset:
     def __len__(self) -> int:
         return len(self.matrix)
 
-    def class_counts(self) -> dict[Label, int]:
-        counts = {label: 0 for label in LABEL_ORDER}
-        for label in self.labels:
-            counts[label] += 1
-        return counts
+    def class_counts(self) -> np.ndarray:
+        """Rows per class, in LABEL_ORDER."""
+        return np.bincount(self.y, minlength=len(LABEL_ORDER))
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
-        return LabeledDataset(
-            self.matrix.rows(indices), [self.labels[i] for i in indices], self.vocab
-        )
+        idx = np.asarray(indices, dtype=np.int64)
+        return LabeledDataset(self.matrix.rows(idx), self.y[idx], self.vocab)
 
 
 def dataset_from_corpus(
@@ -94,7 +94,7 @@ def dataset_from_corpus(
     """
     records = [r for r in corpus.records if r.label is not None]
     vocab, matrix = count_ngrams((r.text for r in records), table, n_max, vocab)
-    return LabeledDataset(matrix, [r.label for r in records], vocab)
+    return LabeledDataset(matrix, class_ids(r.label for r in records), vocab)
 
 
 @dataclass(frozen=True)
@@ -149,46 +149,33 @@ class EvalReport:
     confusion: np.ndarray
 
 
-def _class_ids(labels: Sequence[Label]) -> np.ndarray:
-    return np.array([_LABEL_INDEX[label] for label in labels], dtype=np.int64)
-
-
-def _require_all_classes(labels: Sequence[Label]) -> None:
-    present = set(labels)
-    missing = [label.value for label in LABEL_ORDER if label not in present]
-    if missing:
-        raise ValueError(f"training data is missing class(es): {', '.join(missing)}")
-
-
 def train_mnnb(data: LabeledDataset, alpha: float = 1.0) -> MnnbModel:
     """Fit priors and smoothed per-class term distributions from counts."""
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
-    _require_all_classes(data.labels)
+    require_all_classes(data.y)
     v_size = len(data.vocab)
-    y = _class_ids(data.labels)
     X = data.matrix
     counts = np.zeros((3, v_size))
     # unbuffered, in row then entry order: the same float sums as a plain loop
-    np.add.at(counts, (np.repeat(y, np.diff(X.indptr)), X.indices), X.data)
-    class_log_prior = np.log(np.bincount(y, minlength=3) / len(data))
+    np.add.at(counts, (np.repeat(data.y, np.diff(X.indptr)), X.indices), X.data)
+    class_log_prior = np.log(data.class_counts() / len(data))
     totals = counts.sum(axis=1, keepdims=True)
     term_log_prob = np.log((counts + alpha) / (totals + alpha * v_size))
     return MnnbModel(class_log_prior, term_log_prob, alpha, v_size)
 
 
-def predict_many(
-    model: MnnbModel | RfModel, X: CountMatrix
-) -> list[tuple[Label, dict[Label, float]]]:
-    """Label every row; ties go to the earliest class in LABEL_ORDER.
+def predict_many(model: MnnbModel | RfModel, X: CountMatrix) -> np.ndarray:
+    """Class probabilities of every row, shape (rows, 3), classes in LABEL_ORDER.
 
+    The predicted class is `argmax(axis=1)`, so ties go to the earliest class.
     MNNB scores the whole batch in one scatter over the nonzeros and ignores
     columns beyond its vocabulary; the forest routes all rows one tree at a time.
     """
-    n = len(X)
     if isinstance(model, MnnbModel):
+        n = len(X)
         docs = np.repeat(np.arange(n), np.diff(X.indptr))
         keep = X.indices < model.vocab_size
         tids = X.indices[keep]
@@ -198,18 +185,10 @@ def predict_many(
         log_post -= log_post.max(axis=1, keepdims=True)
         probs = np.exp(log_post)
         probs /= probs.sum(axis=1, keepdims=True)
-    elif isinstance(model, RfModel):
-        probs = predict_proba(model, X)
-    else:
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
-    winners = np.argmax(probs, axis=1)
-    return [
-        (
-            LABEL_ORDER[int(winners[i])],
-            {label: float(probs[i, j]) for j, label in enumerate(LABEL_ORDER)},
-        )
-        for i in range(n)
-    ]
+        return probs
+    if isinstance(model, RfModel):
+        return predict_proba(model, X)
+    raise TypeError(f"unsupported model type: {type(model).__name__}")
 
 
 def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix:
@@ -276,19 +255,18 @@ def subsample_spread(
     """Randomly drop majority-class instances until max/min class count ≤ max_ratio."""
     if max_ratio < 1:
         raise ValueError(f"max_ratio must be >= 1, got {max_ratio}")
-    counts = {label: n for label, n in data.class_counts().items() if n > 0}
-    if not counts:
+    counts = data.class_counts()
+    if not counts.any():
         raise ValueError("cannot subsample an empty dataset")
-    cap = math.floor(max_ratio * min(counts.values()))
+    cap = math.floor(max_ratio * int(counts[counts > 0].min()))
     rng = np.random.default_rng([seed, len(data)])
-    keep: set[int] = set()
-    for label in LABEL_ORDER:
-        indices = [i for i, y in enumerate(data.labels) if y == label]
+    keep = []
+    for c in range(len(LABEL_ORDER)):
+        indices = np.flatnonzero(data.y == c)
         if len(indices) > cap:
-            chosen = rng.choice(len(indices), size=cap, replace=False)
-            indices = [indices[int(i)] for i in chosen]
-        keep.update(indices)
-    return data.subset(sorted(keep))
+            indices = indices[rng.choice(len(indices), size=cap, replace=False)]
+        keep.append(indices)
+    return data.subset(np.sort(np.concatenate(keep)))
 
 
 def info_gain_rank(data: LabeledDataset) -> list[tuple[int, float]]:
@@ -301,13 +279,12 @@ def info_gain_rank(data: LabeledDataset) -> list[tuple[int, float]]:
         raise ValueError("cannot rank attributes of an empty dataset")
     n = len(data)
     v_size = len(data.vocab)
-    y = _class_ids(data.labels)
-    class_totals = np.bincount(y, minlength=3)
+    class_totals = data.class_counts()
     # doc counts per (class, term) for presence
     X = data.matrix
     nonzero = X.data != 0
     present = np.zeros((3, v_size))
-    np.add.at(present, (np.repeat(y, np.diff(X.indptr))[nonzero], X.indices[nonzero]), 1)
+    np.add.at(present, (np.repeat(data.y, np.diff(X.indptr))[nonzero], X.indices[nonzero]), 1)
 
     def entropy(counts: np.ndarray) -> np.ndarray:
         totals = counts.sum(axis=0)
@@ -326,22 +303,17 @@ def info_gain_rank(data: LabeledDataset) -> list[tuple[int, float]]:
     return [(t, float(gains[t])) for t in order]
 
 
-def evaluate(
-    predictions: Sequence[tuple[Label, dict[Label, float]]], truth: Sequence[Label]
-) -> EvalReport:
-    """Summarize held-out predictions against gold labels."""
-    if len(predictions) != len(truth):
-        raise ValueError(f"{len(predictions)} predictions vs {len(truth)} truth labels")
-    if not predictions:
+def evaluate(probs: np.ndarray, y: np.ndarray) -> EvalReport:
+    """Summarize held-out class probabilities (see predict_many) against gold class ids."""
+    if len(probs) != len(y):
+        raise ValueError(f"{len(probs)} predictions vs {len(y)} truth labels")
+    if not len(y):
         raise ValueError("nothing to evaluate")
-    n = len(truth)
+    n = len(y)
     confusion = np.zeros((3, 3), dtype=int)
-    sq_err = 0.0
-    for (pred, probs), gold in zip(predictions, truth):
-        confusion[_LABEL_INDEX[gold], _LABEL_INDEX[pred]] += 1
-        for label in LABEL_ORDER:
-            target = 1.0 if label == gold else 0.0
-            sq_err += (probs[label] - target) ** 2
+    np.add.at(confusion, (y, probs.argmax(axis=1)), 1)
+    # libm pow squares as Python's float ** does; cumsum adds in row then class order
+    sq_err = float(np.cumsum(np.float_power(probs - np.eye(3)[y], 2))[-1])
     accuracy = float(np.trace(confusion)) / n
     per_class: dict[Label, tuple[float, float, float]] = {}
     weighted_f = 0.0
@@ -358,17 +330,14 @@ def evaluate(
     return EvalReport(accuracy, per_class, float(weighted_f), rmse, confusion)
 
 
-def _stratified_folds(
-    labels: Sequence[Label], folds: int, rng: np.random.Generator
-) -> list[list[int]]:
+def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Shuffle each class and deal round-robin so folds stay class-balanced."""
-    assignments: list[list[int]] = [[] for _ in range(folds)]
-    for label in LABEL_ORDER:
-        indices = np.array([i for i, y in enumerate(labels) if y == label])
+    dealt = []
+    for c in range(len(LABEL_ORDER)):
+        indices = np.flatnonzero(y == c)
         rng.shuffle(indices)
-        for pos, idx in enumerate(indices):
-            assignments[pos % folds].append(int(idx))
-    return [sorted(fold) for fold in assignments]
+        dealt.append(indices)
+    return [np.sort(np.concatenate([d[f::folds] for d in dealt])) for f in range(folds)]
 
 
 def rebalance(
@@ -379,14 +348,13 @@ def rebalance(
         sub_seed = int(np.random.SeedSequence(seed_parts + [1]).generate_state(1)[0])
         train = subsample_spread(train, config.spread_ratio, sub_seed)
     if config.smote_percent > 0:
-        minority = train.matrix.rows(
-            [i for i, y in enumerate(train.labels) if y == Label.RELEVANT]
-        )
+        relevant = LABEL_ORDER.index(Label.RELEVANT)
+        minority = train.matrix.rows(np.flatnonzero(train.y == relevant))
         smote_seed = int(np.random.SeedSequence(seed_parts + [2]).generate_state(1)[0])
         synthetic = smote(minority, config.smote_percent, config.smote_k, smote_seed)
         train = LabeledDataset(
             train.matrix.concat(synthetic),
-            train.labels + [Label.RELEVANT] * len(synthetic),
+            np.concatenate([train.y, np.full(len(synthetic), relevant)]),
             train.vocab,
         )
     return train
@@ -405,26 +373,23 @@ def cross_validate(
     """Stratified k-fold evaluation; rebalancing never touches held-out folds."""
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
-    for label, count in data.class_counts().items():
+    for label, count in zip(LABEL_ORDER, data.class_counts()):
         if count < folds:
             raise ValueError(
                 f"class {label.value} has {count} instances, fewer than folds={folds}"
             )
     fold_rng = np.random.default_rng([seed, folds, len(data)])
-    fold_sets = _stratified_folds(data.labels, folds, fold_rng)
-    predictions: list[tuple[int, tuple[Label, dict[Label, float]]]] = []
+    fold_sets = _stratified_folds(data.y, folds, fold_rng)
+    probs = np.empty((len(data), len(LABEL_ORDER)))
     for fold_idx, test_indices in enumerate(fold_sets):
-        test_set = set(test_indices)
-        train_indices = [i for i in range(len(data)) if i not in test_set]
+        train_indices = np.setdiff1d(np.arange(len(data)), test_indices)
         train = rebalance(data.subset(train_indices), config, [seed, fold_idx])
         model_seed = int(
             np.random.SeedSequence([seed, fold_idx, 3]).generate_state(1)[0]
         )
         model = train_model(train, config, model_seed)
-        fold = predict_many(model, data.matrix.rows(test_indices))
-        predictions.extend(zip(test_indices, fold))
-    predictions.sort(key=lambda pair: pair[0])
-    return evaluate([p for _, p in predictions], [data.labels[i] for i, _ in predictions])
+        probs[test_indices] = predict_many(model, data.matrix.rows(test_indices))
+    return evaluate(probs, data.y)
 
 
 # --- model file I/O ---------------------------------------------------------
@@ -485,16 +450,32 @@ def _tree_to_obj(node) -> dict:
     }
 
 
-def _tree_from_obj(obj: dict):
-    from .forest import TreeNode
+def _finite_real(x) -> bool:
+    """A JSON number, not a bool, that is finite as a float."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
+
+def _tree_from_obj(obj: dict, n_features: int) -> TreeNode:
+    """A tree from its file form: a leaf holds 3 finite reals, an internal node
+    a feature id below n_features and a finite threshold."""
     if "leaf" in obj:
-        return TreeNode(dist=np.array(obj["leaf"], dtype=float))
+        leaf = obj["leaf"]
+        if not isinstance(leaf, list) or len(leaf) != 3 or not all(map(_finite_real, leaf)):
+            raise ValueError(f"tree leaf must be 3 finite reals, got {leaf!r}")
+        return TreeNode(dist=np.array(leaf, dtype=float))
+    feature, threshold = obj["feature"], obj["threshold"]
+    if type(feature) is not int or not 0 <= feature < n_features:
+        raise ValueError(f"tree feature must be an integer in [0, {n_features}), got {feature!r}")
+    if not _finite_real(threshold):
+        raise ValueError(f"tree threshold must be a finite real, got {threshold!r}")
     return TreeNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=_tree_from_obj(obj["left"]),
-        right=_tree_from_obj(obj["right"]),
+        feature=feature,
+        threshold=float(threshold),
+        left=_tree_from_obj(obj["left"], n_features),
+        right=_tree_from_obj(obj["right"], n_features),
     )
 
 
@@ -556,25 +537,28 @@ def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
     vocab = Vocabulary({t: i for i, t in enumerate(terms)}, n_max)
     if len(vocab) != len(terms):
         raise ValueError(f"{path}: 'vocabulary' repeats a term")
+    kind = doc.get("kind")
+    if kind not in ("mnnb", "rf"):
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
     model: MnnbModel | RfModel
     try:
-        if doc.get("kind") == "mnnb":
+        if kind == "mnnb":
             model = MnnbModel(
                 class_log_prior=np.array(params["class_log_prior"], dtype=float),
                 term_log_prob=np.array(params["term_log_prob"], dtype=float),
                 alpha=float(params["alpha"]),
                 vocab_size=len(terms),
             )
-        elif doc.get("kind") == "rf":
+        else:
+            if not params["trees"]:
+                raise ValueError("'trees' is empty")
             model = RfModel(
-                trees=tuple(_tree_from_obj(t) for t in params["trees"]),
+                trees=tuple(_tree_from_obj(t, len(terms)) for t in params["trees"]),
                 n_trees=int(params["n_trees"]),
                 feature_subsample=int(params["feature_subsample"]),
                 seed=int(params["seed"]),
             )
-        else:
-            raise ValueError(f"{path}: unknown model kind {doc.get('kind')!r}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model parameters: {exc!r}") from None
     if isinstance(model, MnnbModel) and (
         model.class_log_prior.shape != (3,) or model.term_log_prob.shape != (3, len(terms))

@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .classify import (
     TrainingConfig,
     cross_validate,
@@ -28,6 +30,7 @@ from .classify import (
     train_model,
 )
 from .corpus import (
+    LABEL_ORDER,
     Corpus,
     load_corpus,
     load_exclusions,
@@ -300,18 +303,16 @@ def cmd_classify(settings: Settings) -> int:
         )
     out = _out_dir(settings)
     _, counts = count_ngrams((r.text for r in corpus.records), table, vocab=vocab)
-    predictions = predict_many(model, counts)
+    predicted = predict_many(model, counts).argmax(axis=1)
     records = tuple(
-        dataclasses.replace(record, label=pred)
-        for record, (pred, _) in zip(corpus.records, predictions)
+        dataclasses.replace(record, label=LABEL_ORDER[c])
+        for record, c in zip(corpus.records, predicted)
     )
     write_corpus(Corpus(records), out / "classified.jsonl")
-    tally: dict[str, int] = {}
-    for pred, _ in predictions:
-        tally[pred.value] = tally.get(pred.value, 0) + 1
+    tally = np.bincount(predicted, minlength=len(LABEL_ORDER))
     print(
         f"classified {len(records)} records: "
-        + " ".join(f"{name.lower()}={tally.get(name, 0)}" for name in ("Relevant", "News", "Noise"))
+        + " ".join(f"{label.value.lower()}={n}" for label, n in zip(LABEL_ORDER, tally))
     )
     return 0
 

@@ -9,11 +9,15 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from .text import ReplacementTable, normalize
 
 __all__ = [
     "Label",
     "LABEL_ORDER",
+    "class_ids",
+    "require_all_classes",
     "TweetRecord",
     "Corpus",
     "FollowerGraph",
@@ -38,6 +42,20 @@ class Label(str, Enum):
 LABEL_ORDER: tuple[Label, Label, Label] = (Label.RELEVANT, Label.NEWS, Label.NOISE)
 
 _LABEL_BY_VALUE = {label.value: label for label in Label}
+_CLASS_ID = {label: i for i, label in enumerate(LABEL_ORDER)}
+
+
+def class_ids(labels: Iterable[Label]) -> np.ndarray:
+    """Each label's position in LABEL_ORDER, as an int64 array."""
+    return np.fromiter((_CLASS_ID[label] for label in labels), dtype=np.int64)
+
+
+def require_all_classes(y: np.ndarray) -> None:
+    """Reject training class ids that leave out a class of LABEL_ORDER."""
+    counts = np.bincount(y, minlength=len(LABEL_ORDER))
+    missing = [label.value for label, n in zip(LABEL_ORDER, counts) if n == 0]
+    if missing:
+        raise ValueError(f"training data is missing class(es): {', '.join(missing)}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +135,9 @@ class FollowerGraph:
                 raise ValueError(f"self-follow edge not allowed: {follower!r}")
 
 
-_REQUIRED_FIELDS = ("id", "user", "text", "created_at")
+# required field -> the JSON types it accepts; integer ids and users become strings
+_REQUIRED_FIELDS = {"id": (str, int), "user": (str, int), "text": (str,), "created_at": (str,)}
+_TYPE_NAMES = {str: "a string", int: "an integer"}
 _OPTIONAL_FIELDS = ("label", "user_total_tweets")
 
 
@@ -135,9 +155,14 @@ def load_corpus(path: str | Path) -> Corpus:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-            for key in _REQUIRED_FIELDS:
+            for key, types in _REQUIRED_FIELDS.items():
                 if key not in obj:
                     raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
+                if type(obj[key]) not in types:
+                    kind = " or ".join(_TYPE_NAMES[t] for t in types)
+                    raise ValueError(
+                        f"{path}: line {lineno}: field {key!r} must be {kind}, got {obj[key]!r}"
+                    )
             unknown = set(obj) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
             if unknown:
                 raise ValueError(
@@ -154,8 +179,8 @@ def load_corpus(path: str | Path) -> Corpus:
                 record = TweetRecord(
                     id=str(obj["id"]),
                     user=str(obj["user"]),
-                    text=str(obj["text"]),
-                    created_at=str(obj["created_at"]),
+                    text=obj["text"],
+                    created_at=obj["created_at"],
                     label=label,
                     user_total_tweets=obj.get("user_total_tweets"),
                 )

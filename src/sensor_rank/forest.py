@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .corpus import require_all_classes
 from .text import CountMatrix
 
 if TYPE_CHECKING:
@@ -156,23 +157,20 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     best (feature, threshold) pair by impurity decrease wins, with ties going
     to the lowest feature id and then the lowest threshold.
     """
-    from .classify import _class_ids, _require_all_classes
-
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
-    _require_all_classes(data.labels)
+    require_all_classes(data.y)
     n = len(data)
     n_features = len(data.vocab)
     columns = _columns(data.matrix)
-    y = _class_ids(data.labels)
     m = min(n_features, math.ceil(math.sqrt(n_features)))
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng([seed, t])
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(columns, y, boot, m, rng))
+        trees.append(_grow_tree(columns, data.y, boot, m, rng))
     return RfModel(tuple(trees), n_trees, m, seed)
 
 

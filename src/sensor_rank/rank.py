@@ -81,6 +81,8 @@ class RankConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.min_relevant < 1:
             raise ValueError(f"min_relevant must be >= 1, got {self.min_relevant}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -321,8 +323,6 @@ def ranking_report(
     by value descending with ties broken by user_id ascending. The TR column
     is scaled by 100 for readability, like the focus percentages.
     """
-    if config.k < 1:
-        raise ValueError(f"k must be >= 1, got {config.k}")
     if metric not in REPORT_METRICS:
         raise ValueError(f"metric must be one of {REPORT_METRICS}, got {metric!r}")
     values = {

@@ -8,6 +8,7 @@ influencers (known leaders for ranking-recovery tests).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -60,6 +61,36 @@ _NOISE_VOCAB = (
 )
 
 DEFAULT_CLASS_VOCABULARIES = (_RELEVANT_VOCAB, _NEWS_VOCAB, _NOISE_VOCAB)
+
+# config-file key -> (JSON shape, its wording in errors). A shape is int,
+# float (a finite real; integers too), str, [shape] for a list of them,
+# {str: shape} for an object of them, or a tuple of shapes for a fixed list.
+_CONFIG_SHAPES = {
+    "seed": (int, "an integer"),
+    "n_users": (int, "an integer"),
+    "class_vocabularies": ([[str]], "a list of lists of strings"),
+    "class_mix": ([float], "a list of reals"),
+    "tail_histogram": ({str: int}, "an object of integers"),
+    "planted_influencers": ([(str, int, int)], "a list of [id, relevant count, fan-in] triples"),
+    "edge_density": (float, "a real"),
+    "noise_rate": (float, "a real"),
+}
+
+
+def _has_shape(value, shape) -> bool:
+    if shape is int:
+        return type(value) is int
+    if shape is float:
+        return type(value) is int or type(value) is float and math.isfinite(value)
+    if shape is str:
+        return isinstance(value, str)
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_has_shape(v, shape[str]) for v in value.values())
+    if not isinstance(value, list):
+        return False
+    if isinstance(shape, tuple):
+        return len(value) == len(shape) and all(map(_has_shape, value, shape))
+    return all(_has_shape(v, shape[0]) for v in value)
 
 
 def _bucket_of(r: int) -> str:
@@ -146,13 +177,13 @@ class SynthConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a JSON object")
-        known = {
-            "seed", "n_users", "class_vocabularies", "class_mix",
-            "tail_histogram", "planted_influencers", "edge_density", "noise_rate",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_CONFIG_SHAPES)
         if unknown:
             raise ValueError(f"{path}: unknown config key(s) {sorted(unknown)}")
+        for key, value in raw.items():
+            shape, kind = _CONFIG_SHAPES[key]
+            if not _has_shape(value, shape):
+                raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
         if "seed" not in raw:
             raise ValueError(f"{path}: config must supply a seed")
         if "planted_influencers" in raw:

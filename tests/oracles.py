@@ -6,10 +6,12 @@ so the tests never validate the main code against itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from sensor_rank.classify import EvalReport
 from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label
 from sensor_rank.forest import TreeNode
 from sensor_rank.rank import TransitionMatrix, UserStats
@@ -123,6 +125,37 @@ def oracle_forest_proba(model, X) -> np.ndarray:
             acc += node.dist
         out[i] = acc / len(model.trees)
     return out
+
+
+def oracle_evaluate(probs: np.ndarray, y: np.ndarray) -> EvalReport:
+    """Held-out scores tallied one row and one class at a time.
+
+    Each row's prediction is its first most probable class, and its squared
+    errors are added to one running float in class order.
+    """
+    n = len(y)
+    confusion = np.zeros((3, 3), dtype=int)
+    sq_err = 0.0
+    for row, gold in zip(probs.tolist(), y.tolist()):
+        pred = max(range(3), key=lambda j: row[j])
+        confusion[gold, pred] += 1
+        for j in range(3):
+            target = 1.0 if j == gold else 0.0
+            sq_err += (row[j] - target) ** 2
+    accuracy = float(np.trace(confusion)) / n
+    per_class: dict[Label, tuple[float, float, float]] = {}
+    weighted_f = 0.0
+    for i, label in enumerate(LABEL_ORDER):
+        tp = confusion[i, i]
+        col = confusion[:, i].sum()
+        row_total = confusion[i, :].sum()
+        precision = tp / col if col else 0.0
+        recall = tp / row_total if row_total else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class[label] = (float(precision), float(recall), float(f1))
+        weighted_f += (row_total / n) * f1
+    rmse = math.sqrt(sq_err / (n * 3))
+    return EvalReport(accuracy, per_class, float(weighted_f), rmse, confusion)
 
 
 def oracle_smote(

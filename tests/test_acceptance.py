@@ -20,7 +20,7 @@ from sensor_rank.classify import (
     train_mnnb,
 )
 from sensor_rank.cli import main
-from sensor_rank.corpus import FollowerGraph, Label
+from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label, class_ids
 from sensor_rank.rank import (
     RankConfig,
     UserStats,
@@ -196,14 +196,14 @@ def test_06_nb_posteriors_match_rational_arithmetic():
     vectors = [{0: 2, 1: 1}, {0: 1, 2: 1}, {1: 2, 3: 1}, {2: 1, 3: 2}]
     labels = [R, R, N, Z]
     vocab = Vocabulary({f"w{i}": i for i in range(4)}, 1)
-    data = LabeledDataset(CountMatrix.from_rows(vectors, 4), labels, vocab)
+    data = LabeledDataset(CountMatrix.from_rows(vectors, 4), class_ids(labels), vocab)
     model = train_mnnb(data, alpha=1.0)
     worst = 0.0
     queries = ({0: 1}, {1: 1, 2: 1}, {0: 2, 3: 1}, {}, {0: 1, 1: 1, 2: 1, 3: 1})
-    for query, (_, probs) in zip(queries, predict_many(model, CountMatrix.from_rows(queries, 4))):
+    for query, probs in zip(queries, predict_many(model, CountMatrix.from_rows(queries, 4))):
         exact = oracle_nb_posterior(vectors, labels, 4, 1.0, query)
-        for label in (R, N, Z):
-            worst = max(worst, abs(probs[label] - exact[label]))
+        for j, label in enumerate((R, N, Z)):
+            worst = max(worst, abs(probs[j] - exact[label]))
     ok = worst <= 1e-12
     report_line(6, "classifier posteriors match exact rational arithmetic",
                 ok, f"max err {worst:.2e}")
@@ -236,9 +236,9 @@ def test_08_planted_influencer_recovered_across_seeds():
         data = dataset_from_corpus(corpus, table, n_max=1)
         model = train_mnnb(data)
         _, counts = count_ngrams((rec.text for rec in corpus.records), table, vocab=data.vocab)
-        predictions = predict_many(model, counts)
+        predicted = predict_many(model, counts).argmax(axis=1)
         stats = compute_user_stats(
-            [(rec, label) for rec, (label, _) in zip(corpus.records, predictions)]
+            [(rec, LABEL_ORDER[c]) for rec, c in zip(corpus.records, predicted)]
         )
         candidates = candidate_filter(stats, rcfg, ())
         P = build_transition(candidates, graph)

@@ -20,11 +20,11 @@ from sensor_rank.classify import (
     subsample_spread,
     train_mnnb,
 )
-from sensor_rank.corpus import Corpus, Label, TweetRecord
+from sensor_rank.corpus import LABEL_ORDER, Corpus, Label, TweetRecord, class_ids
 from sensor_rank.forest import train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
-from oracles import oracle_nb_posterior, oracle_smote
+from oracles import oracle_evaluate, oracle_nb_posterior, oracle_smote
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -46,12 +46,16 @@ def rows_of(m):
 
 
 def predict(model, query):
-    """predict_many on a single query row."""
+    """predict_many on a single query row: its class probabilities."""
     return predict_many(model, matrix([query], 100))[0]
 
 
 def make_data(vectors, labels, vocab_size):
-    return LabeledDataset(matrix(vectors, vocab_size), list(labels), make_vocab(vocab_size))
+    return LabeledDataset(matrix(vectors, vocab_size), class_ids(labels), make_vocab(vocab_size))
+
+
+def labels_of(data):
+    return [LABEL_ORDER[c] for c in data.y]
 
 
 def toy_data():
@@ -82,11 +86,23 @@ def test_dataset_length_mismatch():
         make_data([{0: 1}], [R, N], 2)
 
 
+@pytest.mark.parametrize("y, match", [
+    (np.array([0.0]), "int64"),
+    (np.array([[0]]), "int64"),
+    ([0], "int64"),
+    (np.array([3]), "class ids"),
+    (np.array([-1]), "class ids"),
+])
+def test_dataset_rejects_bad_class_ids(y, match):
+    with pytest.raises(ValueError, match=match):
+        LabeledDataset(matrix([{0: 1}], 2), y, make_vocab(2))
+
+
 def test_dataset_class_counts_and_subset():
     data = toy_data()
-    assert data.class_counts() == {R: 2, N: 1, Z: 1}
+    assert data.class_counts().tolist() == [2, 1, 1]
     sub = data.subset([2, 0])
-    assert sub.labels == [N, R]
+    assert labels_of(sub) == [N, R]
     assert rows_of(sub.matrix)[1] == {0: 2.0, 1: 1.0}
 
 
@@ -102,7 +118,7 @@ def test_dataset_from_corpus_skips_unlabeled():
     vocab = make_vocab(0)
     vocab.term_to_id.update({"zika": 0, "bom": 1, "dia": 2})
     data = dataset_from_corpus(corpus, vocab=vocab)
-    assert data.labels == [R, Z]
+    assert labels_of(data) == [R, Z]
     assert rows_of(data.matrix) == [{0: 2.0}, {1: 1.0, 2: 1.0}]
 
 
@@ -127,21 +143,22 @@ def test_mnnb_scatter_matches_plain_loops_bit_for_bit():
     rng = np.random.default_rng(43)
     data = random_data(rng, 40, 15)
     synthetic = smote(data.matrix.rows(range(20)), 100, 3, 5)  # real-valued rows
-    data = LabeledDataset(data.matrix.concat(synthetic), data.labels + [R] * 20, data.vocab)
+    y = np.concatenate([data.y, class_ids([R] * 20)])
+    data = LabeledDataset(data.matrix.concat(synthetic), y, data.vocab)
     model = train_mnnb(data, alpha=0.5)
     counts = np.zeros((3, 15))
-    for vec, label in zip(rows_of(data.matrix), data.labels):
+    for vec, label in zip(rows_of(data.matrix), labels_of(data)):
         for tid, cnt in vec.items():
             counts[[R, N, Z].index(label), tid] += cnt
     totals = counts.sum(axis=1, keepdims=True)
     assert np.array_equal(model.term_log_prob, np.log((counts + 0.5) / (totals + 0.5 * 15)))
-    for vec, (_, probs) in zip(rows_of(data.matrix), predict_many(model, data.matrix)):
+    for vec, probs in zip(rows_of(data.matrix), predict_many(model, data.matrix)):
         log_post = model.class_log_prior.copy()
         for tid, cnt in vec.items():
             log_post += cnt * model.term_log_prob[:, tid]
         want = np.exp(log_post - log_post.max())
         want /= want.sum()
-        assert list(probs.values()) == want.tolist()
+        assert probs.tolist() == want.tolist()
 
 
 def test_mnnb_matches_exact_rational_posterior():
@@ -150,34 +167,35 @@ def test_mnnb_matches_exact_rational_posterior():
     int_vectors = [{k: int(v) for k, v in vec.items()} for vec in rows_of(data.matrix)]
     queries = [{0: 1}, {0: 2, 3: 1}, {1: 1, 2: 2}, {}, {0: 1, 1: 1, 2: 1, 3: 1}]
     for query in queries:
-        _, probs = predict(model, {k: float(v) for k, v in query.items()})
-        exact = oracle_nb_posterior(int_vectors, data.labels, 4, 1.0, query)
-        for label in (R, N, Z):
-            assert abs(probs[label] - exact[label]) <= 1e-12
+        probs = predict(model, {k: float(v) for k, v in query.items()})
+        exact = oracle_nb_posterior(int_vectors, labels_of(data), 4, 1.0, query)
+        for j, label in enumerate((R, N, Z)):
+            assert abs(probs[j] - exact[label]) <= 1e-12
 
 
 def test_mnnb_fractional_alpha_matches_oracle():
     data = toy_data()
     model = train_mnnb(data, alpha=0.5)
     int_vectors = [{k: int(v) for k, v in vec.items()} for vec in rows_of(data.matrix)]
-    _, probs = predict(model, {0: 1.0, 3: 1.0})
-    exact = oracle_nb_posterior(int_vectors, data.labels, 4, 0.5, {0: 1, 3: 1})
-    for label in (R, N, Z):
-        assert abs(probs[label] - exact[label]) <= 1e-12
+    probs = predict(model, {0: 1.0, 3: 1.0})
+    exact = oracle_nb_posterior(int_vectors, labels_of(data), 4, 0.5, {0: 1, 3: 1})
+    for j, label in enumerate((R, N, Z)):
+        assert abs(probs[j] - exact[label]) <= 1e-12
 
 
 def test_predict_tie_prefers_earlier_class():
     # balanced priors and an empty query leave a three-way tie
     data = make_data([{0: 1}, {1: 1}, {2: 1}], [R, N, Z], 3)
     model = train_mnnb(data)
-    winner, probs = predict(model, {})
-    assert winner is R
-    np.testing.assert_allclose(list(probs.values()), [1 / 3] * 3, atol=1e-12)
+    probs = predict(model, {})
+    assert LABEL_ORDER[probs.argmax()] is R
+    np.testing.assert_allclose(probs, [1 / 3] * 3, atol=1e-12)
 
     # two-way tie at the top: News outranks Noise at equal posterior
     data = make_data([{0: 1}, {1: 1}, {1: 1}, {2: 1}, {2: 1}], [R, N, N, Z, Z], 3)
-    winner, _ = predict(train_mnnb(data), {})
-    assert winner is N
+    probs = predict(train_mnnb(data), {})
+    assert probs[1] == probs[2]
+    assert LABEL_ORDER[probs.argmax()] is N
 
 
 def test_predict_rejects_unknown_model():
@@ -191,11 +209,10 @@ def test_predict_many_matches_single_mnnb():
     model = train_mnnb(data)
     queries = rows_of(data.matrix) + [{}, {99: 5.0}]
     batch = predict_many(model, matrix(queries))
-    for query, (label, probs) in zip(queries, batch):
-        one_label, one_probs = predict(model, query)
-        assert label is one_label
-        for key in probs:
-            assert abs(probs[key] - one_probs[key]) <= 1e-12
+    for query, probs in zip(queries, batch):
+        one_probs = predict(model, query)
+        assert probs.argmax() == one_probs.argmax()
+        assert np.abs(probs - one_probs).max() <= 1e-12
 
 
 def test_predict_many_matches_single_rf():
@@ -203,10 +220,10 @@ def test_predict_many_matches_single_rf():
     data = random_data(rng, 24, 8)
     model = train_rf(data, n_trees=5, seed=3)
     batch = predict_many(model, data.matrix)
-    for query, (label, probs) in zip(rows_of(data.matrix), batch):
-        one_label, one_probs = predict(model, query)
-        assert label is one_label
-        assert probs == one_probs
+    for query, probs in zip(rows_of(data.matrix), batch):
+        one_probs = predict(model, query)
+        assert probs.argmax() == one_probs.argmax()
+        assert probs.tolist() == one_probs.tolist()
 
 
 def test_smote_validation():
@@ -330,16 +347,16 @@ def test_subsample_spread_caps_majorities():
         3,
     )
     out = subsample_spread(data, 1.0, 4)
-    assert out.class_counts() == {R: 10, N: 10, Z: 10}
+    assert out.class_counts().tolist() == [10, 10, 10]
     out2 = subsample_spread(data, 2.0, 4)
-    assert out2.class_counts() == {R: 10, N: 20, Z: 20}
+    assert out2.class_counts().tolist() == [10, 20, 20]
 
 
 def test_subsample_spread_no_op_when_within_ratio():
     data = toy_data()
     out = subsample_spread(data, 2.0, 1)
     assert rows_of(out.matrix) == rows_of(data.matrix)
-    assert out.labels == data.labels
+    assert np.array_equal(out.y, data.y)
 
 
 def test_subsample_spread_keeps_original_order_and_minority():
@@ -349,12 +366,12 @@ def test_subsample_spread_keeps_original_order_and_minority():
     # survivors appear in their original relative order
     pos = 0
     vectors = rows_of(data.matrix)
-    for vec, label in zip(rows_of(out.matrix), out.labels):
-        while vectors[pos] != vec or data.labels[pos] != label:
+    for vec, c in zip(rows_of(out.matrix), out.y):
+        while vectors[pos] != vec or data.y[pos] != c:
             pos += 1
         pos += 1
     counts = data.class_counts()
-    smallest = min(label for label in counts if counts[label] == min(counts.values()))
+    smallest = counts.argmin()
     assert out.class_counts()[smallest] == counts[smallest]
 
 
@@ -368,7 +385,7 @@ def test_subsample_spread_deterministic():
     data = random_data(rng, 30, 5)
     a = subsample_spread(data, 1.0, 8)
     b = subsample_spread(data, 1.0, 8)
-    assert rows_of(a.matrix) == rows_of(b.matrix) and a.labels == b.labels
+    assert rows_of(a.matrix) == rows_of(b.matrix) and np.array_equal(a.y, b.y)
 
 
 def test_info_gain_zero_for_uninformative_term():
@@ -397,7 +414,7 @@ def test_info_gain_bounds_and_order():
         ranked = info_gain_rank(data)
         h_label = -sum(
             (c / 25) * math.log2(c / 25)
-            for c in data.class_counts().values()
+            for c in data.class_counts()
             if c
         )
         gains = [g for _, g in ranked]
@@ -409,11 +426,7 @@ def test_info_gain_bounds_and_order():
 
 
 def test_evaluate_perfect_predictions():
-    truth = [R, N, Z]
-    predictions = [
-        (y, {label: 1.0 if label == y else 0.0 for label in (R, N, Z)}) for y in truth
-    ]
-    report = evaluate(predictions, truth)
+    report = evaluate(np.eye(3), class_ids([R, N, Z]))
     assert report.accuracy == 1.0
     assert report.weighted_f == pytest.approx(1.0)
     assert report.rmse == 0.0
@@ -421,33 +434,57 @@ def test_evaluate_perfect_predictions():
 
 
 def test_evaluate_hand_tally():
-    truth = [R, R, N, Z]
-    uniform = {label: 1 / 3 for label in (R, N, Z)}
-    predictions = [(R, uniform), (N, uniform), (N, uniform), (Z, uniform)]
-    report = evaluate(predictions, truth)
+    truth = class_ids([R, R, N, Z])
+    # predicted R, N, N, Z: certain of each, so only the second row errs
+    probs = np.eye(3)[[0, 1, 1, 2]]
+    report = evaluate(probs, truth)
     assert report.accuracy == 0.75
     assert np.array_equal(report.confusion, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     prec, rec, f1 = report.per_class[R]
     assert (prec, rec) == (1.0, 0.5)
     assert f1 == pytest.approx(2 / 3)
     assert report.weighted_f == pytest.approx(0.5 * (2 / 3) + 0.25 * (2 / 3) + 0.25)
-    assert report.rmse == pytest.approx(math.sqrt(2 / 9))
+    assert report.rmse == pytest.approx(math.sqrt(2 / 12))
 
 
 def test_evaluate_zero_denominators():
-    uniform = {label: 1 / 3 for label in (R, N, Z)}
-    report = evaluate([(R, uniform), (R, uniform)], [R, R])
+    # a three-way tie predicts the earliest class, Relevant
+    report = evaluate(np.full((2, 3), 1 / 3), class_ids([R, R]))
     assert report.accuracy == 1.0
     assert report.per_class[N] == (0.0, 0.0, 0.0)
     assert report.weighted_f == pytest.approx(1.0)
 
 
 def test_evaluate_validation():
-    uniform = {label: 1 / 3 for label in (R, N, Z)}
     with pytest.raises(ValueError, match="predictions"):
-        evaluate([(R, uniform)], [R, N])
+        evaluate(np.full((1, 3), 1 / 3), class_ids([R, N]))
     with pytest.raises(ValueError, match="evaluate"):
-        evaluate([], [])
+        evaluate(np.empty((0, 3)), class_ids([]))
+
+
+def test_evaluate_matches_per_row_oracle():
+    rng = np.random.default_rng(47)
+    tied = np.array([[1, 1, 1], [2, 2, 1], [1, 2, 2], [2, 1, 2], [0, 3, 3]]) / [[3], [5], [5], [5], [6]]
+    for n in (1, 2, 7, 50, 400, 20_000):
+        probs = rng.dirichlet(np.ones(3), size=n)
+        # small-integer rows tie often
+        coarse = rng.integers(0, 3, size=(n, 3)) + 0.5
+        coarse /= coarse.sum(axis=1, keepdims=True)
+        for p in (probs, coarse, np.concatenate([probs, tied, coarse])):
+            y = rng.integers(0, 3, size=len(p))
+            got, want = evaluate(p, y), oracle_evaluate(p, y)
+            assert np.array_equal(got.confusion, want.confusion)
+            assert got.accuracy == want.accuracy
+            assert got.per_class == want.per_class
+            assert got.weighted_f == want.weighted_f
+            assert got.rmse == want.rmse
+    # errors whose square differs by an ulp between Python's ** (libm pow) and
+    # a plain product; one error per row, so the rmse shows the difference
+    odd = [v for v in rng.random(20_000).tolist() if v**2 != v * v]
+    assert odd
+    for v in odd:
+        p, y = np.array([[v, 1.0, 0.0]]), np.array([1])
+        assert evaluate(p, y).rmse == oracle_evaluate(p, y).rmse
 
 
 def test_cross_validate_validation():
@@ -482,9 +519,8 @@ def test_cross_validate_matches_symmetric_oracle():
         probs = oracle_nb_posterior(
             train_vectors, train_labels, 3, 1.0, {k: int(v) for k, v in doc[y].items()}
         )
-        winner = max((R, N, Z), key=lambda lb: probs[lb])
-        expected.append((winner, probs))
-    want = evaluate(expected, labels)
+        expected.append([probs[label] for label in (R, N, Z)])
+    want = evaluate(np.array(expected), class_ids(labels))
     assert report.accuracy == want.accuracy == 1.0
     assert np.array_equal(report.confusion, want.confusion)
     assert report.rmse == pytest.approx(want.rmse, abs=1e-12)
@@ -496,9 +532,8 @@ def test_cross_validate_rebalancing_leaves_holdout_alone():
     config = TrainingConfig(classifier="mnnb", smote_percent=100, smote_k=1,
                             spread_ratio=3.0)
     report = cross_validate(data, 3, config, seed=2)
-    counts = data.class_counts()
     row_sums = report.confusion.sum(axis=1)
-    assert list(row_sums) == [counts[R], counts[N], counts[Z]]
+    assert row_sums.tolist() == data.class_counts().tolist()
 
 
 def test_cross_validate_deterministic():
@@ -560,7 +595,7 @@ def test_model_roundtrip_rf(tmp_path):
     loaded, _, _ = load_model(path)
     assert loaded.n_trees == 4
     for query in rows_of(data.matrix):
-        assert predict(loaded, query) == predict(model, query)
+        assert np.array_equal(predict(loaded, query), predict(model, query))
 
 
 def test_load_model_rejects_foreign_files(tmp_path):

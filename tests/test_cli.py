@@ -73,6 +73,34 @@ def test_synth_requires_seed(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_users", "x"), ("n_users", 10.0), ("n_users", True),
+    ("seed", "a"),
+    ("tail_histogram", [1]), ("tail_histogram", {"1": 2.5}),
+    ("edge_density", "x"), ("edge_density", float("nan")),
+    ("class_mix", [0.5, "0.3", 0.2]),
+    ("class_vocabularies", [["a"], ["b"], [3]]),
+    ("planted_influencers", [["sentinela001", 40]]),
+    ("planted_influencers", [["sentinela001", 40, "20"]]),
+])
+def test_synth_config_values_are_type_checked(tmp_path, capsys, key, value):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({**SYNTH, key: value}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: config key {key!r} must be ")
+    assert not out.exists()
+
+
+def test_synth_config_accepts_ints_for_reals(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({**SYNTH, "n_users": 60, "edge_density": 1, "noise_rate": 0,
+                               "tail_histogram": {"1": 20}, "planted_influencers": []}),
+                   encoding="utf-8")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_train_writes_loadable_model(pipeline):
     model, vocab, table_hash = load_model(pipeline["model"])
     assert model.alpha == 1.0
@@ -395,7 +423,7 @@ def test_rank_rejects_min_relevant_below_one(pipeline, tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--min-relevant", "0"], ["--gamma", "nan"], ["--graph", "missing.csv"],
+    ["--min-relevant", "0"], ["--gamma", "nan"], ["--graph", "missing.csv"], ["--k", "0"],
 ])
 def test_rejected_rank_leaves_no_out_dir(pipeline, tmp_path, capsys, flags):
     out = tmp_path / "o"
@@ -455,6 +483,28 @@ def test_train_rejects_bad_alpha_and_spread_ratio(pipeline, tmp_path, capsys, fl
     assert not model.exists()
 
 
+def forest(*trees):
+    """An edit that makes the model a forest of the given trees over its vocabulary."""
+    return lambda d: d.update(kind="rf", params={
+        "n_trees": len(trees), "feature_subsample": 1, "seed": 0, "trees": list(trees),
+    })
+
+
+def split(feature=0, threshold=0.5, left=None, right=None):
+    return {"feature": feature, "threshold": threshold,
+            "left": left or {"leaf": [1, 0, 0]}, "right": right or {"leaf": [0.0, 0.0, 1.0]}}
+
+
+def test_classify_accepts_handwritten_forest(pipeline, tmp_path, capsys):
+    # integers are reals in a leaf or a threshold
+    doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
+    forest(split(threshold=0, right=split(feature=len(doc["vocabulary"]) - 1)))(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["classify", "--corpus", str(pipeline["corpus"]), "--model", str(model),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("vocabulary"),
     lambda d: d.update(vocabulary="zika"),
@@ -474,6 +524,25 @@ def test_train_rejects_bad_alpha_and_spread_ratio(pipeline, tmp_path, capsys, fl
     lambda d: d["params"]["term_log_prob"].pop(),
     lambda d: d["params"].update(term_log_prob=None),
     lambda d: d.pop("table_hash"),
+    # forest nodes: a leaf is 3 finite reals; a split has a feature id in the
+    # vocabulary and a finite threshold
+    lambda d: forest({"leaf": [1.0]})(d),
+    lambda d: forest({"leaf": [1.0, 0.0, 0.0, 0.0]})(d),
+    lambda d: forest({"leaf": [float("nan"), 0.0, 0.0]})(d),
+    lambda d: forest({"leaf": [float("inf"), 0.0, 0.0]})(d),
+    lambda d: forest({"leaf": [True, 0, 0]})(d),
+    lambda d: forest({"leaf": ["1", 0, 0]})(d),
+    lambda d: forest({"leaf": None})(d),
+    lambda d: forest(split(feature=-5))(d),
+    lambda d: forest(split(feature=len(d["vocabulary"])))(d),
+    lambda d: forest(split(feature=1.0))(d),
+    lambda d: forest(split(feature=True))(d),
+    lambda d: forest(split(threshold=float("nan")))(d),
+    lambda d: forest(split(threshold="0.5"))(d),
+    lambda d: forest(split(left={"leaf": [1.0]}))(d),
+    lambda d: forest(split(right=[1, 0, 0]))(d),
+    lambda d: forest({"feature": 0, "threshold": 0.5, "left": {"leaf": [1, 0, 0]}})(d),
+    lambda d: forest()(d),
 ])
 def test_classify_rejects_malformed_model(pipeline, tmp_path, capsys, edit):
     doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))

@@ -103,6 +103,18 @@ def test_load_corpus_reports_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         load_corpus(path)
 
+    # field types: text and created_at are strings; id and user may be integers
+    good = {"id": "t1", "user": "a", "text": "x", "created_at": "2016-09-01T00:00:00Z"}
+    for key, value in [
+        ("text", None), ("user", ["x"]), ("id", True), ("user", False), ("id", 1.5),
+        ("created_at", 20160901), ("text", 5),
+    ]:
+        write_jsonl(path, [good, {**good, "id": "t2", key: value}])
+        with pytest.raises(ValueError, match=f"line 2: field '{key}' must be "):
+            load_corpus(path)
+    write_jsonl(path, [{**good, "id": 7, "user": 42}])
+    assert [(r.id, r.user) for r in load_corpus(path).records] == [("7", "42")]
+
 
 def test_load_corpus_skips_blank_lines(tmp_path):
     path = tmp_path / "corpus.jsonl"

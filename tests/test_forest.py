@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensor_rank.classify import LabeledDataset, dumps_json, predict_many, smote
-from sensor_rank.corpus import Label
+from sensor_rank.corpus import LABEL_ORDER, Label, class_ids
 from sensor_rank.forest import RfModel, TreeNode, _columns, _grow_tree, predict_proba, train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
@@ -17,12 +17,13 @@ R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
 def make_data(vectors, labels, vocab_size):
     vocab = Vocabulary(term_to_id={f"w{i}": i for i in range(vocab_size)}, n_max=1)
-    return LabeledDataset(CountMatrix.from_rows(vectors, vocab_size), list(labels), vocab)
+    return LabeledDataset(CountMatrix.from_rows(vectors, vocab_size), class_ids(labels), vocab)
 
 
 def predict(model, query):
-    """predict_many on a single {term id: count} row."""
-    return predict_many(model, CountMatrix.from_rows([query], 1 + max(query, default=0)))[0]
+    """The predicted label of a single {term id: count} row."""
+    probs = predict_many(model, CountMatrix.from_rows([query], 1 + max(query, default=0)))
+    return LABEL_ORDER[probs[0].argmax()]
 
 
 def separable_data(rng, per_class=20, v_size=9):
@@ -61,7 +62,7 @@ def test_rf_fits_separable_training_data():
     rng = np.random.default_rng(2)
     data = separable_data(rng)
     model = train_rf(data, n_trees=15, seed=7)
-    hits = sum(label is y for (label, _), y in zip(predict_many(model, data.matrix), data.labels))
+    hits = (predict_many(model, data.matrix).argmax(axis=1) == data.y).sum()
     assert hits == len(data)
 
 
@@ -70,7 +71,7 @@ def test_rf_generalizes_on_separable_holdout():
     train = separable_data(rng, per_class=25)
     test = separable_data(rng, per_class=8)
     model = train_rf(train, n_trees=15, seed=11)
-    hits = sum(label is y for (label, _), y in zip(predict_many(model, test.matrix), test.labels))
+    hits = (predict_many(model, test.matrix).argmax(axis=1) == test.y).sum()
     assert hits / len(test) >= 0.9
 
 
@@ -120,10 +121,10 @@ def test_rf_prediction_probabilities():
     rng = np.random.default_rng(10)
     data = separable_data(rng, per_class=10)
     model = train_rf(data, n_trees=6, seed=29)
-    for _, probs in predict_many(model, data.matrix.rows(range(10))):
-        total = sum(probs.values())
+    for probs in predict_many(model, data.matrix.rows(range(10))):
+        total = sum(probs.tolist())
         assert total == pytest.approx(1.0, abs=1e-12)
-        assert all(0.0 <= p <= 1.0 for p in probs.values())
+        assert all(0.0 <= p <= 1.0 for p in probs)
 
 
 def test_handbuilt_tree_routing():
@@ -135,10 +136,10 @@ def test_handbuilt_tree_routing():
         right=TreeNode(dist=np.array([0.0, 0.0, 1.0])),
     )
     model = RfModel(trees=(tree,), n_trees=1, feature_subsample=1, seed=0)
-    assert predict(model, {0: 1.0})[0] is R
-    assert predict(model, {0: 2.0})[0] is Z
+    assert predict(model, {0: 1.0}) is R
+    assert predict(model, {0: 2.0}) is Z
     # absent feature counts as 0.0, which routes left
-    assert predict(model, {5: 9.0})[0] is R
+    assert predict(model, {5: 9.0}) is R
 
 
 def test_rf_single_class_purity_short_circuit(tmp_path):
@@ -247,7 +248,7 @@ def test_train_rf_memory_follows_nonzeros():
     wide = make_data(
         [{t * 100_000: c for t, c in zip(*(a.tolist() for a in data.matrix.row(i)))}
          for i in range(len(data))],
-        data.labels, width,
+        [LABEL_ORDER[c] for c in data.y], width,
     )
     tracemalloc.start()
     try:

@@ -91,6 +91,8 @@ def test_rank_config_validation():
     for value in (0, -1):
         with pytest.raises(ValueError, match="min_relevant"):
             RankConfig(min_relevant=value)
+        with pytest.raises(ValueError, match="k must be"):
+            RankConfig(k=value)
 
 
 @pytest.mark.parametrize("field", ["gamma", "tol"])
