@@ -516,7 +516,10 @@ def save_model(
 def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
     """Read a model file back; returns (model, vocabulary, table_hash)."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:
@@ -543,22 +546,37 @@ def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
     model: MnnbModel | RfModel
     try:
         if kind == "mnnb":
+            prior, log_prob, alpha = (
+                params[key] for key in ("class_log_prior", "term_log_prob", "alpha")
+            )
+            if not isinstance(prior, list) or not all(map(_finite_real, prior)):
+                raise ValueError("'class_log_prior' must be a list of finite reals")
+            if not isinstance(log_prob, list) or not all(
+                isinstance(row, list) and all(map(_finite_real, row)) for row in log_prob
+            ):
+                raise ValueError("'term_log_prob' must be a list of lists of finite reals")
+            if not _finite_real(alpha) or alpha <= 0:
+                raise ValueError(f"'alpha' must be a finite real > 0, got {alpha!r}")
             model = MnnbModel(
-                class_log_prior=np.array(params["class_log_prior"], dtype=float),
-                term_log_prob=np.array(params["term_log_prob"], dtype=float),
-                alpha=float(params["alpha"]),
+                class_log_prior=np.array(prior, dtype=float),
+                term_log_prob=np.array(log_prob, dtype=float),
+                alpha=float(alpha),
                 vocab_size=len(terms),
             )
         else:
-            if not params["trees"]:
+            trees = params["trees"]
+            if not trees:
                 raise ValueError("'trees' is empty")
+            header = {key: params[key] for key in ("n_trees", "feature_subsample", "seed")}
+            for key, value in header.items():
+                if type(value) is not int:
+                    raise ValueError(f"{key!r} must be an integer, got {value!r}")
+            if header["n_trees"] != len(trees):
+                raise ValueError(f"'n_trees' is {header['n_trees']}, but {len(trees)} trees follow")
             model = RfModel(
-                trees=tuple(_tree_from_obj(t, len(terms)) for t in params["trees"]),
-                n_trees=int(params["n_trees"]),
-                feature_subsample=int(params["feature_subsample"]),
-                seed=int(params["seed"]),
+                trees=tuple(_tree_from_obj(t, len(terms)) for t in trees), **header
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed model parameters: {exc!r}") from None
     if isinstance(model, MnnbModel) and (
         model.class_log_prior.shape != (3,) or model.term_log_prob.shape != (3, len(terms))

@@ -128,7 +128,10 @@ class Settings:
         values: dict = {}
         if use_config_file and args.config:
             with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                try:
+                    raw = json.load(fh)
+                except RecursionError:
+                    raise ValueError(f"{args.config}: JSON nested too deeply") from None
             if not isinstance(raw, dict):
                 raise ValueError(f"{args.config}: config must be a JSON object")
             unknown = set(raw) - set(_KEYS)

@@ -11,7 +11,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .text import ReplacementTable, normalize
+from .text import ReplacementTable, _Tokenizer
 
 __all__ = [
     "Label",
@@ -151,7 +151,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}: line {lineno}: expected a JSON object")
@@ -227,10 +227,11 @@ def keyword_filter(
     keywords = [str(k) for k in keywords]
     if not keywords:
         raise ValueError("need at least one keyword")
+    tokenize = _Tokenizer(table)
     single: set[str] = set()
     phrases: list[tuple[str, ...]] = []
     for kw in keywords:
-        toks = tuple(normalize(kw, table))
+        toks = tuple(tokenize(kw))
         if not toks:
             raise ValueError(f"keyword normalizes to nothing: {kw!r}")
         if len(toks) == 1:
@@ -239,7 +240,7 @@ def keyword_filter(
             phrases.append(toks)
     kept: list[TweetRecord] = []
     for record in corpus.records:
-        toks = normalize(record.text, table)
+        toks = tokenize(record.text)
         tokset = set(toks)
         hit = bool(tokset & single)
         if not hit:

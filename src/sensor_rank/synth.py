@@ -174,7 +174,10 @@ class SynthConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{path}: JSON nested too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a JSON object")
         unknown = set(raw) - set(_CONFIG_SHAPES)

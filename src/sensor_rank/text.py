@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import array
 import csv
 import hashlib
+import itertools
 import math
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -57,9 +58,32 @@ _DEFAULT_LINGO = {
 }
 
 
+# Rows counted per numpy pass in count_ngrams. Its temporary arrays and
+# strings follow this, not the corpus; 1,024 counts as fast as 4,096 and
+# leaves a smaller heap behind for the training that follows.
+_NGRAM_BLOCK = 1024
+
+
+class _CombiningMarks(dict):
+    """`str.translate` table that deletes combining marks.
+
+    Filled one code point at a time as text meets it: a full table would ask
+    unicodedata about every code point at import.
+    """
+
+    def __missing__(self, cp: int) -> int | None:
+        kept = None if unicodedata.combining(chr(cp)) else cp
+        self[cp] = kept
+        return kept
+
+
+_COMBINING_MARKS = _CombiningMarks()
+
+
 def fold_accents(s: str) -> str:
     """Strip combining marks after NFD decomposition ("doença" -> "doenca")."""
-    return "".join(c for c in unicodedata.normalize("NFD", s) if not unicodedata.combining(c))
+    s = unicodedata.normalize("NFD", s)
+    return s if s.isascii() else s.translate(_COMBINING_MARKS)
 
 
 def _canonical_token(tok: str) -> str:
@@ -128,6 +152,45 @@ def _resolve_chains(mapping: dict[str, str]) -> dict[str, str]:
     return resolved
 
 
+class _Tokenizer(dict):
+    """`normalize` for one replacement table, with per-call token ids.
+
+    Maps each raw token (an alphanumeric run of the cleaned text) to the id
+    of the token it becomes, or -1 when the table drops it, so the digit,
+    laughter and table rules run once per distinct raw token. `tokens`
+    spells the ids, in first-appearance order.
+    """
+
+    def __init__(self, table: ReplacementTable):
+        super().__init__()
+        self.exact_map = table.exact_map
+        self.tokens: list[str] = []
+        self._token_ids: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        tok = "number" if raw.isdigit() else "funny" if _LAUGHTER_RE.match(raw) else raw
+        tok = self.exact_map.get(tok, tok)
+        tid = -1 if tok == DROP else self._token_ids.setdefault(tok, len(self.tokens))
+        if tid == len(self.tokens):
+            self.tokens.append(tok)
+        self[raw] = tid
+        return tid
+
+    def raw_tokens(self, text: str) -> list[str]:
+        """Alphanumeric runs of the case- and accent-folded text, links and emoticons replaced."""
+        s = fold_accents(text.lower())
+        # each pass runs only on text holding a substring every match contains
+        if "http" in s or "pic.twitter.com/" in s:
+            s = _IMAGE_RE.sub(" image ", s)
+        if "http" in s or "www." in s:
+            s = _URL_RE.sub(" url ", s)
+        return _TOKEN_RE.findall(_EMOTICON_RE.sub(" ", s))
+
+    def __call__(self, text: str) -> list[str]:
+        tokens = self.tokens
+        return [tokens[t] for t in map(self.__getitem__, self.raw_tokens(text)) if t >= 0]
+
+
 def normalize(text: str, table: ReplacementTable | None = None) -> list[str]:
     """Turn raw post text into an ordered list of lowercase tokens.
 
@@ -138,20 +201,7 @@ def normalize(text: str, table: ReplacementTable | None = None) -> list[str]:
     """
     if table is None:
         table = ReplacementTable.default()
-    s = fold_accents(text.lower())
-    s = _IMAGE_RE.sub(" image ", s)
-    s = _URL_RE.sub(" url ", s)
-    s = _EMOTICON_RE.sub(" ", s)
-    out: list[str] = []
-    for tok in _TOKEN_RE.findall(s):
-        if tok.isdigit():
-            tok = "number"
-        elif _LAUGHTER_RE.match(tok):
-            tok = "funny"
-        tok = table.exact_map.get(tok, tok)
-        if tok != DROP:
-            out.append(tok)
-    return out
+    return _Tokenizer(table)(text)
 
 
 def ngrams(tokens: list[str], n_max: int) -> list[str]:
@@ -266,26 +316,92 @@ def count_ngrams(
     grow = vocab is None
     if grow:
         vocab = Vocabulary({}, n_max)
-    term_to_id = vocab.term_to_id
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
-    for text in texts:
-        for gram, count in Counter(ngrams(normalize(text, table), vocab.n_max)).items():
-            tid = term_to_id.setdefault(gram, len(term_to_id)) if grow else term_to_id.get(gram)
-            if tid is not None:
-                indices.append(tid)
-                data.append(count)
-        indptr.append(len(indices))
-    if grow and len(indptr) == 1:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
-    matrix = CountMatrix(
-        np.array(indptr, dtype=np.int64),
-        np.array(indices, dtype=np.int64),
-        np.array(data, dtype=float),
-        len(vocab),
+    if not 1 <= vocab.n_max <= 3:
+        raise ValueError(f"n_max must be in 1..3, got {vocab.n_max}")
+    tokenizer = _Tokenizer(table)
+    # Row lengths, term ids and counts each grow in one buffer that the
+    # result then shares. Per-block arrays concatenated at the end would leave
+    # their freed memory resident in the process heap (about 25 MB at the
+    # default scale with 3-grams) through the training that follows.
+    buffers = (array.array("q"), array.array("q"), array.array("d"))
+    texts = iter(texts)
+    while block := list(itertools.islice(texts, _NGRAM_BLOCK)):
+        for buffer, part in zip(buffers, _count_block(block, tokenizer, vocab, grow)):
+            buffer.frombytes(part.tobytes())
+    lengths, indices, data = (
+        np.frombuffer(buffer, dtype=dtype)
+        for buffer, dtype in zip(buffers, (np.int64, np.int64, np.float64))
     )
-    return vocab, matrix
+    if grow and not len(lengths):
+        raise ValueError("cannot build a vocabulary from an empty corpus")
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return vocab, CountMatrix(indptr, indices, data, len(vocab))
+
+
+def _count_block(
+    texts: list[str], tokenizer: _Tokenizer, vocab: Vocabulary, grow: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count_ngrams over one block of rows: (row lengths, term ids, counts)."""
+    n_max, term_to_id = vocab.n_max, vocab.term_to_id
+    # token ids go straight into a flat buffer, so each text's raw token
+    # strings are freed before the next text is read
+    ids = array.array("q")
+    raw_lengths = []
+    for text in texts:
+        raw = tokenizer.raw_tokens(text)
+        ids.extend(map(tokenizer.__getitem__, raw))
+        raw_lengths.append(len(raw))
+    ids = np.frombuffer(ids, dtype=np.int64)
+    kept = ids >= 0
+    tok = ids[kept]
+    row = np.repeat(np.arange(len(texts)), raw_lengths)[kept]
+    # tokens from each position to the end of its row, itself included
+    left = np.cumsum(np.bincount(row, minlength=len(texts)))[row] - np.arange(len(tok))
+
+    # grams[p, k-1]: block-wide id of the k-gram starting at position p, or -1;
+    # raveled, the grams come in (position, k) order
+    n_tokens = len(tokenizer.tokens)
+    grams = np.full((len(tok), n_max), -1, dtype=np.int64)
+    grams[:, 0] = gram = tok
+    offset = n_tokens
+    for k in range(2, n_max + 1):
+        at = np.flatnonzero(left >= k)
+        # a k-gram is its (k-1)-gram followed by one token; both ids are
+        # below max(len(tok), n_tokens), so the key cannot overflow
+        uniq, compact = np.unique(gram[at] * n_tokens + tok[at + k - 1], return_inverse=True)
+        grams[at, k - 1] = compact + offset
+        offset += len(uniq)
+        gram = np.zeros(len(tok), dtype=np.int64)
+        gram[at] = compact
+    grams = grams.ravel()
+    slot = np.flatnonzero(grams >= 0)
+
+    # spell each distinct gram once, in first-appearance order
+    _, first, inverse = np.unique(grams[slot], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    start, k_minus_1 = np.divmod(slot[first[order]], n_max)
+    words = list(map(tokenizer.tokens.__getitem__, tok.tolist()))
+    spelled = [
+        "_".join(words[p:q]) for p, q in zip(start.tolist(), (start + k_minus_1 + 1).tolist())
+    ]
+    term_of = np.empty(len(order), dtype=np.int64)
+    if grow:
+        term_of[order] = [term_to_id.setdefault(g, len(term_to_id)) for g in spelled]
+    else:
+        term_of[order] = [term_to_id.get(g, -1) for g in spelled]
+
+    # count each row's terms, listed by first appearance
+    term = term_of[inverse]
+    hit = np.flatnonzero(term >= 0)
+    n_terms = max(len(term_to_id), 1)
+    cell, first, counts = np.unique(
+        row[slot[hit] // n_max] * n_terms + term[hit], return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    cell = cell[order]
+    lengths = np.bincount(cell // n_terms, minlength=len(texts))
+    return lengths, cell % n_terms, counts[order].astype(float)
 
 
 def tfidf_rank(

@@ -7,6 +7,8 @@ so the tests never validate the main code against itself.
 from __future__ import annotations
 
 import math
+import unicodedata
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +17,18 @@ from sensor_rank.classify import EvalReport
 from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label
 from sensor_rank.forest import TreeNode
 from sensor_rank.rank import TransitionMatrix, UserStats
+from sensor_rank.text import (
+    _EMOTICON_RE,
+    _IMAGE_RE,
+    _LAUGHTER_RE,
+    _TOKEN_RE,
+    _URL_RE,
+    DROP,
+    CountMatrix,
+    ReplacementTable,
+    Vocabulary,
+    ngrams,
+)
 
 
 def oracle_transition(
@@ -264,3 +278,53 @@ def oracle_nb_posterior(
     if norm == 0:
         raise ValueError("posterior mass is zero; empty dataset?")
     return {label: float(value / norm) for label, value in posteriors.items()}
+
+
+def oracle_fold_accents(s: str) -> str:
+    """NFD, then every character that is not a combining mark, one at a time."""
+    return "".join(c for c in unicodedata.normalize("NFD", s) if not unicodedata.combining(c))
+
+
+def oracle_normalize(text: str, table: ReplacementTable) -> list[str]:
+    """Every regex pass on every text and every rule on every token occurrence."""
+    s = oracle_fold_accents(text.lower())
+    s = _IMAGE_RE.sub(" image ", s)
+    s = _URL_RE.sub(" url ", s)
+    s = _EMOTICON_RE.sub(" ", s)
+    out: list[str] = []
+    for tok in _TOKEN_RE.findall(s):
+        if tok.isdigit():
+            tok = "number"
+        elif _LAUGHTER_RE.match(tok):
+            tok = "funny"
+        tok = table.exact_map.get(tok, tok)
+        if tok != DROP:
+            out.append(tok)
+    return out
+
+
+def oracle_count_ngrams(
+    texts: list[str], table: ReplacementTable, n_max: int = 1, vocab: Vocabulary | None = None
+) -> tuple[Vocabulary, CountMatrix]:
+    """One Counter of joined n-gram strings per text, its items taken in insertion order."""
+    grow = vocab is None
+    if grow:
+        vocab = Vocabulary({}, n_max)
+    term_to_id = vocab.term_to_id
+    indptr = [0]
+    indices: list[int] = []
+    data: list[int] = []
+    for text in texts:
+        for gram, count in Counter(ngrams(oracle_normalize(text, table), vocab.n_max)).items():
+            tid = term_to_id.setdefault(gram, len(term_to_id)) if grow else term_to_id.get(gram)
+            if tid is not None:
+                indices.append(tid)
+                data.append(count)
+        indptr.append(len(indices))
+    matrix = CountMatrix(
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        np.array(data, dtype=float),
+        len(vocab),
+    )
+    return vocab, matrix

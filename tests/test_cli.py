@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sensor_rank
 from sensor_rank.classify import load_model
 from sensor_rank.cli import main
 from sensor_rank.corpus import load_corpus
@@ -323,8 +325,14 @@ def test_keywords_zero_expansion_keeps_only_seeds(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(merged)
 
 
+def child_env(**overrides):
+    """Environment for a `python -m sensor_rank.cli` child that imports the package tested here."""
+    path = [str(Path(sensor_rank.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **overrides)
+
+
 def test_console_module_smoke(tmp_path):
-    env = dict(os.environ, SENSOR_RANK_LOG="info")
+    env = child_env(SENSOR_RANK_LOG="info")
     corpus = tmp_path / "c.jsonl"
     corpus.write_text(json.dumps({
         "id": "t1", "user": "a", "text": "zika",
@@ -351,12 +359,12 @@ def test_log_env_values(tmp_path):
             "--model", str(model), "--classifier", "mnnb", "--ngrams", "1",
             "--smote-percent", "0", "--seed", "1"]
 
-    env = dict(os.environ, SENSOR_RANK_LOG="info")
+    env = child_env(SENSOR_RANK_LOG="info")
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 2  # single-class corpus cannot train
     assert "error:" in proc.stderr
 
-    env = dict(os.environ, SENSOR_RANK_LOG="banana")
+    env = child_env(SENSOR_RANK_LOG="banana")
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
     assert "unknown SENSOR_RANK_LOG" in proc.stderr
 
@@ -543,6 +551,29 @@ def test_classify_accepts_handwritten_forest(pipeline, tmp_path, capsys):
     lambda d: forest(split(right=[1, 0, 0]))(d),
     lambda d: forest({"feature": 0, "threshold": 0.5, "left": {"leaf": [1, 0, 0]}})(d),
     lambda d: forest()(d),
+    # MNNB parameters are finite JSON reals, and alpha is > 0
+    lambda d: d["params"]["class_log_prior"].__setitem__(0, float("nan")),
+    lambda d: d["params"]["term_log_prob"][1].__setitem__(0, float("-inf")),
+    lambda d: d["params"]["term_log_prob"][2].__setitem__(0, "-1.5"),
+    lambda d: d["params"]["class_log_prior"].__setitem__(2, True),
+    lambda d: d["params"].update(alpha=-1),
+    lambda d: d["params"].update(alpha=0),
+    lambda d: d["params"].update(alpha=float("nan")),
+    lambda d: d["params"].update(alpha=float("inf")),
+    lambda d: d["params"].update(alpha="1"),
+    lambda d: d["params"].update(alpha=True),
+    # the forest header holds JSON integers, and n_trees counts the trees
+    lambda d: (forest(split())(d), d["params"].update(n_trees=1.0)),
+    lambda d: (forest(split())(d), d["params"].update(n_trees="1")),
+    lambda d: (forest(split())(d), d["params"].update(n_trees=True)),
+    lambda d: (forest(split())(d), d["params"].update(n_trees=2)),
+    lambda d: (forest(split(), split())(d), d["params"].update(n_trees=1)),
+    lambda d: (forest(split())(d), d["params"].update(feature_subsample=1.0)),
+    lambda d: (forest(split())(d), d["params"].update(feature_subsample="1")),
+    lambda d: (forest(split())(d), d["params"].update(feature_subsample=True)),
+    lambda d: (forest(split())(d), d["params"].update(seed=0.5)),
+    lambda d: (forest(split())(d), d["params"].update(seed="0")),
+    lambda d: (forest(split())(d), d["params"].update(seed=False)),
 ])
 def test_classify_rejects_malformed_model(pipeline, tmp_path, capsys, edit):
     doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
@@ -553,3 +584,27 @@ def test_classify_rejects_malformed_model(pipeline, tmp_path, capsys, edit):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("reader", ["model", "corpus", "config", "synth config"])
+def test_deeply_nested_json_is_an_input_error(pipeline, tmp_path, capsys, reader):
+    deep = tmp_path / "deep.json"
+    nested = "[" * 100_000 + "]" * 100_000
+    if reader == "corpus":
+        first = pipeline["classified"].read_text(encoding="utf-8").splitlines()[0]
+        deep.write_text(f"{first}\n{nested}\n", encoding="utf-8")
+    else:
+        deep.write_text(nested, encoding="utf-8")
+    out = tmp_path / "o"
+    rank = ["rank", "--corpus", str(pipeline["classified"]), "--graph", str(pipeline["graph"])]
+    argv = {
+        "model": ["classify", "--corpus", str(pipeline["corpus"]), "--model", str(deep)],
+        "corpus": ["rank", "--corpus", str(deep), "--graph", str(pipeline["graph"])],
+        "config": [*rank, "--config", str(deep)],
+        "synth config": ["synth", "--config", str(deep)],
+    }[reader]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: line 2: " if reader == "corpus" else f"error: {deep}: ")
+    assert "Traceback" not in err
+    assert not out.exists()

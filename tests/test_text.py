@@ -2,13 +2,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_count_ngrams, oracle_fold_accents
+from sensor_rank import text as text_module
 from sensor_rank.text import (
     DROP,
     CountMatrix,
     ReplacementTable,
+    Vocabulary,
     count_ngrams,
     fold_accents,
     load_stopwords,
@@ -179,6 +182,76 @@ def test_one_pass_matches_per_record_counting():
         assert list(row_dict(counts, i).items()) == list(expected.items())
         assert list(row_dict(again, i).items()) == list(expected.items())
     assert row_dict(again, len(texts)) == {}
+
+
+def test_fold_accents_matches_reference_on_every_code_point(monkeypatch):
+    # a fresh table, so filling it for every code point leaves the module's own small
+    monkeypatch.setattr(text_module, "_COMBINING_MARKS", text_module._CombiningMarks())
+    points = [cp for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF]
+    for lo in range(0, len(points), 4096):
+        chunk = "".join(map(chr, points[lo : lo + 4096]))
+        assert fold_accents(chunk) == oracle_fold_accents(chunk), hex(points[lo])
+
+
+def test_count_ngrams_rejects_n_max_out_of_range():
+    for n_max in (0, 4):
+        with pytest.raises(ValueError, match="n_max"):
+            count_ngrams(["febre alta"], n_max=n_max)
+
+
+# Pieces that reach every rule: accents and bare combining marks, links and
+# image links (also glued to their neighbours), emoticons, digits, laughter,
+# default lingo, the custom table's keys, and non-BMP emoji.
+TEXT_PIECES = [
+    "Zika", "ZIKA", "doença", "Ação", "e\u0301", "\u0301", "a\u0327\u0301o", "ﬁm", "Straße",
+    "http://t.co/abc", "https://x.co/f.JPG", "https://x.co/f.png?s=1", "HTTP://T.CO/Q",
+    "pic.twitter.com/xyz", "www.site.com.br/p", "wwwx", "http", ":)", ";-(", "<3", "x:D",
+    "8)", ":-p", "42", "2016", "zika2016", "kkkk", "hahaha", "rsrs", "kk", "ha",
+    "vc", "tb", "RT", "dengue", "febre", "virus", "alta", "😀", "𝐙𝐢𝐤𝐚", "#tag", "@user",
+    ",", "…", "",
+]
+SEPARATORS = ["", " ", "  ", "\n", ",", "."]
+post_texts = st.one_of(
+    st.lists(st.tuples(st.sampled_from(TEXT_PIECES), st.sampled_from(SEPARATORS)), max_size=14)
+    .map(lambda parts: "".join(p + sep for p, sep in parts)),
+    st.text(max_size=20),
+)
+TABLES = [
+    ReplacementTable.default(),
+    # a chain (zika -> virus -> doenca), drops, and rules feeding the table
+    ReplacementTable({"zika": "virus", "virus": "doenca", "dengue": DROP, "number": "num",
+                      "funny": DROP, "url": "link", "febre": "alta"}),
+]
+
+
+def assert_same_counts(got, expected):
+    (vocab, matrix), (vocab0, matrix0) = got, expected
+    assert list(vocab.term_to_id.items()) == list(vocab0.term_to_id.items())
+    assert vocab.n_max == vocab0.n_max
+    assert matrix.n_cols == matrix0.n_cols
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(matrix, name), getattr(matrix0, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(post_texts, min_size=1, max_size=10),
+    st.lists(post_texts, max_size=10),
+    st.sampled_from(TABLES),
+    st.integers(1, 3),
+)
+def test_count_ngrams_matches_per_text_counter_oracle(texts, others, table, n_max):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(text_module, "_NGRAM_BLOCK", 3)  # rows straddle block boundaries
+        grown = count_ngrams(texts, table, n_max)
+        assert_same_counts(grown, oracle_count_ngrams(texts, table, n_max))
+        vocab = grown[0]
+        before = dict(vocab.term_to_id)
+        fixed = count_ngrams(others, table, vocab=vocab)
+        assert fixed[0] is vocab and vocab.term_to_id == before
+        copy = Vocabulary(dict(before), vocab.n_max)
+        assert_same_counts(fixed, oracle_count_ngrams(others, table, vocab=copy))
 
 
 sparse_rows = st.integers(1, 12).flatmap(
