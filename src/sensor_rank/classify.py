@@ -30,7 +30,6 @@ __all__ = [
     "rebalance",
     "smote",
     "subsample_spread",
-    "info_gain_rank",
     "evaluate",
     "cross_validate",
     "save_model",
@@ -267,40 +266,6 @@ def subsample_spread(
             indices = indices[rng.choice(len(indices), size=cap, replace=False)]
         keep.append(indices)
     return data.subset(np.sort(np.concatenate(keep)))
-
-
-def info_gain_rank(data: LabeledDataset) -> list[tuple[int, float]]:
-    """Rank terms by mutual information between binary presence and the label.
-
-    gain(t) = H(label) − H(label | presence(t)), log base 2; descending, ties
-    by term id.
-    """
-    if len(data) == 0:
-        raise ValueError("cannot rank attributes of an empty dataset")
-    n = len(data)
-    v_size = len(data.vocab)
-    class_totals = data.class_counts()
-    # doc counts per (class, term) for presence
-    X = data.matrix
-    nonzero = X.data != 0
-    present = np.zeros((3, v_size))
-    np.add.at(present, (np.repeat(data.y, np.diff(X.indptr))[nonzero], X.indices[nonzero]), 1)
-
-    def entropy(counts: np.ndarray) -> np.ndarray:
-        totals = counts.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(totals > 0, counts / np.where(totals > 0, totals, 1), 0.0)
-            terms = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        return terms.sum(axis=0)
-
-    h_label = float(entropy(class_totals[:, None].astype(float))[0])
-    absent = class_totals[:, None] - present
-    n_present = present.sum(axis=0)
-    n_absent = n - n_present
-    h_cond = (n_present / n) * entropy(present) + (n_absent / n) * entropy(absent)
-    gains = h_label - h_cond
-    order = sorted(range(v_size), key=lambda t: (-gains[t], t))
-    return [(t, float(gains[t])) for t in order]
 
 
 def evaluate(probs: np.ndarray, y: np.ndarray) -> EvalReport:

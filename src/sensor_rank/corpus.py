@@ -6,12 +6,11 @@ import json
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
-
-from .text import ReplacementTable, _Tokenizer
 
 __all__ = [
     "Label",
@@ -23,7 +22,6 @@ __all__ = [
     "FollowerGraph",
     "load_corpus",
     "write_corpus",
-    "keyword_filter",
     "load_follower_graph",
     "write_follower_graph",
     "load_exclusions",
@@ -91,10 +89,9 @@ def _validate_timestamp(record_id: str, value: str) -> None:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered collection of records, optionally tagged with its harvest keywords."""
+    """An ordered collection of records."""
 
     records: tuple[TweetRecord, ...]
-    keyword_set: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -108,31 +105,54 @@ class Corpus:
 
     def labeled(self) -> "Corpus":
         """Sub-corpus of records carrying a label, original order preserved."""
-        return Corpus(tuple(r for r in self.records if r.label is not None), self.keyword_set)
-
-    def users(self) -> list[str]:
-        """Distinct authors in first-appearance order."""
-        out: list[str] = []
-        seen: set[str] = set()
-        for record in self.records:
-            if record.user not in seen:
-                seen.add(record.user)
-                out.append(record.user)
-        return out
+        return Corpus(tuple(r for r in self.records if r.label is not None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FollowerGraph:
-    """Directed follow edges; an edge (follower, friend) means follower follows friend."""
+    """Directed follow edges; an edge (follower, friend) means follower follows friend.
 
-    edges: frozenset[tuple[str, str]]
+    names holds the distinct user ids in sorted order. edges is a unique
+    (m, 2) int64 array of (follower, friend) positions in names, sorted by
+    follower then friend, so its rows come in the order of the sorted string
+    pairs. Build it with from_pairs.
+    """
 
-    def __post_init__(self) -> None:
-        for follower, friend in self.edges:
-            if not follower or not friend:
-                raise ValueError("graph edge endpoints must be non-empty")
-            if follower == friend:
-                raise ValueError(f"self-follow edge not allowed: {follower!r}")
+    names: tuple[str, ...]
+    edges: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "FollowerGraph":
+        """Intern (follower, friend) pairs; duplicate pairs collapse.
+
+        Rejects a self-follow and any id the graph CSV cannot hold: empty,
+        with leading or trailing whitespace, or containing a comma, a line
+        break or U+FEFF (the byte-order mark).
+        """
+        flat = list(chain.from_iterable(pairs))
+        names = sorted(set(flat))
+        for name in names:
+            if not name or name != name.strip() or any(c in name for c in ",\r\n\ufeff"):
+                raise ValueError(f"graph user id cannot be written as CSV: {name!r}")
+        index = dict(zip(names, range(len(names))))
+        ids = np.array([index[name] for name in flat], dtype=np.int64).reshape(-1, 2)
+        loops = ids[:, 0] == ids[:, 1]
+        if loops.any():
+            raise ValueError(f"self-follow edge not allowed: {names[ids[loops.argmax(), 0]]!r}")
+        codes = np.sort(ids[:, 0] * len(names) + ids[:, 1])
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+        edges = np.stack(np.divmod(codes, len(names)), axis=1)
+        edges.flags.writeable = False
+        return cls(tuple(names), edges)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FollowerGraph):
+            return NotImplemented
+        return self.names == other.names and np.array_equal(self.edges, other.edges)
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """The edges as sorted (follower, friend) string pairs."""
+        return list(map(tuple, np.array(self.names, dtype=object)[self.edges].tolist()))
 
 
 # required field -> the JSON types it accepts; integer ids and users become strings
@@ -196,8 +216,7 @@ def load_corpus(path: str | Path) -> Corpus:
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write records as JSONL in corpus order.
 
-    Only record fields are persisted; a keyword_set tag does not survive the
-    round trip. Optional fields are omitted when absent so files stay minimal.
+    Optional fields are omitted when absent so files stay minimal.
     """
     with open(path, "w", encoding="utf-8") as fh:
         for record in corpus.records:
@@ -214,74 +233,40 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=False) + "\n")
 
 
-def keyword_filter(
-    corpus: Corpus, keywords: Iterable[str], table: ReplacementTable | None = None
-) -> Corpus:
-    """Keep records whose normalized token set intersects the keyword set.
-
-    Keywords are matched as whole normalized tokens; multi-word keywords match
-    when their token sequence appears contiguously.
-    """
-    if table is None:
-        table = ReplacementTable.default()
-    keywords = [str(k) for k in keywords]
-    if not keywords:
-        raise ValueError("need at least one keyword")
-    tokenize = _Tokenizer(table)
-    single: set[str] = set()
-    phrases: list[tuple[str, ...]] = []
-    for kw in keywords:
-        toks = tuple(tokenize(kw))
-        if not toks:
-            raise ValueError(f"keyword normalizes to nothing: {kw!r}")
-        if len(toks) == 1:
-            single.add(toks[0])
-        else:
-            phrases.append(toks)
-    kept: list[TweetRecord] = []
-    for record in corpus.records:
-        toks = tokenize(record.text)
-        tokset = set(toks)
-        hit = bool(tokset & single)
-        if not hit:
-            for phrase in phrases:
-                k = len(phrase)
-                if any(tuple(toks[i : i + k]) == phrase for i in range(len(toks) - k + 1)):
-                    hit = True
-                    break
-        if hit:
-            kept.append(record)
-    return Corpus(tuple(kept), frozenset(keywords))
-
-
 def load_follower_graph(path: str | Path) -> FollowerGraph:
-    """Read `follower_id,friend_id` CSV; duplicate edges collapse silently."""
-    edges: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
+    """Read `follower_id,friend_id` CSV; duplicate edges collapse silently.
+
+    A leading byte-order mark is skipped. A line that is not two ids, repeats
+    one id, or holds U+FEFF fails with its line number.
+    """
+    pairs: list[tuple[str, str]] = []
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            follower, friend = parts[0].strip(), parts[-1].strip()
+            if len(parts) != 2 or not follower or not friend:
                 raise ValueError(
                     f"{path}: line {lineno}: expected 'follower_id,friend_id', got {line!r}"
                 )
-            follower, friend = parts[0].strip(), parts[1].strip()
             if follower == friend:
                 raise ValueError(f"{path}: line {lineno}: self-follow edge {follower!r}")
-            edges.add((follower, friend))
-    return FollowerGraph(frozenset(edges))
+            if "\ufeff" in line:
+                raise ValueError(f"{path}: line {lineno}: user id contains U+FEFF: {line!r}")
+            pairs.append((follower, friend))
+    return FollowerGraph.from_pairs(pairs)
 
 
 def write_follower_graph(graph: FollowerGraph, path: str | Path) -> None:
     """Write edges as `follower_id,friend_id`, sorted, one per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        for follower, friend in sorted(graph.edges):
+        for follower, friend in graph.pairs():
             fh.write(f"{follower},{friend}\n")
 
 
 def load_exclusions(path: str | Path) -> frozenset[str]:
-    """One user name per line; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
+    """One user name per line; blank lines and a leading byte-order mark ignored."""
+    with open(path, encoding="utf-8-sig") as fh:
         return frozenset(line.strip() for line in fh if line.strip())

@@ -12,7 +12,6 @@ __all__ = [
     "EXPANSION_KEYWORDS",
     "DEFAULT_KEYWORDS",
     "expansion_candidates",
-    "expand_keywords",
 ]
 
 #: Hand-picked high-recall seed terms for the mosquito-borne disease topic.
@@ -63,17 +62,3 @@ def expansion_candidates(
     vocab, counts = count_ngrams((r.text for r in corpus.records), table, n_max=1)
     return [pair for pair in tfidf_rank(counts, vocab, stopwords) if pair[0] not in blocked][:top_n]
 
-
-def expand_keywords(
-    seed: Iterable[str],
-    corpus: Corpus,
-    stopwords: Iterable[str] = (),
-    table: ReplacementTable | None = None,
-    top_n: int = 10,
-) -> list[str]:
-    """Extend a seed keyword list with the corpus's top TF-IDF unigrams.
-
-    The result keeps the seed order followed by expansion_candidates' terms.
-    """
-    seed = [str(s) for s in seed]
-    return seed + [term for term, _ in expansion_candidates(seed, corpus, stopwords, table, top_n)]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -101,12 +100,6 @@ class TransitionMatrix:
     @property
     def n(self) -> int:
         return len(self.index)
-
-    def entries(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(i), int(j)): float(v)
-            for i, j, v in zip(self.rows, self.cols, self.vals)
-        }
 
 
 @dataclass(frozen=True)
@@ -211,10 +204,9 @@ def build_transition(
     kept, zero weights included, ordered by (follower index, friend index).
     """
     index = {u.user_id: i for i, u in enumerate(candidates)}
-    endpoints = chain.from_iterable(graph.edges)
-    ends = np.fromiter(
-        map(index.get, endpoints, repeat(-1)), dtype=int, count=2 * len(graph.edges)
-    ).reshape(-1, 2)
+    # each graph user's candidate index, -1 for a non-candidate
+    pos = np.array([index.get(name, -1) for name in graph.names], dtype=np.int64)
+    ends = pos[graph.edges]
     follower, friend = ends[(ends >= 0).all(axis=1)].T
     order = np.lexsort((friend, follower))
     rows, cols = follower[order], friend[order]

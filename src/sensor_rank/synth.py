@@ -376,4 +376,4 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
                 "influencer's fan-in"
             )
 
-    return Corpus(tuple(records)), FollowerGraph(frozenset(edges)), gold
+    return Corpus(tuple(records)), FollowerGraph.from_pairs(edges), gold

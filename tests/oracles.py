@@ -42,7 +42,7 @@ def oracle_transition(
     """
     index = {u.user_id: i for i, u in enumerate(candidates)}
     friends_of: dict[str, list[str]] = {}
-    for follower, friend in sorted(graph.edges):
+    for follower, friend in sorted(graph.pairs()):
         friends_of.setdefault(follower, []).append(friend)
     r = np.array([u.relevant_count for u in candidates], dtype=float)
     v = np.array([u.v for u in candidates])

@@ -62,7 +62,7 @@ def random_rank_instance(rng):
         for j in range(n)
         if i != j and rng.random() < 0.3
     }
-    return stats, FollowerGraph(frozenset(edges))
+    return stats, FollowerGraph.from_pairs(edges)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def test_03_scores_never_fall_below_teleport_floor(power_iteration_suite):
             if rv.scores[u.user_id] < (1 - GAMMA) * u.v - 1e-12:
                 violations += 1
     lone = UserStats("a", 5, 5, 5, v=1.0)
-    P = build_transition([lone], FollowerGraph(frozenset()))
+    P = build_transition([lone], FollowerGraph.from_pairs([]))
     rv = twitterrank(P, [lone], RankConfig())
     isolated_ok = abs(rv.scores["a"] - 0.15) <= 1e-12
     ok = violations == 0 and isolated_ok

@@ -12,7 +12,6 @@ from sensor_rank.classify import (
     dataset_from_corpus,
     dumps_json,
     evaluate,
-    info_gain_rank,
     load_model,
     predict_many,
     save_model,
@@ -386,43 +385,6 @@ def test_subsample_spread_deterministic():
     a = subsample_spread(data, 1.0, 8)
     b = subsample_spread(data, 1.0, 8)
     assert rows_of(a.matrix) == rows_of(b.matrix) and np.array_equal(a.y, b.y)
-
-
-def test_info_gain_zero_for_uninformative_term():
-    data = make_data([{0: 1, 1: 1}, {0: 2}, {0: 1, 2: 1}], [R, N, Z], 3)
-    gains = dict(info_gain_rank(data))
-    assert gains[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_info_gain_perfect_predictor():
-    data = make_data(
-        [{0: 1}, {0: 2}, {1: 1}, {1: 3}, {2: 1}, {2: 2}],
-        [R, R, N, N, Z, Z],
-        3,
-    )
-    gains = dict(info_gain_rank(data))
-    h_label = math.log2(3)
-    # presence of w0 isolates Relevant; the rest split evenly between News/Noise
-    expected = h_label - (2 / 6) * 0.0 - (4 / 6) * 1.0
-    assert gains[0] == pytest.approx(expected, abs=1e-12)
-
-
-def test_info_gain_bounds_and_order():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        data = random_data(rng, 25, 9)
-        ranked = info_gain_rank(data)
-        h_label = -sum(
-            (c / 25) * math.log2(c / 25)
-            for c in data.class_counts()
-            if c
-        )
-        gains = [g for _, g in ranked]
-        assert all(-1e-12 <= g <= h_label + 1e-12 for g in gains)
-        assert gains == sorted(gains, reverse=True)
-        for (t1, g1), (t2, g2) in zip(ranked, ranked[1:]):
-            if g1 == g2:
-                assert t1 < t2
 
 
 def test_evaluate_perfect_predictions():

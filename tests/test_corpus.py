@@ -1,13 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensor_rank.corpus import (
     Corpus,
     FollowerGraph,
     Label,
     TweetRecord,
-    keyword_filter,
     load_corpus,
     load_exclusions,
     load_follower_graph,
@@ -51,7 +52,6 @@ def test_corpus_rejects_duplicate_ids():
 def test_corpus_labeled_and_users():
     c = Corpus((record(1, user="b"), record(2, user="a", label=Label.NEWS), record(3, user="a")))
     assert [r.id for r in c.labeled().records] == ["t2"]
-    assert c.users() == ["b", "a"]  # first-appearance order
 
 
 def test_load_corpus_roundtrip(tmp_path):
@@ -125,55 +125,38 @@ def test_load_corpus_skips_blank_lines(tmp_path):
     assert len(load_corpus(path).records) == 1
 
 
-def test_keyword_filter_single_tokens():
-    c = Corpus((record(1, text="o zika avança"), record(2, text="bom dia"),
-                record(3, text="ZIKA!!")))
-    kept = keyword_filter(c, ["zika"])
-    assert [r.id for r in kept.records] == ["t1", "t3"]
-    assert kept.keyword_set == frozenset(["zika"])
-
-
-def test_keyword_filter_accent_insensitive():
-    c = Corpus((record(1, text="nova DOENÇA na cidade"),))
-    kept = keyword_filter(c, ["doenca"])
-    assert len(kept.records) == 1
-
-
-def test_keyword_filter_phrases_must_be_contiguous():
-    c = Corpus((record(1, text="aedes aegypti é o vetor"),
-                record(2, text="aedes come aegypti")))
-    kept = keyword_filter(c, ["aedes aegypti"])
-    assert [r.id for r in kept.records] == ["t1"]
-
-
-def test_keyword_filter_normalizes_keywords():
-    c = Corpus((record(1, text="microcefalia em alta"),))
-    kept = keyword_filter(c, ["MICROCEFALIA"])
-    assert len(kept.records) == 1
-    with pytest.raises(ValueError, match="keyword"):
-        keyword_filter(c, [":)"])
-
-
-def test_keyword_filter_empty_keywords():
-    with pytest.raises(ValueError, match="keyword"):
-        keyword_filter(Corpus((record(1),)), [])
-
-
 def test_follower_graph_rejects_self_follow():
     with pytest.raises(ValueError, match="self"):
-        FollowerGraph(frozenset({("a", "a")}))
+        FollowerGraph.from_pairs({("a", "a")})
+
+
+@pytest.mark.parametrize("pair", [
+    ("", "b"), ("a", ""), ("a,b", "c"), ("a", "b\nc"), ("a\r", "b"), (" a", "b"),
+    ("a", "b\t"), ("\ufeffa", "b"), ("a", "b\ufeffc"),
+])
+def test_follower_graph_rejects_ids_csv_cannot_hold(pair):
+    with pytest.raises(ValueError, match="CSV"):
+        FollowerGraph.from_pairs([("x", "y"), pair])
+
+
+def test_follower_graph_interns_sorted_unique_edges():
+    g = FollowerGraph.from_pairs([("c", "a"), ("a", "c"), ("b", "a"), ("c", "a")])
+    assert g.names == ("a", "b", "c")
+    assert g.edges.tolist() == [[0, 2], [1, 0], [2, 0]]
+    assert g.pairs() == [("a", "c"), ("b", "a"), ("c", "a")]
+    assert len(FollowerGraph.from_pairs([]).edges) == 0
 
 
 def test_follower_graph_file_roundtrip(tmp_path):
     path = tmp_path / "graph.csv"
     path.write_text("b,a\na,b\n\nb,a\n", encoding="utf-8")
     g = load_follower_graph(path)
-    assert g.edges == frozenset({("b", "a"), ("a", "b")})
+    assert g.pairs() == [("a", "b"), ("b", "a")]
 
     out = tmp_path / "copy.csv"
     write_follower_graph(g, out)
     assert out.read_text(encoding="utf-8") == "a,b\nb,a\n"
-    assert load_follower_graph(out).edges == g.edges
+    assert load_follower_graph(out) == g
 
 
 def test_load_follower_graph_bad_line(tmp_path):
@@ -184,9 +167,71 @@ def test_load_follower_graph_bad_line(tmp_path):
     path.write_text("a,a\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 1"):
         load_follower_graph(path)
+    path.write_text("a,b\n\ufeffc,d\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2"):
+        load_follower_graph(path)
+
+
+def test_load_follower_graph_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "graph.csv"
+    path.write_text("a,b\nb,c\n", encoding="utf-8-sig")
+    assert load_follower_graph(path).pairs() == [("a", "b"), ("b", "c")]
+
+
+def stripped_line_pairs(text):
+    """The graph a CSV text holds, read by hand: (pairs, None) or (None, first bad line)."""
+    text = text.removeprefix("\ufeff")
+    pairs = set()
+    for lineno, line in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2 or "" in parts or parts[0] == parts[1] or "\ufeff" in line:
+            return None, lineno
+        pairs.add(tuple(parts))
+    return pairs, None
+
+
+_pad = st.sampled_from(["", " ", "  "])
+_name = st.sampled_from(["a", "b", "c", "u1", "u22"])
+_edge = st.tuples(_pad, _name, _pad, _name, _pad)
+
+
+def _edge_line(t):
+    return f"{t[0]}{t[1]},{t[2]}{t[3]}{t[4]}"
+
+
+_junk_line = st.lists(st.sampled_from(["a", "u1", ",", " ", "\ufeff"]), max_size=6).map("".join)
+# mostly two distinct users, so that many texts load
+_line = st.one_of(
+    *[_edge.filter(lambda t: t[1] != t[3]).map(_edge_line)] * 3, _edge.map(_edge_line), _junk_line
+)
+# graph CSV text: an optional byte-order mark, then lines ending in \n, \r, \r\n or nothing
+graph_text = st.tuples(
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(st.tuples(_line, st.sampled_from(["\n", "\n", "\n", "\r", "\r\n", ""])), max_size=8),
+).map(lambda t: t[0] + "".join(line + end for line, end in t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_text)
+def test_load_follower_graph_matches_line_oracle_and_roundtrips(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("graph") / "graph.csv"
+    path.write_bytes(text.encode("utf-8"))
+    pairs, bad_line = stripped_line_pairs(text)
+    if bad_line is not None:
+        with pytest.raises(ValueError, match=f"line {bad_line}: "):
+            load_follower_graph(path)
+        return
+    g = load_follower_graph(path)
+    assert set(g.pairs()) == pairs
+    write_follower_graph(g, path)
+    assert load_follower_graph(path) == g
 
 
 def test_load_exclusions(tmp_path):
     path = tmp_path / "excl.txt"
     path.write_text("bot1\n\n  bot2\nbot1\n", encoding="utf-8")
+    assert load_exclusions(path) == frozenset({"bot1", "bot2"})
+    path.write_text("bot1\nbot2\n", encoding="utf-8-sig")
     assert load_exclusions(path) == frozenset({"bot1", "bot2"})

@@ -51,7 +51,7 @@ def random_instance(rng, n_max=12):
         for j in range(n):
             if i != j and rng.random() < 0.3:
                 edges.add((users[i], users[j]))
-    return stats, FollowerGraph(frozenset(edges))
+    return stats, FollowerGraph.from_pairs(edges)
 
 
 class UnionFind:
@@ -154,33 +154,33 @@ def test_build_transition_single_friend_full_weight():
     # equal v makes sim exactly 1, and one friend takes the whole ratio
     a = UserStats("a", 5, 5, 10, v=0.5)
     b = UserStats("b", 5, 5, 10, v=0.5)
-    P = build_transition([a, b], FollowerGraph(frozenset({("a", "b")})))
-    assert P.entries() == {(0, 1): 1.0}
+    P = build_transition([a, b], FollowerGraph.from_pairs({("a", "b")}))
+    assert (P.rows.tolist(), P.cols.tolist(), P.vals.tolist()) == ([0], [1], [1.0])
 
 
 def test_build_transition_splits_by_relevant_count():
     a = UserStats("a", 4, 8, 10, v=0.25)
     b = UserStats("b", 2, 4, 10, v=0.25)
     c = UserStats("c", 6, 12, 20, v=0.25)
-    graph = FollowerGraph(frozenset({("a", "b"), ("a", "c")}))
+    graph = FollowerGraph.from_pairs({("a", "b"), ("a", "c")})
     P = build_transition([a, b, c], graph)
-    entries = P.entries()
-    np.testing.assert_allclose(entries[(0, 1)], 2 / 8)
-    np.testing.assert_allclose(entries[(0, 2)], 6 / 8)
+    assert (P.rows.tolist(), P.cols.tolist()) == ([0, 0], [1, 2])
+    np.testing.assert_allclose(P.vals, [2 / 8, 6 / 8])
 
 
 def test_build_transition_similarity_attenuates():
     a = UserStats("a", 3, 3, 3, v=0.75)
     b = UserStats("b", 3, 3, 3, v=0.25)
-    P = build_transition([a, b], FollowerGraph(frozenset({("a", "b")})))
-    np.testing.assert_allclose(P.entries()[(0, 1)], 1.0 * (1 - 0.5))
+    P = build_transition([a, b], FollowerGraph.from_pairs({("a", "b")}))
+    assert (P.rows.tolist(), P.cols.tolist()) == ([0], [1])
+    np.testing.assert_allclose(P.vals, [1.0 * (1 - 0.5)])
 
 
 def test_build_transition_ignores_outsiders():
     a = UserStats("a", 3, 3, 3, v=1.0)
-    graph = FollowerGraph(frozenset({("a", "x"), ("y", "a")}))
+    graph = FollowerGraph.from_pairs({("a", "x"), ("y", "a")})
     P = build_transition([a], graph)
-    assert P.entries() == {}
+    assert len(P.rows) == len(P.cols) == len(P.vals) == 0
 
 
 def test_build_transition_matches_per_candidate_loop():
@@ -201,7 +201,7 @@ def test_build_transition_matches_per_candidate_loop():
 
 def test_twitterrank_isolated_candidate_floor():
     a = UserStats("a", 5, 5, 5, v=1.0)
-    P = build_transition([a], FollowerGraph(frozenset()))
+    P = build_transition([a], FollowerGraph.from_pairs([]))
     rv = twitterrank(P, [a], RankConfig())
     assert rv.converged
     assert abs(rv.scores["a"] - 0.15) <= 1e-12
@@ -210,7 +210,7 @@ def test_twitterrank_isolated_candidate_floor():
 def test_twitterrank_two_isolated_split_evenly():
     a = UserStats("a", 5, 5, 5, v=0.5)
     b = UserStats("b", 5, 5, 5, v=0.5)
-    P = build_transition([a, b], FollowerGraph(frozenset()))
+    P = build_transition([a, b], FollowerGraph.from_pairs([]))
     rv = twitterrank(P, [a, b], RankConfig())
     assert abs(rv.scores["a"] - 0.075) <= 1e-12
     assert abs(rv.scores["b"] - 0.075) <= 1e-12
@@ -221,7 +221,7 @@ def test_twitterrank_two_isolated_split_evenly():
 def test_twitterrank_requires_normalized_shares():
     a = UserStats("a", 5, 5, 5, v=0.3)
     b = UserStats("b", 5, 5, 5, v=0.3)
-    P = build_transition([a, b], FollowerGraph(frozenset()))
+    P = build_transition([a, b], FollowerGraph.from_pairs([]))
     with pytest.raises(ValueError, match="sum to 1"):
         twitterrank(P, [a, b], RankConfig())
 
@@ -294,7 +294,7 @@ def components_of(graph, users):
 
 
 def test_connected_components_basics():
-    graph = FollowerGraph(frozenset({("a", "b"), ("c", "d"), ("d", "c"), ("x", "y")}))
+    graph = FollowerGraph.from_pairs({("a", "b"), ("c", "d"), ("d", "c"), ("x", "y")})
     comps, mutual = components_of(graph, ["a", "b", "c", "d", "e"])
     assert comps == [["a", "b"], ["c", "d"], ["e"]]
     assert mutual == [("c", "d")]
@@ -302,7 +302,7 @@ def test_connected_components_basics():
 
 def test_connected_components_ignore_noncandidate_bridges():
     # a-x-b would connect a and b, but x is not a candidate
-    graph = FollowerGraph(frozenset({("a", "x"), ("x", "b")}))
+    graph = FollowerGraph.from_pairs({("a", "x"), ("x", "b")})
     comps, mutual = components_of(graph, ["a", "b"])
     assert comps == [["a"], ["b"]]
     assert mutual == []
@@ -314,7 +314,7 @@ def long_path_instance(rng, n=500):
     edges = {
         (a, b) if rng.random() < 0.5 else (b, a) for a, b in zip(users, users[1:])
     }
-    return {u: UserStats(u, 3, 3, 3) for u in users}, FollowerGraph(frozenset(edges))
+    return {u: UserStats(u, 3, 3, 3) for u in users}, FollowerGraph.from_pairs(edges)
 
 
 def test_connected_components_match_union_find():
@@ -322,11 +322,12 @@ def test_connected_components_match_union_find():
     instances = [random_instance(rng) for _ in range(20)] + [long_path_instance(rng)]
     for stats, graph in instances:
         users = sorted(stats)
+        edges = set(graph.pairs())
         comps, mutual = connected_components(
             build_transition(candidate_filter(stats, RankConfig()), graph)
         )
         uf = UnionFind(users)
-        for a, b in graph.edges:
+        for a, b in edges:
             if a in stats and b in stats:
                 uf.union(a, b)
         want = {}
@@ -337,10 +338,10 @@ def test_connected_components_match_union_find():
         assert sorted(len(c) for c in comps) == sorted(len(s) for s in want.values())
         for a, b in mutual:
             assert a < b
-            assert (a, b) in graph.edges and (b, a) in graph.edges
+            assert (a, b) in edges and (b, a) in edges
         assert mutual == sorted(
-            (a, b) for a, b in graph.edges
-            if a < b and (b, a) in graph.edges and a in stats and b in stats
+            (a, b) for a, b in edges
+            if a < b and (b, a) in edges and a in stats and b in stats
         )
         assert comps == sorted(comps, key=lambda c: (-len(c), c[0]))
         assert all(c == sorted(c) for c in comps)
@@ -354,7 +355,7 @@ def test_ranking_report_orders_and_cross_ranks():
     }
     config = RankConfig(min_relevant=3, k=10)
     candidates = candidate_filter(stats, config, ())
-    graph = FollowerGraph(frozenset({("b", "a"), ("c", "a")}))
+    graph = FollowerGraph.from_pairs({("b", "a"), ("c", "a")})
     P = build_transition(candidates, graph)
     rv = twitterrank(P, candidates, config)
     report = ranking_report(candidates, rv, config, metric="tr")
@@ -373,7 +374,7 @@ def test_ranking_report_ties_break_by_user_id():
     stats = {uid: UserStats(uid, 5, 10, 20) for uid in ("m", "k", "p")}
     config = RankConfig(k=3)
     candidates = candidate_filter(stats, config, ())
-    P = build_transition(candidates, FollowerGraph(frozenset()))
+    P = build_transition(candidates, FollowerGraph.from_pairs([]))
     rv = twitterrank(P, candidates, config)
     report = ranking_report(candidates, rv, config, metric="tf")
     assert [row.user_id for row in report.rows] == ["k", "m", "p"]
@@ -384,7 +385,7 @@ def test_ranking_report_k_limits_rows():
     stats = {f"u{i}": UserStats(f"u{i}", 3 + i, 10 + i, 50) for i in range(6)}
     config = RankConfig(k=2)
     candidates = candidate_filter(stats, config, ())
-    P = build_transition(candidates, FollowerGraph(frozenset()))
+    P = build_transition(candidates, FollowerGraph.from_pairs([]))
     rv = twitterrank(P, candidates, config)
     report = ranking_report(candidates, rv, config, metric="of")
     assert len(report.rows) == 2
@@ -395,7 +396,7 @@ def test_ranking_report_k_limits_rows():
 def test_ranking_report_validation():
     stats = {"a": UserStats("a", 3, 3, 3)}
     candidates = candidate_filter(stats, RankConfig(), ())
-    P = build_transition(candidates, FollowerGraph(frozenset()))
+    P = build_transition(candidates, FollowerGraph.from_pairs([]))
     rv = twitterrank(P, candidates, RankConfig())
     with pytest.raises(ValueError, match="k"):
         ranking_report(candidates, rv, RankConfig(k=0))
@@ -424,7 +425,7 @@ def test_report_serializations(tmp_path):
     stats = {"ana maria": UserStats("ana maria", 3, 4, 5)}
     config = RankConfig(k=1)
     candidates = candidate_filter(stats, config, ())
-    P = build_transition(candidates, FollowerGraph(frozenset()))
+    P = build_transition(candidates, FollowerGraph.from_pairs([]))
     rv = twitterrank(P, candidates, config)
     report = ranking_report(candidates, rv, config)
 

@@ -80,7 +80,7 @@ def test_generate_is_deterministic(tmp_path):
     corpus1, graph1, gold1 = generate(config)
     corpus2, graph2, gold2 = generate(config)
     assert corpus1.records == corpus2.records
-    assert graph1.edges == graph2.edges
+    assert graph1 == graph2
     assert gold1 == gold2
 
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -186,7 +186,7 @@ def test_planted_influencer_dominates():
     others = [u for uid, u in stats.items() if uid != "sentinela001"]
     assert boss.relevant_count > max(u.relevant_count for u in others)
     in_degrees = {uid: 0 for uid in stats}
-    for _, friend in graph.edges:
+    for _, friend in graph.pairs():
         if friend in in_degrees:
             in_degrees[friend] += 1
     fan_in = in_degrees["sentinela001"]
@@ -224,19 +224,19 @@ def test_generate_rejects_infeasible_demands():
 def test_oracle_linear_solve_edgeless():
     a = UserStats("a", 3, 3, 3, v=0.25)
     b = UserStats("b", 9, 9, 9, v=0.75)
-    P = build_transition([a, b], FollowerGraph(frozenset()))
+    P = build_transition([a, b], FollowerGraph.from_pairs([]))
     x = oracle_linear_solve(P, np.array([0.25, 0.75]), 0.85)
     np.testing.assert_allclose(x, [0.15 * 0.25, 0.15 * 0.75], atol=1e-15)
 
 
 def test_oracle_linear_solve_size_guard():
     stats = [UserStats(f"u{i}", 3, 3, 3, v=1 / 65) for i in range(65)]
-    P = build_transition(stats, FollowerGraph(frozenset()))
+    P = build_transition(stats, FollowerGraph.from_pairs([]))
     with pytest.raises(ValueError, match="64"):
         oracle_linear_solve(P, np.full(65, 1 / 65), 0.85)
     with pytest.raises(ValueError, match="length"):
         oracle_linear_solve(
-            build_transition(stats[:2], FollowerGraph(frozenset())),
+            build_transition(stats[:2], FollowerGraph.from_pairs([])),
             np.array([1.0]),
             0.85,
         )
