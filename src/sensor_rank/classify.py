@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LABEL_ORDER, Corpus, Label, class_ids, require_all_classes
+from .corpus import LABEL_ORDER, Corpus, Label, require_all_classes
 from .forest import RfModel, TreeNode, predict_proba, train_rf
 from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
@@ -91,9 +91,9 @@ def dataset_from_corpus(
 
     Without a vocabulary, one is built from those records (see count_ngrams).
     """
-    records = [r for r in corpus.records if r.label is not None]
-    vocab, matrix = count_ngrams((r.text for r in records), table, n_max, vocab)
-    return LabeledDataset(matrix, class_ids(r.label for r in records), vocab)
+    corpus = corpus.labeled()
+    vocab, matrix = count_ngrams(corpus.texts, table, n_max, vocab)
+    return LabeledDataset(matrix, corpus.y, vocab)
 
 
 @dataclass(frozen=True)

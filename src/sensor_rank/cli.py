@@ -305,16 +305,12 @@ def cmd_classify(settings: Settings) -> int:
             "different normalization table"
         )
     out = _out_dir(settings)
-    _, counts = count_ngrams((r.text for r in corpus.records), table, vocab=vocab)
+    _, counts = count_ngrams(corpus.texts, table, vocab=vocab)
     predicted = predict_many(model, counts).argmax(axis=1)
-    records = tuple(
-        dataclasses.replace(record, label=LABEL_ORDER[c])
-        for record, c in zip(corpus.records, predicted)
-    )
-    write_corpus(Corpus(records), out / "classified.jsonl")
+    write_corpus(dataclasses.replace(corpus, y=predicted), out / "classified.jsonl")
     tally = np.bincount(predicted, minlength=len(LABEL_ORDER))
     print(
-        f"classified {len(records)} records: "
+        f"classified {len(corpus)} records: "
         + " ".join(f"{label.value.lower()}={n}" for label, n in zip(LABEL_ORDER, tally))
     )
     return 0
@@ -324,14 +320,7 @@ def _rank_pipeline(settings: Settings):
     corpus = load_corpus(settings.require("corpus"))
     graph = load_follower_graph(settings.require("graph"))
     rcfg = _rank_config(settings)
-    pairs = []
-    for record in corpus.records:
-        if record.label is None:
-            raise ValueError(
-                f"record {record.id} has no label; classify the corpus first"
-            )
-        pairs.append((record, record.label))
-    stats = compute_user_stats(pairs)
+    stats = compute_user_stats(corpus)
     candidates = candidate_filter(stats, rcfg, _exclusions(settings))
     matrix = build_transition(candidates, graph)
     return matrix, rcfg, candidates, twitterrank(matrix, candidates, rcfg)

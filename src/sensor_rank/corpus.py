@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,8 +40,8 @@ class Label(str, Enum):
 #: Fixed label ordering used for class axes in vectors, matrices and reports.
 LABEL_ORDER: tuple[Label, Label, Label] = (Label.RELEVANT, Label.NEWS, Label.NOISE)
 
-_LABEL_BY_VALUE = {label.value: label for label in Label}
 _CLASS_ID = {label: i for i, label in enumerate(LABEL_ORDER)}
+_CLASS_ID_BY_VALUE = {label.value: i for label, i in _CLASS_ID.items()}
 
 
 def class_ids(labels: Iterable[Label]) -> np.ndarray:
@@ -68,44 +69,73 @@ class TweetRecord:
     user_total_tweets: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.id.strip():
-            raise ValueError("record id must be non-empty")
-        if not self.user.strip():
-            raise ValueError(f"record {self.id}: user must be non-empty")
-        _validate_timestamp(self.id, self.created_at)
-        total = self.user_total_tweets
-        if total is not None and (type(total) is not int or total < 0):
-            raise ValueError(
-                f"record {self.id}: user_total_tweets must be an integer >= 0, got {total!r}"
-            )
+        _check_record(self.id, self.user, self.created_at, self.user_total_tweets)
 
 
-def _validate_timestamp(record_id: str, value: str) -> None:
+def _check_record(rid: str, user: str, created_at: str, total: int | None) -> None:
+    """The checks every record passes, whether built as a TweetRecord or loaded."""
+    if not rid.strip():
+        raise ValueError("record id must be non-empty")
+    if not user.strip():
+        raise ValueError(f"record {rid}: user must be non-empty")
     try:
-        datetime.fromisoformat(value.replace("Z", "+00:00"))
+        datetime.fromisoformat(created_at.replace("Z", "+00:00"))
     except (ValueError, AttributeError):
-        raise ValueError(f"record {record_id}: created_at is not ISO 8601: {value!r}") from None
+        raise ValueError(f"record {rid}: created_at is not ISO 8601: {created_at!r}") from None
+    if total is not None and (type(total) is not int or not 0 <= total < 2**63):
+        raise ValueError(f"record {rid}: user_total_tweets must be an int64 >= 0, got {total!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """An ordered collection of records."""
+    """An ordered collection of records, held as columns: the strings ids, users,
+    texts and created_at, and two int64 arrays with -1 for an absent value: y, the
+    label's position in LABEL_ORDER, and user_total_tweets. load_corpus and
+    from_records build one; records gives the rows."""
 
-    records: tuple[TweetRecord, ...]
+    ids: tuple[str, ...]
+    users: tuple[str, ...]
+    texts: tuple[str, ...]
+    created_at: tuple[str, ...]
+    y: np.ndarray
+    user_total_tweets: np.ndarray
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for record in self.records:
-            if record.id in seen:
-                raise ValueError(f"duplicate record id: {record.id}")
-            seen.add(record.id)
+    @classmethod
+    def from_records(cls, records: Iterable[TweetRecord]) -> "Corpus":
+        """Pack records into columns; a repeated id is rejected."""
+        rows: dict[str, tuple] = {}
+        for r in records:
+            if r.id in rows:
+                raise ValueError(f"duplicate record id: {r.id}")
+            total = -1 if r.user_total_tweets is None else r.user_total_tweets
+            rows[r.id] = (r.id, r.user, r.text, r.created_at, _CLASS_ID.get(r.label, -1), total)
+        return _pack(rows.values())
+
+    def _rows(self) -> Iterator[tuple[str, str, str, str, int, int]]:
+        columns = (self.ids, self.users, self.texts, self.created_at)
+        return zip(*columns, self.y.tolist(), self.user_total_tweets.tolist())
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
+
+    @property
+    def records(self) -> tuple[TweetRecord, ...]:
+        """The rows as TweetRecords, built anew on each access."""
+        return tuple(
+            TweetRecord(i, u, t, c, None if y < 0 else LABEL_ORDER[y], None if n < 0 else n)
+            for i, u, t, c, y, n in self._rows()
+        )
 
     def labeled(self) -> "Corpus":
         """Sub-corpus of records carrying a label, original order preserved."""
-        return Corpus(tuple(r for r in self.records if r.label is not None))
+        keep = (self.y >= 0).tolist()
+        return self if all(keep) else _pack(compress(self._rows(), keep))
+
+
+def _pack(rows: Iterable[tuple]) -> Corpus:
+    """(id, user, text, created_at, class id, total) rows as a Corpus."""
+    columns = tuple(zip(*rows)) or ((),) * 6
+    return Corpus(*columns[:4], *(np.array(c, dtype=np.int64) for c in columns[4:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,79 +188,76 @@ class FollowerGraph:
 # required field -> the JSON types it accepts; integer ids and users become strings
 _REQUIRED_FIELDS = {"id": (str, int), "user": (str, int), "text": (str,), "created_at": (str,)}
 _TYPE_NAMES = {str: "a string", int: "an integer"}
-_OPTIONAL_FIELDS = ("label", "user_total_tweets")
+_FIELDS = frozenset(_REQUIRED_FIELDS) | {"label", "user_total_tweets"}
+# a lone UTF-16 surrogate: only a \u escape in the file can produce one
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _row(obj: object, escaped: bool) -> tuple[str, str, str, str, int, int]:
+    """A decoded corpus line, checked, as its column values; escaped: the line has a \\u."""
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object")
+    for key, types in _REQUIRED_FIELDS.items():
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+        if type(obj[key]) not in types:
+            kind = " or ".join(_TYPE_NAMES[t] for t in types)
+            raise ValueError(f"field {key!r} must be {kind}, got {obj[key]!r}")
+    if len(obj) > len(_REQUIRED_FIELDS) and not _FIELDS.issuperset(obj):
+        raise ValueError(f"unknown field(s) {sorted(set(obj) - _FIELDS)}")
+    label = obj.get("label")
+    class_id = _CLASS_ID_BY_VALUE.get(label, -1) if type(label) is str else -1
+    if label is not None and class_id < 0:
+        raise ValueError(f"unknown label {label!r}")
+    record_id, user = str(obj["id"]), str(obj["user"])
+    text, created_at, total = obj["text"], obj["created_at"], obj.get("user_total_tweets")
+    _check_record(record_id, user, created_at, total)
+    for key, value in (("id", record_id), ("user", user), ("text", text)) if escaped else ():
+        if lone := _SURROGATE.search(value):
+            raise ValueError(f"field {key!r} holds a lone surrogate {lone.group()!r}")
+    return record_id, user, text, created_at, class_id, -1 if total is None else total
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read a JSONL corpus; any malformed line fails with its line number."""
-    records: list[TweetRecord] = []
-    seen_ids: set[str] = set()
+    """Read a JSONL corpus into columns, decoding and checking each line once; any
+    malformed line fails with its line number."""
+    rows: dict[str, tuple] = {}
+    decode = json.JSONDecoder().raw_decode
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-            for key, types in _REQUIRED_FIELDS.items():
-                if key not in obj:
-                    raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
-                if type(obj[key]) not in types:
-                    kind = " or ".join(_TYPE_NAMES[t] for t in types)
-                    raise ValueError(
-                        f"{path}: line {lineno}: field {key!r} must be {kind}, got {obj[key]!r}"
-                    )
-            unknown = set(obj) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
-            if unknown:
-                raise ValueError(
-                    f"{path}: line {lineno}: unknown field(s) {sorted(unknown)}"
-                )
-            label = None
-            if obj.get("label") is not None:
-                if obj["label"] not in _LABEL_BY_VALUE:
-                    raise ValueError(
-                        f"{path}: line {lineno}: unknown label {obj['label']!r}"
-                    )
-                label = _LABEL_BY_VALUE[obj["label"]]
+                obj, end = decode(line)
+                if line[end:] not in ("\n", ""):
+                    raise ValueError("more than one value")
+            except (ValueError, RecursionError):
+                # blank lines, surrounding whitespace, and JSON errors worded by json.loads
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
             try:
-                record = TweetRecord(
-                    id=str(obj["id"]),
-                    user=str(obj["user"]),
-                    text=obj["text"],
-                    created_at=obj["created_at"],
-                    label=label,
-                    user_total_tweets=obj.get("user_total_tweets"),
-                )
+                row = _row(obj, "\\u" in line)
+                if row[0] in rows:
+                    raise ValueError(f"duplicate record id {row[0]!r}")
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if record.id in seen_ids:
-                raise ValueError(f"{path}: line {lineno}: duplicate record id {record.id!r}")
-            seen_ids.add(record.id)
-            records.append(record)
-    return Corpus(tuple(records))
+            rows[row[0]] = row
+    return _pack(rows.values())
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write records as JSONL in corpus order.
-
-    Optional fields are omitted when absent so files stay minimal.
-    """
+    """Write records as JSONL in corpus order: each line is json.dumps(obj,
+    ensure_ascii=False) of the record's fields in order, absent optional ones left out."""
+    quote = json.encoder.encode_basestring
+    # indexed by class id; -1, no label, picks the empty last entry
+    labels = [f', "label": "{label.value}"' for label in LABEL_ORDER] + [""]
     with open(path, "w", encoding="utf-8") as fh:
-        for record in corpus.records:
-            obj: dict[str, object] = {
-                "id": record.id,
-                "user": record.user,
-                "text": record.text,
-                "created_at": record.created_at,
-            }
-            if record.label is not None:
-                obj["label"] = record.label.value
-            if record.user_total_tweets is not None:
-                obj["user_total_tweets"] = record.user_total_tweets
-            fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=False) + "\n")
+        for i, u, t, c, y, n in corpus._rows():
+            total = "" if n < 0 else f', "user_total_tweets": {n}'
+            fh.write(f'{{"id": {quote(i)}, "user": {quote(u)}, "text": {quote(t)}, '
+                     f'"created_at": {quote(c)}{labels[y]}{total}}}\n')
 
 
 def load_follower_graph(path: str | Path) -> FollowerGraph:

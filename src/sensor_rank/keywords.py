@@ -59,6 +59,6 @@ def expansion_candidates(
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
     blocked = {str(s) for s in seed}
-    vocab, counts = count_ngrams((r.text for r in corpus.records), table, n_max=1)
+    vocab, counts = count_ngrams(corpus.texts, table, n_max=1)
     return [pair for pair in tfidf_rank(counts, vocab, stopwords) if pair[0] not in blocked][:top_n]
 

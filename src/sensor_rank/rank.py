@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .corpus import FollowerGraph, Label, TweetRecord
+from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label
 
 __all__ = [
     "UserStats",
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 REPORT_METRICS = ("tr", "tf", "of")
+_RELEVANT = LABEL_ORDER.index(Label.RELEVANT)
 
 
 @dataclass(frozen=True)
@@ -138,40 +139,29 @@ class RankingReport:
     metric: str
 
 
-def compute_user_stats(
-    classified: Iterable[tuple[TweetRecord, Label]]
-) -> dict[str, UserStats]:
-    """Aggregate R/T_K/T per author from (record, label) pairs.
+def compute_user_stats(corpus: Corpus) -> dict[str, UserStats]:
+    """Aggregate R/T_K/T per author of a classified corpus, in first-post order.
 
     total_count comes from the largest user_total_tweets seen for the user;
     when that is missing or smaller than the harvest itself, the harvest count
     is used and the defaulted flag is set.
     """
-    relevant: dict[str, int] = {}
-    harvest: dict[str, int] = {}
-    declared: dict[str, int] = {}
-    for record, label in classified:
-        uid = record.user
-        harvest[uid] = harvest.get(uid, 0) + 1
-        if label == Label.RELEVANT:
-            relevant[uid] = relevant.get(uid, 0) + 1
-        if record.user_total_tweets is not None:
-            declared[uid] = max(declared.get(uid, 0), record.user_total_tweets)
-    if not harvest:
+    if (corpus.y < 0).any():
+        rid = corpus.ids[np.argmax(corpus.y < 0)]
+        raise ValueError(f"record {rid} has no label; classify the corpus first")
+    if not len(corpus):
         raise ValueError("no classified records to aggregate")
-    stats: dict[str, UserStats] = {}
-    for uid in harvest:
-        t_k = harvest[uid]
-        total = declared.get(uid, -1)
-        defaulted = total < t_k
-        stats[uid] = UserStats(
-            user_id=uid,
-            relevant_count=relevant.get(uid, 0),
-            harvest_count=t_k,
-            total_count=max(total, t_k),
-            total_count_defaulted=defaulted,
-        )
-    return stats
+    index: dict[str, int] = {}  # user -> position, in first-post order
+    author = np.array([index.setdefault(u, len(index)) for u in corpus.users], dtype=np.int64)
+    harvest = np.bincount(author, minlength=len(index))
+    relevant = np.bincount(author[corpus.y == _RELEVANT], minlength=len(index))
+    declared = np.full(len(index), -1, dtype=np.int64)  # -1: no total declared
+    np.maximum.at(declared, author, corpus.user_total_tweets)
+    counts = zip(index, relevant.tolist(), harvest.tolist(), declared.tolist())
+    return {
+        uid: UserStats(uid, r, t_k, max(total, t_k), total_count_defaulted=total < t_k)
+        for uid, r, t_k, total in counts
+    }
 
 
 def candidate_filter(

@@ -312,24 +312,17 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
 
     start = datetime(2016, 9, 1, tzinfo=timezone.utc)
     step = max(1, (120 * 86400) // max(n_tweets, 1))
-    records: list[TweetRecord] = []
-    gold: dict[str, Label] = {}
-    for i in range(n_tweets):
-        ui = int(tweet_users[i])
-        label = LABEL_ORDER[int(tweet_classes[i])]
-        stamp = (start + timedelta(seconds=i * step)).strftime("%Y-%m-%dT%H:%M:%SZ")
-        tid = f"t{i:07d}"
-        records.append(
-            TweetRecord(
-                id=tid,
-                user=all_users[ui],
-                text=texts[i],
-                created_at=stamp,
-                label=label,
-                user_total_tweets=int(totals[ui]),
-            )
+    ids = [f"t{i:07d}" for i in range(n_tweets)]
+    labels = [LABEL_ORDER[c] for c in tweet_classes.tolist()]
+    corpus = Corpus.from_records(
+        TweetRecord(
+            tid, all_users[u], text,
+            (start + timedelta(seconds=i * step)).strftime("%Y-%m-%dT%H:%M:%SZ"),
+            label, int(totals[u]),
         )
-        gold[tid] = label
+        for i, (tid, u, text, label) in enumerate(zip(ids, tweet_users.tolist(), texts, labels))
+    )
+    gold = dict(zip(ids, labels))
 
     # follow edges among the ranking-eligible core, plus periphery noise
     core = [user_ids[i] for i in range(n_cand) if r_counts[i] >= 3]
@@ -376,4 +369,4 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
                 "influencer's fan-in"
             )
 
-    return Corpus(tuple(records)), FollowerGraph.from_pairs(edges), gold
+    return corpus, FollowerGraph.from_pairs(edges), gold

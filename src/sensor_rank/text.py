@@ -119,9 +119,9 @@ class ReplacementTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ReplacementTable":
-        """Load a `from,to` CSV; the literal value <DROP> deletes the token."""
+        """Load a `from,to` CSV, skipping a leading byte-order mark; <DROP> deletes the token."""
         entries: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -433,6 +433,6 @@ def tfidf_rank(
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """One term per line, UTF-8; terms are canonicalized like tokens."""
-    with open(path, encoding="utf-8") as fh:
+    """One term per line, canonicalized like tokens; a leading byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         return frozenset(_canonical_token(line) for line in fh if line.strip())

@@ -6,7 +6,9 @@ so the tests never validate the main code against itself.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 import unicodedata
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from sensor_rank.classify import EvalReport
-from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label
+from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label, TweetRecord
 from sensor_rank.forest import TreeNode
 from sensor_rank.rank import TransitionMatrix, UserStats
 from sensor_rank.text import (
@@ -328,3 +330,78 @@ def oracle_count_ngrams(
         len(vocab),
     )
     return vocab, matrix
+
+
+_CORPUS_REQUIRED = {"id": (str, int), "user": (str, int), "text": (str,), "created_at": (str,)}
+_CORPUS_TYPE_NAMES = {str: "a string", int: "an integer"}
+_LABEL_BY_VALUE = {label.value: label for label in Label}
+
+
+def oracle_load_corpus(path) -> dict[str, list]:
+    """A corpus file read one json.loads and one TweetRecord per line.
+
+    Returns the columns as plain lists: ids, users, texts, created_at, y
+    (class ids, -1 for no label) and user_total_tweets (-1 when absent).
+    Raises ValueError naming the first bad line. Besides the record's own
+    checks, it rejects a lone surrogate in id, user or text.
+    """
+    records: list[TweetRecord] = []
+    seen_ids: set[str] = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+            for key, types in _CORPUS_REQUIRED.items():
+                if key not in obj:
+                    raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
+                if type(obj[key]) not in types:
+                    kind = " or ".join(_CORPUS_TYPE_NAMES[t] for t in types)
+                    raise ValueError(
+                        f"{path}: line {lineno}: field {key!r} must be {kind}, got {obj[key]!r}"
+                    )
+            unknown = set(obj) - set(_CORPUS_REQUIRED) - {"label", "user_total_tweets"}
+            if unknown:
+                raise ValueError(f"{path}: line {lineno}: unknown field(s) {sorted(unknown)}")
+            label = None
+            if obj.get("label") is not None:
+                if not isinstance(obj["label"], str) or obj["label"] not in _LABEL_BY_VALUE:
+                    raise ValueError(f"{path}: line {lineno}: unknown label {obj['label']!r}")
+                label = _LABEL_BY_VALUE[obj["label"]]
+            try:
+                record = TweetRecord(
+                    id=str(obj["id"]),
+                    user=str(obj["user"]),
+                    text=obj["text"],
+                    created_at=obj["created_at"],
+                    label=label,
+                    user_total_tweets=obj.get("user_total_tweets"),
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            for key in ("id", "user", "text"):
+                lone = re.search(r"[\ud800-\udfff]", getattr(record, key))
+                if lone:
+                    raise ValueError(
+                        f"{path}: line {lineno}: field {key!r} holds a lone surrogate "
+                        f"{lone.group()!r}"
+                    )
+            if record.id in seen_ids:
+                raise ValueError(f"{path}: line {lineno}: duplicate record id {record.id!r}")
+            seen_ids.add(record.id)
+            records.append(record)
+    return {
+        "ids": [r.id for r in records],
+        "users": [r.user for r in records],
+        "texts": [r.text for r in records],
+        "created_at": [r.created_at for r in records],
+        "y": [-1 if r.label is None else LABEL_ORDER.index(r.label) for r in records],
+        "user_total_tweets": [
+            -1 if r.user_total_tweets is None else r.user_total_tweets for r in records
+        ],
+    }

@@ -6,6 +6,7 @@ on success; pytest shows the captured lines for failing tests anyway).
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from sensor_rank.classify import (
     train_mnnb,
 )
 from sensor_rank.cli import main
-from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label, class_ids
+from sensor_rank.corpus import FollowerGraph, Label, class_ids
 from sensor_rank.rank import (
     RankConfig,
     UserStats,
@@ -212,7 +213,7 @@ def test_06_nb_posteriors_match_rational_arithmetic():
 def test_07_candidate_population_and_exclusions():
     config = SynthConfig(seed=20160901)
     corpus, _, gold = generate(config)
-    stats = compute_user_stats([(rec, gold[rec.id]) for rec in corpus.records])
+    stats = compute_user_stats(replace(corpus, y=class_ids(gold[i] for i in corpus.ids)))
     rcfg = RankConfig(min_relevant=3)
     candidates = candidate_filter(stats, rcfg, ())
     n_before = len(candidates)
@@ -237,9 +238,7 @@ def test_08_planted_influencer_recovered_across_seeds():
         model = train_mnnb(data)
         _, counts = count_ngrams((rec.text for rec in corpus.records), table, vocab=data.vocab)
         predicted = predict_many(model, counts).argmax(axis=1)
-        stats = compute_user_stats(
-            [(rec, LABEL_ORDER[c]) for rec, c in zip(corpus.records, predicted)]
-        )
+        stats = compute_user_stats(replace(corpus, y=predicted))
         candidates = candidate_filter(stats, rcfg, ())
         P = build_transition(candidates, graph)
         rv = twitterrank(P, candidates, rcfg)

@@ -113,7 +113,7 @@ def test_dataset_from_corpus_skips_unlabeled():
         TweetRecord(id="t3", user="b", text="bom dia", created_at="2016-09-01T00:00:00Z",
                     label=Z),
     )
-    corpus = Corpus(records)
+    corpus = Corpus.from_records(records)
     vocab = make_vocab(0)
     vocab.term_to_id.update({"zika": 0, "bom": 1, "dia": 2})
     data = dataset_from_corpus(corpus, vocab=vocab)

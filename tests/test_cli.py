@@ -467,6 +467,22 @@ def test_rejected_classify_leaves_no_out_dir(pipeline, tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["id", "user", "text"])
+def test_classify_rejects_lone_surrogate_before_out_dir(pipeline, tmp_path, capsys, field):
+    lines = pipeline["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[1])
+    row[field] = f"{row[field]}\ud800"  # json.dumps writes the escape \ud800
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(lines[0] + json.dumps(row) + "\n" + "".join(lines[2:]), encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["classify", "--corpus", str(bad), "--model", str(pipeline["model"]),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: field '{field}' holds a lone surrogate ")
+    assert not out.exists()
+
+
 def test_rejected_eval_leaves_no_out_dir(pipeline, tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["eval", "--corpus", str(pipeline["corpus"]), "--out", str(out),

@@ -1,10 +1,14 @@
+import inspect
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensor_rank import classify, corpus as corpus_module, rank
 from sensor_rank.corpus import (
+    LABEL_ORDER,
     Corpus,
     FollowerGraph,
     Label,
@@ -15,6 +19,8 @@ from sensor_rank.corpus import (
     write_corpus,
     write_follower_graph,
 )
+
+from oracles import oracle_load_corpus
 
 
 def record(i, user="u1", text="zika chegou", label=None, total=None):
@@ -46,11 +52,13 @@ def test_record_validation():
 
 def test_corpus_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="duplicate"):
-        Corpus((record(1), record(1)))
+        Corpus.from_records((record(1), record(1)))
 
 
 def test_corpus_labeled_and_users():
-    c = Corpus((record(1, user="b"), record(2, user="a", label=Label.NEWS), record(3, user="a")))
+    c = Corpus.from_records(
+        (record(1, user="b"), record(2, user="a", label=Label.NEWS), record(3, user="a"))
+    )
     assert [r.id for r in c.labeled().records] == ["t2"]
 
 
@@ -89,6 +97,17 @@ def test_load_corpus_reports_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         load_corpus(path)
 
+    # an unhashable label and an integer too long to convert are line errors too
+    write_jsonl(path, [
+        {"id": "t1", "user": "a", "text": "x", "created_at": "2016-09-01T00:00:00Z",
+         "label": ["News"]},
+    ])
+    with pytest.raises(ValueError, match=r"line 1: unknown label \['News'\]"):
+        load_corpus(path)
+    path.write_text('{"id": 1' + "0" * 5000 + "}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: invalid JSON: "):
+        load_corpus(path)
+
     write_jsonl(path, [
         {"id": "t1", "user": "a", "text": "x", "created_at": "2016-09-01T00:00:00Z",
          "extra": 1},
@@ -123,6 +142,177 @@ def test_load_corpus_skips_blank_lines(tmp_path):
         encoding="utf-8",
     )
     assert len(load_corpus(path).records) == 1
+
+
+def test_load_corpus_builds_columns(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [
+        {"id": "t1", "user": "ana", "text": "zika", "created_at": "2016-09-01T00:00:00Z",
+         "label": "News", "user_total_tweets": 9},
+        {"id": 2, "user": "bob", "text": "bom dia", "created_at": "2016-09-02T08:30:00Z",
+         "label": None, "user_total_tweets": None},
+    ])
+    corpus = load_corpus(path)
+    assert corpus.ids == ("t1", "2")
+    assert corpus.users == ("ana", "bob")
+    assert corpus.texts == ("zika", "bom dia")
+    assert corpus.created_at == ("2016-09-01T00:00:00Z", "2016-09-02T08:30:00Z")
+    assert corpus.y.dtype == corpus.user_total_tweets.dtype == np.int64
+    assert corpus.y.tolist() == [1, -1]
+    assert corpus.user_total_tweets.tolist() == [9, -1]
+    assert Corpus.from_records(corpus.records).records == corpus.records
+
+
+def test_load_corpus_rejects_lone_surrogates(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    good = {"id": "t1", "user": "a", "text": "x", "created_at": "2016-09-01T00:00:00Z"}
+    for key in ("id", "user", "text"):
+        write_jsonl(path, [good, {**good, "id": "t2", key: "ok\udc80"}])
+        with pytest.raises(ValueError, match=f"line 2: field '{key}' holds a lone surrogate"):
+            load_corpus(path)
+    # an escaped surrogate pair is one astral character, which loads
+    write_jsonl(path, [{**good, "text": "zika \U0001f99f"}])
+    assert load_corpus(path).texts == ("zika \U0001f99f",)
+
+
+def test_corpus_rejects_totals_beyond_int64():
+    with pytest.raises(ValueError, match="user_total_tweets"):
+        record(1, total=2**63)
+    record(1, total=2**63 - 1)
+
+
+def test_traced_layer_names_stay_public_functions(tmp_path):
+    """perfbench/tracer.py wraps these names and counts len(load_corpus(path))."""
+    for module, name in [
+        (corpus_module, "load_corpus"), (corpus_module, "write_corpus"),
+        (rank, "compute_user_stats"), (classify, "dataset_from_corpus"),
+    ]:
+        fn = getattr(module, name)
+        assert name in module.__all__
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(Corpus.from_records([record(i) for i in range(3)]), path)
+    assert len(load_corpus(path)) == 3
+
+
+# Corpus lines for the loader property: mostly valid lines, some with flaws.
+_good_values = {
+    "id": st.one_of(st.integers(1, 20).map("t{}".format), st.integers(1, 20)),  # may repeat
+    "user": st.sampled_from(["ana", "bob", 42]),
+    "text": st.one_of(
+        st.sampled_from(["zika", "", 'aspas " \\ barra', " \x00", "\U0001f99f"]),
+        st.text(max_size=5),
+    ),
+    "created_at": st.sampled_from(
+        ["2016-09-01T00:00:00Z", "2016-09-01", "2016-09-01T12:00:00+03:00"]
+    ),
+    "label": st.sampled_from(["Relevant", "News", "Noise", None]),
+    "user_total_tweets": st.sampled_from([0, 140, 2**63 - 1, None]),
+}
+_bad_values = {
+    "id": st.sampled_from(["", " ", "t\ud800", None, True, 1.5, [], {}]),
+    "user": st.sampled_from(["", "\t", "b\udfffb", None, False, 2.5, ["x"]]),
+    "text": st.sampled_from(["x\ud83d", "\udc00", None, 5, True, []]),
+    "created_at": st.sampled_from(
+        ["yesterday", "2016-13-01T00:00:00Z", "2016-09-01T00:00:00ZZ", "", None, 20160901]
+    ),
+    "label": st.sampled_from(["Spam", "relevant", ["News"], 1, True, {}]),
+    "user_total_tweets": st.sampled_from([-1, 2**63, "5", False, 2.5, []]),
+}
+_REQUIRED = ("id", "user", "text", "created_at")
+
+
+@st.composite
+def _object_line(draw, flawed):
+    obj = {key: draw(_good_values[key]) for key in _REQUIRED}
+    for key in ("label", "user_total_tweets"):
+        if draw(st.booleans()):
+            obj[key] = draw(_good_values[key])
+    if flawed:  # one to three flaws, so that the order of the checks shows
+        flaws = st.sampled_from([*sorted(_bad_values), "missing", "unknown field"])
+        for flaw in draw(st.lists(flaws, min_size=1, max_size=3, unique=True)):
+            if flaw == "missing":
+                obj.pop(draw(st.sampled_from(_REQUIRED)), None)
+            elif flaw == "unknown field":
+                obj["extra"] = 1
+            else:
+                obj[flaw] = draw(_bad_values[flaw])
+    pad = st.sampled_from([""] * 6 + [" ", "\t", "\x0b"])  # json.loads refuses \x0b
+    return draw(pad) + json.dumps(obj, ensure_ascii=draw(st.booleans())) + draw(pad)
+
+
+_junk_corpus_line = st.sampled_from([
+    "", "  ", "\t", "\x0b", "{", "not json", '{"id": 1}{"id": 2}', "[1, 2]", '"t1"', "null",
+    "\ufeff{}", "{}", '{"id": "t1",}',
+])
+_corpus_line = st.sampled_from(
+    [_object_line(flawed=False)] * 5 + [_object_line(flawed=True)] * 2 + [_junk_corpus_line]
+).flatmap(lambda line: line)
+
+
+# lines end in \n or \r\n; the last one may have no line end
+corpus_text = st.tuples(
+    st.lists(st.tuples(_corpus_line, st.sampled_from(["\n", "\n", "\r\n"])), max_size=6),
+    st.sampled_from(["", "", "", "{", "not json"]),
+).map(lambda t: "".join(line + end for line, end in t[0]) + t[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_text)
+def test_load_corpus_matches_per_line_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        want = oracle_load_corpus(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_corpus(path)
+        assert str(got.value) == str(exc)
+        return
+    corpus = load_corpus(path)
+    assert {
+        "ids": list(corpus.ids), "users": list(corpus.users), "texts": list(corpus.texts),
+        "created_at": list(corpus.created_at), "y": corpus.y.tolist(),
+        "user_total_tweets": corpus.user_total_tweets.tolist(),
+    } == want
+
+
+_written_text = st.text(
+    st.one_of(
+        st.characters(codec="utf-8"),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\U0001f99f"]),
+    ),
+    max_size=12,
+)
+_written_record = st.builds(
+    lambda n, user, text, label, total: TweetRecord(
+        id=str(n), user=user, text=text, created_at="2016-09-01T00:00:00Z",
+        label=label, user_total_tweets=total,
+    ),
+    st.integers(0, 10**12),
+    _written_text.filter(str.strip),
+    _written_text,
+    st.sampled_from([None, *LABEL_ORDER]),
+    st.none() | st.integers(0, 2**63 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_written_record, max_size=6, unique_by=lambda r: r.id))
+def test_write_corpus_lines_equal_json_dumps(tmp_path_factory, records):
+    corpus = Corpus.from_records(records)
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    write_corpus(corpus, path)
+    want = []
+    for r in records:
+        obj = {"id": r.id, "user": r.user, "text": r.text, "created_at": r.created_at}
+        if r.label is not None:
+            obj["label"] = r.label.value
+        if r.user_total_tweets is not None:
+            obj["user_total_tweets"] = r.user_total_tweets
+        want.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    assert path.read_bytes() == "".join(want).encode("utf-8")
+    assert load_corpus(path).records == corpus.records
 
 
 def test_follower_graph_rejects_self_follow():

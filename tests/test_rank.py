@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sensor_rank.corpus import FollowerGraph, Label, TweetRecord
+from sensor_rank.corpus import Corpus, FollowerGraph, Label, TweetRecord
 from sensor_rank.rank import (
     RankConfig,
     UserStats,
@@ -33,6 +34,11 @@ def record(i, user, total=None):
         created_at="2016-09-01T00:00:00Z",
         user_total_tweets=total,
     )
+
+
+def classified(pairs):
+    """The corpus of (record, label) pairs, each record carrying its label."""
+    return Corpus.from_records(replace(rec, label=label) for rec, label in pairs)
 
 
 def random_instance(rng, n_max=12):
@@ -109,7 +115,7 @@ def test_compute_user_stats_tallies():
         (record(3, "ana", total=120), R),
         (record(4, "bob"), Z),
     ]
-    stats = compute_user_stats(pairs)
+    stats = compute_user_stats(classified(pairs))
     ana = stats["ana"]
     assert (ana.relevant_count, ana.harvest_count, ana.total_count) == (2, 3, 140)
     assert not ana.total_count_defaulted
@@ -120,14 +126,14 @@ def test_compute_user_stats_tallies():
 
 def test_compute_user_stats_clamps_small_declared_totals():
     pairs = [(record(i, "ana", total=2), R) for i in range(5)]
-    stats = compute_user_stats(pairs)
+    stats = compute_user_stats(classified(pairs))
     assert stats["ana"].total_count == 5
     assert stats["ana"].total_count_defaulted
 
 
 def test_compute_user_stats_empty():
     with pytest.raises(ValueError, match="no classified"):
-        compute_user_stats([])
+        compute_user_stats(classified([]))
 
 
 def test_candidate_filter_threshold_exclusion_and_shares():

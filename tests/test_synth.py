@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sensor_rank.corpus import FollowerGraph, Label, write_corpus, write_follower_graph
+from sensor_rank.corpus import (
+    FollowerGraph, Label, class_ids, write_corpus, write_follower_graph,
+)
 from sensor_rank.rank import (
     RankConfig,
     UserStats,
@@ -32,7 +36,7 @@ def small_config(seed=11, **overrides):
 
 
 def stats_by_user(corpus, gold):
-    return compute_user_stats([(rec, gold[rec.id]) for rec in corpus.records])
+    return compute_user_stats(replace(corpus, y=class_ids(gold[i] for i in corpus.ids)))
 
 
 def test_config_validation():

@@ -94,6 +94,13 @@ def test_replacement_table_from_csv(tmp_path):
     assert table.exact_map == {"febre": "sintoma", "spam": DROP}
 
 
+def test_replacement_table_from_csv_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("vc,voce\nspam,<DROP>\n", encoding="utf-8-sig")
+    table = ReplacementTable.from_csv(path)
+    assert table.exact_map == {"vc": "voce", "spam": DROP}
+
+
 def test_replacement_table_from_csv_bad_line(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("only-one-field\n", encoding="utf-8")
@@ -333,3 +340,9 @@ def test_load_stopwords_canonicalizes(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("Não\n  de \n\nAté\n", encoding="utf-8")
     assert load_stopwords(path) == {"nao", "de", "ate"}
+
+
+def test_load_stopwords_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("de\nque\n", encoding="utf-8-sig")
+    assert load_stopwords(path) == {"de", "que"}
