@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LABEL_ORDER, Corpus, Label, require_all_classes
+from .corpus import LABEL_ORDER, Corpus, Label, read_json, require_all_classes
 from .forest import RfModel, TreeNode, predict_proba, train_rf
 from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
@@ -480,11 +480,7 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
     """Read a model file back; returns (model, vocabulary, table_hash)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if doc.get("version") != MODEL_VERSION:

@@ -35,6 +35,7 @@ from .corpus import (
     load_corpus,
     load_exclusions,
     load_follower_graph,
+    read_json,
     write_corpus,
     write_follower_graph,
 )
@@ -127,11 +128,7 @@ class Settings:
         self.config_path = args.config
         values: dict = {}
         if use_config_file and args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                try:
-                    raw = json.load(fh)
-                except RecursionError:
-                    raise ValueError(f"{args.config}: JSON nested too deeply") from None
+            raw = read_json(args.config)
             if not isinstance(raw, dict):
                 raise ValueError(f"{args.config}: config must be a JSON object")
             unknown = set(raw) - set(_KEYS)

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from itertools import chain, compress
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -72,6 +73,31 @@ class TweetRecord:
         _check_record(self.id, self.user, self.created_at, self.user_total_tweets)
 
 
+@contextmanager
+def open_utf8(path: str | Path, encoding: str = "utf-8") -> Iterator[TextIO]:
+    """open(path) for reading text; bytes that are not UTF-8 fail with a ValueError
+    naming path and the first bad line, its lines ended as text mode ends them."""
+    try:
+        with open(path, encoding=encoding) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not valid UTF-8: {exc}") from None
+        raise
+
+
+def read_json(path: str | Path) -> object:
+    """The one JSON document in a UTF-8 file; nesting too deep to read is a ValueError."""
+    with open_utf8(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _check_record(rid: str, user: str, created_at: str, total: int | None) -> None:
     """The checks every record passes, whether built as a TweetRecord or loaded."""
     if not rid.strip():
@@ -90,8 +116,8 @@ def _check_record(rid: str, user: str, created_at: str, total: int | None) -> No
 class Corpus:
     """An ordered collection of records, held as columns: the strings ids, users,
     texts and created_at, and two int64 arrays with -1 for an absent value: y, the
-    label's position in LABEL_ORDER, and user_total_tweets. load_corpus and
-    from_records build one; records gives the rows."""
+    label's position in LABEL_ORDER, and user_total_tweets. load_corpus,
+    from_records and synth.generate build one; records gives the rows."""
 
     ids: tuple[str, ...]
     users: tuple[str, ...]
@@ -223,7 +249,7 @@ def load_corpus(path: str | Path) -> Corpus:
     malformed line fails with its line number."""
     rows: dict[str, tuple] = {}
     decode = json.JSONDecoder().raw_decode
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 obj, end = decode(line)
@@ -267,7 +293,7 @@ def load_follower_graph(path: str | Path) -> FollowerGraph:
     one id, or holds U+FEFF fails with its line number.
     """
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_utf8(path, "utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -295,5 +321,5 @@ def write_follower_graph(graph: FollowerGraph, path: str | Path) -> None:
 
 def load_exclusions(path: str | Path) -> frozenset[str]:
     """One user name per line; blank lines and a leading byte-order mark ignored."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_utf8(path, "utf-8-sig") as fh:
         return frozenset(line.strip() for line in fh if line.strip())

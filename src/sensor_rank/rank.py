@@ -8,14 +8,15 @@ occurrence vector.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .classify import dumps_json
 from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label
 
 __all__ = [
@@ -42,24 +43,45 @@ REPORT_METRICS = ("tr", "tf", "of")
 _RELEVANT = LABEL_ORDER.index(Label.RELEVANT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserStats:
-    """Activity tallies for one user: R (relevant), T_K (harvest), T (total)."""
+    """Activity tallies as columns over users, whose ids are distinct and in
+    increasing order: int64 relevant (R), harvest (T_K) and total (T) counts,
+    bool defaulted (T fell back to T_K), and float v, each user's share of the
+    relevant counts, which candidate_filter sets and which is 0 before. Every
+    row has 0 <= R <= T_K <= T."""
 
-    user_id: str
-    relevant_count: int
-    harvest_count: int
-    total_count: int
-    v: float = 0.0
-    total_count_defaulted: bool = False
+    users: tuple[str, ...]
+    relevant: np.ndarray
+    harvest: np.ndarray
+    total: np.ndarray
+    defaulted: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.relevant_count <= self.harvest_count <= self.total_count:
+        users = tuple(self.users)
+        object.__setattr__(self, "users", users)
+        for name, dtype in (("relevant", np.int64), ("harvest", np.int64), ("total", np.int64),
+                            ("defaulted", bool), ("v", float)):
+            value = getattr(self, name)
+            column = np.asarray(np.zeros(len(users)) if value is None else value, dtype=dtype)
+            if column.shape != (len(users),):
+                raise ValueError(f"column {name!r} has shape {column.shape}, expected ({len(users)},)")
+            object.__setattr__(self, name, column)
+        for a, b in zip(users, users[1:]):
+            if a >= b:
+                raise ValueError(f"user ids must be distinct and increasing, got {a!r} before {b!r}")
+        r, t_k, t = self.relevant, self.harvest, self.total
+        bad = (r < 0) | (r > t_k) | (t_k > t)
+        if bad.any():
+            i = int(bad.argmax())
             raise ValueError(
-                f"user {self.user_id}: counts must satisfy "
-                f"0 <= relevant <= harvest <= total, got "
-                f"({self.relevant_count}, {self.harvest_count}, {self.total_count})"
+                f"user {users[i]}: counts must satisfy 0 <= relevant <= harvest <= total, "
+                f"got ({r[i]}, {t_k[i]}, {t[i]})"
             )
+
+    def __len__(self) -> int:
+        return len(self.users)
 
 
 @dataclass(frozen=True)
@@ -85,33 +107,35 @@ class RankConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Sparse follower-to-friend transition weights over the candidate set.
 
-    Rows are sub-stochastic: the tau-ratio factors of a row sum to at most 1
-    and each is scaled by a similarity in [0,1].
+    users names each row and column index. Rows are sub-stochastic: the
+    tau-ratio factors of a row sum to at most 1 and each is scaled by a
+    similarity in [0,1].
     """
 
-    index: dict[str, int]
+    users: tuple[str, ...]
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.index)
+        return len(self.users)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankVector:
     """Converged (or truncated) scores plus iteration diagnostics.
 
-    residuals holds the full L1 step-size sequence, one entry per iteration;
-    its last value equals final_residual.
+    scores is aligned with the ranked candidates' users. residuals holds the
+    full L1 step-size sequence, one entry per iteration; its last value
+    equals final_residual.
     """
 
-    scores: dict[str, float]
+    scores: np.ndarray
     iterations: int
     final_residual: float
     converged: bool
@@ -139,10 +163,10 @@ class RankingReport:
     metric: str
 
 
-def compute_user_stats(corpus: Corpus) -> dict[str, UserStats]:
-    """Aggregate R/T_K/T per author of a classified corpus, in first-post order.
+def compute_user_stats(corpus: Corpus) -> UserStats:
+    """Aggregate R/T_K/T per author of a classified corpus, in user-id order.
 
-    total_count comes from the largest user_total_tweets seen for the user;
+    The total comes from the largest user_total_tweets seen for the user;
     when that is missing or smaller than the harvest itself, the harvest count
     is used and the defaulted flag is set.
     """
@@ -151,75 +175,63 @@ def compute_user_stats(corpus: Corpus) -> dict[str, UserStats]:
         raise ValueError(f"record {rid} has no label; classify the corpus first")
     if not len(corpus):
         raise ValueError("no classified records to aggregate")
-    index: dict[str, int] = {}  # user -> position, in first-post order
-    author = np.array([index.setdefault(u, len(index)) for u in corpus.users], dtype=np.int64)
-    harvest = np.bincount(author, minlength=len(index))
-    relevant = np.bincount(author[corpus.y == _RELEVANT], minlength=len(index))
-    declared = np.full(len(index), -1, dtype=np.int64)  # -1: no total declared
+    users, author = np.unique(np.array(corpus.users, dtype=object), return_inverse=True)
+    harvest = np.bincount(author, minlength=len(users))
+    relevant = np.bincount(author[corpus.y == _RELEVANT], minlength=len(users))
+    declared = np.full(len(users), -1, dtype=np.int64)  # -1: no total declared
     np.maximum.at(declared, author, corpus.user_total_tweets)
-    counts = zip(index, relevant.tolist(), harvest.tolist(), declared.tolist())
-    return {
-        uid: UserStats(uid, r, t_k, max(total, t_k), total_count_defaulted=total < t_k)
-        for uid, r, t_k, total in counts
-    }
+    total = np.maximum(declared, harvest)
+    return UserStats(tuple(users.tolist()), relevant, harvest, total, declared < harvest)
 
 
 def candidate_filter(
-    stats: dict[str, UserStats], config: RankConfig, excluded: Iterable[str] = ()
-) -> list[UserStats]:
-    """Keep active-enough, non-excluded users and set their normalized shares.
+    stats: UserStats, config: RankConfig, excluded: Iterable[str] = ()
+) -> UserStats:
+    """The active-enough, non-excluded users' rows, with their normalized shares.
 
-    v(u) = relevant_count(u) / sum of relevant counts over the kept users, so
-    the v values sum to 1. Result is ordered by user_id.
+    v = relevant / (sum of relevant over the kept users), so v sums to 1.
     """
-    excluded = set(excluded)
-    kept = [
-        u
-        for uid, u in sorted(stats.items())
-        if u.relevant_count >= config.min_relevant and uid not in excluded
-    ]
-    if not kept:
+    excluded = frozenset(excluded)
+    keep = (stats.relevant >= config.min_relevant) & [u not in excluded for u in stats.users]
+    if not keep.any():
         raise ValueError("no candidates meet the relevance threshold")
-    denom = sum(u.relevant_count for u in kept)
-    return [replace(u, v=u.relevant_count / denom) for u in kept]
+    relevant = stats.relevant[keep]
+    return UserStats(
+        tuple(compress(stats.users, keep.tolist())), relevant, stats.harvest[keep],
+        stats.total[keep], stats.defaulted[keep], relevant / relevant.sum(),
+    )
 
 
-def build_transition(
-    candidates: list[UserStats], graph: FollowerGraph
-) -> TransitionMatrix:
+def build_transition(candidates: UserStats, graph: FollowerGraph) -> TransitionMatrix:
     """Restrict the graph to candidates and weight each follow edge.
 
     For i following j: P(i,j) = R(j) / (sum of R over i's candidate friends)
     times sim(i,j) = 1 - |v(i) - v(j)|. Every candidate-to-candidate edge is
     kept, zero weights included, ordered by (follower index, friend index).
     """
-    index = {u.user_id: i for i, u in enumerate(candidates)}
+    index = dict(zip(candidates.users, range(len(candidates))))
     # each graph user's candidate index, -1 for a non-candidate
     pos = np.array([index.get(name, -1) for name in graph.names], dtype=np.int64)
     ends = pos[graph.edges]
     follower, friend = ends[(ends >= 0).all(axis=1)].T
     order = np.lexsort((friend, follower))
     rows, cols = follower[order], friend[order]
-    r = np.array([u.relevant_count for u in candidates], dtype=float)
-    v = np.array([u.v for u in candidates])
+    r, v = candidates.relevant.astype(float), candidates.v
     # sums of integer counts: exact in any order
     denom = np.bincount(rows, weights=r[cols], minlength=len(candidates))
     vals = r[cols] / denom[rows] * (1.0 - np.abs(v[rows] - v[cols]))
-    return TransitionMatrix(index, rows, cols, vals)
+    return TransitionMatrix(candidates.users, rows, cols, vals)
 
 
-def twitterrank(
-    P: TransitionMatrix, stats: list[UserStats], config: RankConfig
-) -> RankVector:
-    """Power-iterate TR = gamma * P^T TR + (1-gamma) E with E the v vector.
+def twitterrank(P: TransitionMatrix, stats: UserStats, config: RankConfig) -> RankVector:
+    """Power-iterate TR = gamma * P^T TR + (1-gamma) E with E the v column.
 
-    Starts from TR_0 = E and stops when the L1 step falls to config.tol or
-    max_iter is hit (converged flag reports which).
+    stats must hold P's users. Starts from TR_0 = E and stops when the L1
+    step falls to config.tol or max_iter is hit (converged flag reports which).
     """
-    n = P.n
-    e = np.zeros(n)
-    for u in stats:
-        e[P.index[u.user_id]] = u.v
+    if stats.users != P.users:
+        raise ValueError("stats and transition matrix cover different users")
+    e = stats.v
     if abs(e.sum() - 1.0) > 1e-9:
         raise ValueError(f"occurrence vector must sum to 1, got {e.sum()!r}")
     gamma = config.gamma
@@ -227,7 +239,7 @@ def twitterrank(
     residuals: list[float] = []
     residual = float("inf")
     while len(residuals) < config.max_iter:
-        flow = np.bincount(P.cols, weights=P.vals * tr[P.rows], minlength=n)
+        flow = np.bincount(P.cols, weights=P.vals * tr[P.rows], minlength=P.n)
         nxt = gamma * flow + (1.0 - gamma) * e
         residual = float(np.abs(nxt - tr).sum())
         residuals.append(residual)
@@ -235,7 +247,7 @@ def twitterrank(
         if residual <= config.tol:
             break
     return RankVector(
-        scores={u.user_id: float(tr[P.index[u.user_id]]) for u in stats},
+        scores=tr,
         iterations=len(residuals),
         final_residual=residual,
         converged=residual <= config.tol,
@@ -243,18 +255,18 @@ def twitterrank(
     )
 
 
-def topic_focus(u: UserStats) -> float:
-    """Percentage of the user's harvested tweets that are relevant."""
-    if u.harvest_count == 0:
-        raise ValueError(f"user {u.user_id}: harvest_count is 0")
-    return 100.0 * u.relevant_count / u.harvest_count
+def topic_focus(stats: UserStats) -> np.ndarray:
+    """Percentage of each user's harvested tweets that are relevant."""
+    if not stats.harvest.all():
+        raise ValueError(f"user {stats.users[stats.harvest.argmin()]}: harvest_count is 0")
+    return 100.0 * stats.relevant / stats.harvest
 
 
-def overall_focus(u: UserStats) -> float:
-    """Percentage of the user's total tweets that are relevant."""
-    if u.total_count == 0:
-        raise ValueError(f"user {u.user_id}: total_count is 0")
-    return 100.0 * u.relevant_count / u.total_count
+def overall_focus(stats: UserStats) -> np.ndarray:
+    """Percentage of each user's total tweets that are relevant."""
+    if not stats.total.all():
+        raise ValueError(f"user {stats.users[stats.total.argmin()]}: total_count is 0")
+    return 100.0 * stats.relevant / stats.total
 
 
 def connected_components(
@@ -267,7 +279,7 @@ def connected_components(
     Components are sorted largest first, then by first member; mutual-follow
     pairs are returned as sorted (a, b) tuples with a < b.
     """
-    ids = list(P.index)
+    ids = P.users
     # hook each root onto the smallest root across its edges, then flatten,
     # until every edge joins one root; a root is its component's least index
     root = np.arange(P.n)
@@ -294,54 +306,32 @@ def connected_components(
 
 
 def ranking_report(
-    candidates: list[UserStats],
+    candidates: UserStats,
     rank_vector: RankVector,
     config: RankConfig,
     metric: str = "tr",
 ) -> RankingReport:
     """Top-k table under `metric` with 1-based ranks under all three metrics.
 
-    Rank positions are computed over the full candidate list; orderings are
+    Rank positions are computed over the full candidate table; orderings are
     by value descending with ties broken by user_id ascending. The TR column
     is scaled by 100 for readability, like the focus percentages.
     """
     if metric not in REPORT_METRICS:
         raise ValueError(f"metric must be one of {REPORT_METRICS}, got {metric!r}")
-    values = {
-        "tr": {u.user_id: rank_vector.scores[u.user_id] for u in candidates},
-        "tf": {u.user_id: topic_focus(u) for u in candidates},
-        "of": {u.user_id: overall_focus(u) for u in candidates},
-    }
-    ranks: dict[str, dict[str, int]] = {}
-    for name, vals in values.items():
-        order = sorted(vals, key=lambda uid: (-vals[uid], uid))
-        ranks[name] = {uid: pos + 1 for pos, uid in enumerate(order)}
-    chosen = sorted(values[metric], key=lambda uid: (-values[metric][uid], uid))
-    by_id = {u.user_id: u for u in candidates}
-    rows = []
-    for uid in chosen[: config.k]:
-        u = by_id[uid]
-        rows.append(
-            RankRow(
-                user_id=uid,
-                relevant_count=u.relevant_count,
-                harvest_count=u.harvest_count,
-                total_count=u.total_count,
-                tr_score=100.0 * values["tr"][uid],
-                tr_rank=ranks["tr"][uid],
-                topic_focus=values["tf"][uid],
-                tf_rank=ranks["tf"][uid],
-                overall_focus=values["of"][uid],
-                of_rank=ranks["of"][uid],
-            )
-        )
-    return RankingReport(tuple(rows), metric)
+    tr, tf, of = rank_vector.scores, topic_focus(candidates), overall_focus(candidates)
+    # rows are in user-id order, so a stable sort breaks ties by user_id
+    orders = dict(zip(REPORT_METRICS, (np.argsort(-x, kind="stable") for x in (tr, tf, of))))
+    tr_rank, tf_rank, of_rank = (np.argsort(order) + 1 for order in orders.values())
+    top = orders[metric][: config.k]
+    columns = (candidates.relevant, candidates.harvest, candidates.total,
+               100.0 * tr, tr_rank, tf, tf_rank, of, of_rank)
+    users = [candidates.users[i] for i in top.tolist()]
+    rows = zip(users, *(column[top].tolist() for column in columns))
+    return RankingReport(tuple(map(RankRow._make, rows)), metric)
 
 
-_TSV_HEADER = (
-    "user_id\trelevant_count\tharvest_count\ttotal_count\ttr_score\ttr_rank"
-    "\ttopic_focus\ttf_rank\toverall_focus\tof_rank"
-)
+_TSV_HEADER = "\t".join(RankRow._fields)
 
 
 def report_to_tsv(report: RankingReport) -> str:
@@ -357,23 +347,7 @@ def report_to_tsv(report: RankingReport) -> str:
 
 
 def report_to_json(report: RankingReport) -> str:
-    items = []
-    for row in report.rows:
-        items.append(
-            "{"
-            f'"user_id":{json.dumps(row.user_id, ensure_ascii=False)},'
-            f'"relevant_count":{row.relevant_count},'
-            f'"harvest_count":{row.harvest_count},'
-            f'"total_count":{row.total_count},'
-            f'"tr_score":{row.tr_score:.4f},'
-            f'"tr_rank":{row.tr_rank},'
-            f'"topic_focus":{row.topic_focus:.4f},'
-            f'"tf_rank":{row.tf_rank},'
-            f'"overall_focus":{row.overall_focus:.4f},'
-            f'"of_rank":{row.of_rank}'
-            "}"
-        )
-    return "[" + ",".join(items) + "]\n"
+    return dumps_json([row._asdict() for row in report.rows], "{:.4f}".format) + "\n"
 
 
 def write_report(report: RankingReport, out_dir: str | Path) -> list[Path]:

@@ -7,15 +7,13 @@ influencers (known leaders for ranking-recovery tests).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label, TweetRecord
+from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label, read_json
 
 __all__ = [
     "BUCKET_ORDER",
@@ -173,11 +171,7 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"{path}: JSON nested too deeply") from None
+        raw = read_json(path)
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: expected a JSON object")
         unknown = set(raw) - set(_CONFIG_SHAPES)
@@ -310,19 +304,18 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
     extra[:n_inf] = 0
     totals = harvest + extra
 
-    start = datetime(2016, 9, 1, tzinfo=timezone.utc)
     step = max(1, (120 * 86400) // max(n_tweets, 1))
-    ids = [f"t{i:07d}" for i in range(n_tweets)]
-    labels = [LABEL_ORDER[c] for c in tweet_classes.tolist()]
-    corpus = Corpus.from_records(
-        TweetRecord(
-            tid, all_users[u], text,
-            (start + timedelta(seconds=i * step)).strftime("%Y-%m-%dT%H:%M:%SZ"),
-            label, int(totals[u]),
-        )
-        for i, (tid, u, text, label) in enumerate(zip(ids, tweet_users.tolist(), texts, labels))
+    stamps = np.datetime64("2016-09-01T00:00:00") + np.arange(n_tweets) * np.timedelta64(step, "s")
+    ids = tuple(f"t{i:07d}" for i in range(n_tweets))
+    corpus = Corpus(
+        ids,
+        tuple(map(all_users.__getitem__, tweet_users.tolist())),
+        tuple(texts),
+        tuple(t + "Z" for t in np.datetime_as_string(stamps).tolist()),
+        tweet_classes.astype(np.int64),
+        totals[tweet_users].astype(np.int64),
     )
-    gold = dict(zip(ids, labels))
+    gold = dict(zip(ids, map(LABEL_ORDER.__getitem__, tweet_classes.tolist())))
 
     # follow edges among the ranking-eligible core, plus periphery noise
     core = [user_ids[i] for i in range(n_cand) if r_counts[i] >= 3]

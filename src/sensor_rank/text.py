@@ -15,6 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import open_utf8
+
 __all__ = [
     "DROP",
     "ReplacementTable",
@@ -121,7 +123,7 @@ class ReplacementTable:
     def from_csv(cls, path: str | Path) -> "ReplacementTable":
         """Load a `from,to` CSV, skipping a leading byte-order mark; <DROP> deletes the token."""
         entries: dict[str, str] = {}
-        with open(path, encoding="utf-8-sig") as fh:
+        with open_utf8(path, "utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -434,5 +436,5 @@ def tfidf_rank(
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One term per line, canonicalized like tokens; a leading byte-order mark is skipped."""
-    with open(path, encoding="utf-8-sig") as fh:
+    with open_utf8(path, "utf-8-sig") as fh:
         return frozenset(_canonical_token(line) for line in fh if line.strip())

@@ -12,13 +12,14 @@ import re
 import unicodedata
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from sensor_rank.classify import EvalReport
 from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label, TweetRecord
 from sensor_rank.forest import TreeNode
-from sensor_rank.rank import TransitionMatrix, UserStats
+from sensor_rank.rank import RankingReport, RankRow, TransitionMatrix, UserStats
 from sensor_rank.text import (
     _EMOTICON_RE,
     _IMAGE_RE,
@@ -33,27 +34,25 @@ from sensor_rank.text import (
 )
 
 
-def oracle_transition(
-    candidates: list[UserStats], graph: FollowerGraph
-) -> TransitionMatrix:
+def oracle_transition(candidates: UserStats, graph: FollowerGraph) -> TransitionMatrix:
     """The transition weights built one candidate and one friend at a time.
 
-    Walks candidates in list order and each one's friends in name order, so
+    Walks candidates in table order and each one's friends in name order, so
     for candidates sorted by user_id the entries come out in (follower index,
     friend index) order.
     """
-    index = {u.user_id: i for i, u in enumerate(candidates)}
+    index = {uid: i for i, uid in enumerate(candidates.users)}
     friends_of: dict[str, list[str]] = {}
     for follower, friend in sorted(graph.pairs()):
         friends_of.setdefault(follower, []).append(friend)
-    r = np.array([u.relevant_count for u in candidates], dtype=float)
-    v = np.array([u.v for u in candidates])
+    r = np.array(candidates.relevant.tolist(), dtype=float)
+    v = np.array(candidates.v.tolist())
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
-    for u in candidates:
-        i = index[u.user_id]
-        friends = [index[f] for f in friends_of.get(u.user_id, ()) if f in index]
+    for uid in candidates.users:
+        i = index[uid]
+        friends = [index[f] for f in friends_of.get(uid, ()) if f in index]
         if not friends:
             continue
         denom = r[friends].sum()
@@ -63,11 +62,51 @@ def oracle_transition(
             cols.append(j)
             vals.append(float(r[j] / denom * sim))
     return TransitionMatrix(
-        index,
+        candidates.users,
         np.array(rows, dtype=int),
         np.array(cols, dtype=int),
         np.array(vals, dtype=float),
     )
+
+
+def oracle_ranking_report(candidates: UserStats, rank_vector, config, metric: str = "tr") -> RankingReport:
+    """The report built one user at a time: each metric's values in a dict keyed
+    by user id, and each ordering a sort on (-value, user_id)."""
+    counts = {
+        uid: (r, t_k, t)
+        for uid, r, t_k, t in zip(
+            candidates.users, candidates.relevant.tolist(), candidates.harvest.tolist(),
+            candidates.total.tolist(),
+        )
+    }
+    values = {
+        "tr": dict(zip(candidates.users, rank_vector.scores.tolist())),
+        "tf": {uid: 100.0 * r / t_k for uid, (r, t_k, _) in counts.items()},
+        "of": {uid: 100.0 * r / t for uid, (r, _, t) in counts.items()},
+    }
+    ranks: dict[str, dict[str, int]] = {}
+    for name, vals in values.items():
+        order = sorted(vals, key=lambda uid: (-vals[uid], uid))
+        ranks[name] = {uid: pos + 1 for pos, uid in enumerate(order)}
+    chosen = sorted(values[metric], key=lambda uid: (-values[metric][uid], uid))
+    rows = []
+    for uid in chosen[: config.k]:
+        r, t_k, t = counts[uid]
+        rows.append(
+            RankRow(
+                user_id=uid,
+                relevant_count=r,
+                harvest_count=t_k,
+                total_count=t,
+                tr_score=100.0 * values["tr"][uid],
+                tr_rank=ranks["tr"][uid],
+                topic_focus=values["tf"][uid],
+                tf_rank=ranks["tf"][uid],
+                overall_focus=values["of"][uid],
+                of_rank=ranks["of"][uid],
+            )
+        )
+    return RankingReport(tuple(rows), metric)
 
 
 def oracle_grow_tree(
@@ -343,8 +382,15 @@ def oracle_load_corpus(path) -> dict[str, list]:
     Returns the columns as plain lists: ids, users, texts, created_at, y
     (class ids, -1 for no label) and user_total_tweets (-1 when absent).
     Raises ValueError naming the first bad line. Besides the record's own
-    checks, it rejects a lone surrogate in id, user or text.
+    checks, it rejects a lone surrogate in id, user or text. Bytes that are not
+    UTF-8 fail before any line is checked, naming the first line that holds
+    them: text mode decodes a file this small in one read-ahead block.
     """
+    for lineno, raw in enumerate(re.split(rb"\r\n|\r|\n", Path(path).read_bytes()), 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: line {lineno}: not valid UTF-8: {exc}") from None
     records: list[TweetRecord] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:

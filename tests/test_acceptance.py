@@ -50,13 +50,13 @@ def report_line(num, label, ok, detail=""):
 
 def random_rank_instance(rng):
     n = int(rng.integers(2, 13))
-    stats = {}
+    counts = []
     for i in range(n):
-        uid = f"u{i:02d}"
         r = int(rng.integers(3, 21))
         t_k = r + int(rng.integers(0, 10))
-        stats[uid] = UserStats(uid, r, t_k, t_k + int(rng.integers(0, 150)))
-    users = sorted(stats)
+        counts.append((r, t_k, t_k + int(rng.integers(0, 150))))
+    users = [f"u{i:02d}" for i in range(n)]
+    stats = UserStats(users, *zip(*counts))
     edges = {
         (users[i], users[j])
         for i in range(n)
@@ -78,9 +78,7 @@ def power_iteration_suite():
         candidates = candidate_filter(stats, config, ())
         P = build_transition(candidates, graph)
         rv = twitterrank(P, candidates, config)
-        e = np.zeros(P.n)
-        for u in candidates:
-            e[P.index[u.user_id]] = u.v
+        e = np.array(candidates.v.tolist())
         want = oracle_linear_solve(P, e, config.gamma)
         runs.append((candidates, P, rv, e, want))
     elapsed = time.perf_counter() - start
@@ -91,9 +89,7 @@ def test_01_power_iteration_matches_dense_solver(power_iteration_suite):
     runs, elapsed = power_iteration_suite
     worst = 0.0
     for candidates, P, rv, _, want in runs:
-        got = np.zeros(P.n)
-        for u in candidates:
-            got[P.index[u.user_id]] = rv.scores[u.user_id]
+        got = rv.scores
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst <= 1e-9 and elapsed < 5.0
     report_line(1, "iterative ranking matches the dense solver on 100 instances",
@@ -118,27 +114,27 @@ def test_03_scores_never_fall_below_teleport_floor(power_iteration_suite):
     runs, _ = power_iteration_suite
     violations = 0
     for candidates, P, rv, e, _ in runs:
-        for u in candidates:
-            if rv.scores[u.user_id] < (1 - GAMMA) * u.v - 1e-12:
+        for score, v in zip(rv.scores, candidates.v):
+            if score < (1 - GAMMA) * v - 1e-12:
                 violations += 1
-    lone = UserStats("a", 5, 5, 5, v=1.0)
-    P = build_transition([lone], FollowerGraph.from_pairs([]))
-    rv = twitterrank(P, [lone], RankConfig())
-    isolated_ok = abs(rv.scores["a"] - 0.15) <= 1e-12
+    lone = UserStats(("a",), [5], [5], [5], v=[1.0])
+    P = build_transition(lone, FollowerGraph.from_pairs([]))
+    rv = twitterrank(P, lone, RankConfig())
+    isolated_ok = abs(rv.scores[0] - 0.15) <= 1e-12
     ok = violations == 0 and isolated_ok
     report_line(3, "scores keep the teleport floor; isolated candidate scores 0.15",
                 ok, f"{violations} floor violations")
 
 
 def test_04_focus_metric_fixtures():
-    heavy = UserStats("u1", 20, 28, 140)
-    lone = UserStats("u2", 7, 7, 7)
-    dilute = UserStats("u3", 4, 4, 19)
+    # rows: heavy, lone, dilute
+    fixtures = UserStats(("u1", "u2", "u3"), [20, 7, 4], [28, 7, 4], [140, 7, 19])
+    tf, of = topic_focus(fixtures), overall_focus(fixtures)
     checks = [
-        abs(topic_focus(heavy) - 71.43) <= 0.01,
-        abs(overall_focus(heavy) - 14.29) <= 0.01,
-        topic_focus(lone) == 100.0,
-        abs(overall_focus(dilute) - 21.05) <= 0.01,
+        abs(tf[0] - 71.43) <= 0.01,
+        abs(of[0] - 14.29) <= 0.01,
+        tf[1] == 100.0,
+        abs(of[2] - 21.05) <= 0.01,
     ]
     report_line(4, "focus percentages reproduce the reference fixtures",
                 all(checks), f"{sum(checks)}/4 fixtures")
@@ -217,7 +213,7 @@ def test_07_candidate_population_and_exclusions():
     rcfg = RankConfig(min_relevant=3)
     candidates = candidate_filter(stats, rcfg, ())
     n_before = len(candidates)
-    pool = sorted(u.user_id for u in candidates if u.user_id != "sentinela001")
+    pool = sorted(u for u in candidates.users if u != "sentinela001")
     rng = np.random.default_rng(139)
     excluded = set(rng.choice(pool, size=139, replace=False).tolist())
     n_after = len(candidate_filter(stats, rcfg, excluded))
@@ -236,7 +232,7 @@ def test_08_planted_influencer_recovered_across_seeds():
         corpus, graph, _ = generate(SynthConfig(seed=seed))
         data = dataset_from_corpus(corpus, table, n_max=1)
         model = train_mnnb(data)
-        _, counts = count_ngrams((rec.text for rec in corpus.records), table, vocab=data.vocab)
+        _, counts = count_ngrams(corpus.texts, table, vocab=data.vocab)
         predicted = predict_many(model, counts).argmax(axis=1)
         stats = compute_user_stats(replace(corpus, y=predicted))
         candidates = candidate_filter(stats, rcfg, ())
@@ -337,11 +333,8 @@ def test_11_rankings_invariant_under_count_scaling():
     mismatched = 0
     for _ in range(20):
         stats, graph = random_rank_instance(rng)
-        scaled = {
-            uid: UserStats(uid, 7 * u.relevant_count, 7 * u.harvest_count,
-                           7 * u.total_count)
-            for uid, u in stats.items()
-        }
+        scaled = UserStats(stats.users, 7 * stats.relevant, 7 * stats.harvest,
+                           7 * stats.total)
         config = RankConfig(k=len(stats))
         base = candidate_filter(stats, config, ())
         big = candidate_filter(scaled, config, ())

@@ -624,3 +624,41 @@ def test_deeply_nested_json_is_an_input_error(pipeline, tmp_path, capsys, reader
     assert err.startswith(f"error: {deep}: line 2: " if reader == "corpus" else f"error: {deep}: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [
+    "corpus", "graph", "exclusions", "table", "stopwords", "config", "synth config", "model",
+])
+def test_bytes_that_are_not_utf8_name_file_and_line(pipeline, tmp_path, capsys, kind):
+    bad = tmp_path / "bad.txt"
+    first = pipeline["classified"].read_bytes().splitlines()[0]
+    bad.write_bytes({
+        "corpus": first + b'\n{"id": "t\xff"}\n',
+        "graph": b"a,b\nc,\xff\n",
+        "exclusions": b"a\n\xff\n",
+        "table": b"zika,zikavirus\n\xff,x\n",
+        "stopwords": b"de\n\xff\n",
+        "config": b'{\n"k": "\xff"}\n',
+        "synth config": b'{\n"seed": "\xff"}\n',
+        "model": b'{\n"format": "\xff"}\n',
+    }[kind])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({kind: str(bad)}), encoding="utf-8")
+    corpus, model = ["--corpus", str(pipeline["corpus"])], ["--model", str(pipeline["model"])]
+    rank = ["rank", "--corpus", str(pipeline["classified"]), "--graph", str(pipeline["graph"])]
+    argv = {
+        "corpus": ["classify", "--corpus", str(bad), *model],
+        "graph": ["rank", "--corpus", str(pipeline["classified"]), "--graph", str(bad)],
+        "exclusions": [*rank, "--exclusions", str(bad)],
+        "table": ["classify", *corpus, *model, "--config", str(cfg)],
+        "stopwords": ["keywords", *corpus, "--config", str(cfg)],
+        "config": [*rank, "--config", str(bad)],
+        "synth config": ["synth", "--config", str(bad)],
+        "model": ["classify", *corpus, "--model", str(bad)],
+    }[kind]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: not valid UTF-8: ")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -119,10 +119,10 @@ def test_generate_reproduces_activity_histogram():
 
     got = {}
     influencers = {uid for uid, _, _ in config.planted_influencers}
-    for uid, u in stats.items():
-        if uid in influencers or u.relevant_count == 0:
+    for uid, relevant_count in zip(stats.users, stats.relevant.tolist()):
+        if uid in influencers or relevant_count == 0:
             continue
-        key = bucket(u.relevant_count)
+        key = bucket(relevant_count)
         got[key] = got.get(key, 0) + 1
     # the influencer occupies one "20+" slot of the plan
     want = dict(SMALL_HISTOGRAM)
@@ -182,14 +182,14 @@ def test_planted_influencer_dominates():
     config = small_config()
     corpus, graph, gold = generate(config)
     stats = stats_by_user(corpus, gold)
-    boss = stats["sentinela001"]
-    assert boss.relevant_count == 40
-    assert boss.harvest_count == 40
-    assert topic_focus(boss) == 100.0
-    assert overall_focus(boss) == 100.0
-    others = [u for uid, u in stats.items() if uid != "sentinela001"]
-    assert boss.relevant_count > max(u.relevant_count for u in others)
-    in_degrees = {uid: 0 for uid in stats}
+    boss = stats.users.index("sentinela001")
+    assert stats.relevant[boss] == 40
+    assert stats.harvest[boss] == 40
+    assert topic_focus(stats)[boss] == 100.0
+    assert overall_focus(stats)[boss] == 100.0
+    others = np.delete(stats.relevant, boss)
+    assert stats.relevant[boss] > max(others)
+    in_degrees = {uid: 0 for uid in stats.users}
     for _, friend in graph.pairs():
         if friend in in_degrees:
             in_degrees[friend] += 1
@@ -226,21 +226,24 @@ def test_generate_rejects_infeasible_demands():
 
 
 def test_oracle_linear_solve_edgeless():
-    a = UserStats("a", 3, 3, 3, v=0.25)
-    b = UserStats("b", 9, 9, 9, v=0.75)
-    P = build_transition([a, b], FollowerGraph.from_pairs([]))
+    ab = UserStats(("a", "b"), [3, 9], [3, 9], [3, 9], v=[0.25, 0.75])
+    P = build_transition(ab, FollowerGraph.from_pairs([]))
     x = oracle_linear_solve(P, np.array([0.25, 0.75]), 0.85)
     np.testing.assert_allclose(x, [0.15 * 0.25, 0.15 * 0.75], atol=1e-15)
 
 
 def test_oracle_linear_solve_size_guard():
-    stats = [UserStats(f"u{i}", 3, 3, 3, v=1 / 65) for i in range(65)]
+    users = sorted(f"u{i}" for i in range(65))
+    stats = UserStats(users, [3] * 65, [3] * 65, [3] * 65, v=[1 / 65] * 65)
     P = build_transition(stats, FollowerGraph.from_pairs([]))
     with pytest.raises(ValueError, match="64"):
         oracle_linear_solve(P, np.full(65, 1 / 65), 0.85)
     with pytest.raises(ValueError, match="length"):
         oracle_linear_solve(
-            build_transition(stats[:2], FollowerGraph.from_pairs([])),
+            build_transition(
+                UserStats(users[:2], [3] * 2, [3] * 2, [3] * 2, v=[1 / 65] * 2),
+                FollowerGraph.from_pairs([]),
+            ),
             np.array([1.0]),
             0.85,
         )
