@@ -9,13 +9,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import LABEL_ORDER, Corpus, Label, read_json, require_all_classes
-from .forest import RfModel, TreeNode, predict_proba, train_rf
+from .forest import RfModel, TreeNode, _columns, predict_proba, train_rf
 from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 MODEL_FORMAT = "sensor-rank-model"
 MODEL_VERSION = 1
 
-# minority rows per block of SMOTE's neighbor search
+# minority rows per block of SMOTE's neighbor search, and pairs per block of its synthesis
 _SMOTE_BLOCK = 256
 
 
@@ -175,7 +176,7 @@ def predict_many(model: MnnbModel | RfModel, X: CountMatrix) -> np.ndarray:
     """
     if isinstance(model, MnnbModel):
         n = len(X)
-        docs = np.repeat(np.arange(n), np.diff(X.indptr))
+        docs = X.row_ids()
         keep = X.indices < model.vocab_size
         tids = X.indices[keep]
         log_post = np.tile(model.class_log_prior, (n, 1))
@@ -208,9 +209,97 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
     reps = percent // 100
     if reps == 0:
         return minority.rows([])
-    # only the columns the minority uses: integer counts keep distances exact
+    n = len(minority)
+    # only the columns the minority uses, as distinct ascending nonzero cells
     used, local = np.unique(minority.indices, return_inverse=True)
-    dense = CountMatrix(minority.indptr, local, minority.data, len(used)).toarray()
+    X = _columns(_columns(CountMatrix(minority.indptr, local, minority.data, len(used))))
+    sq = np.bincount(X.row_ids(), weights=X.data**2, minlength=n)
+    if (X.data == np.floor(X.data)).all() and sq.max(initial=0) <= 2**24:
+        # frequent columns go dense; the rest carry few products each
+        dense = np.bincount(X.indices, minlength=X.n_cols) > n / 100
+        neighbor_ids = _nearest_exact(X, k, dense)
+    else:
+        neighbor_ids = _nearest_float64(X, k)
+    rng = np.random.default_rng([seed, n, k])
+    draws = [(rng.integers(k), rng.random()) for _ in range(reps * n)]
+    picks, lam = (np.array(column) for column in zip(*draws))
+    src = np.tile(np.arange(n), reps)
+    dst = neighbor_ids[src, picks]
+    sizes, indices, data = [], [], []
+    for lo in range(0, len(src), _SMOTE_BLOCK):
+        hi = min(lo + _SMOTE_BLOCK, len(src))
+        a, b = X.rows(src[lo:hi]), X.rows(dst[lo:hi])
+        # one cell per (pair, column) in the union of the pair's columns,
+        # in pair-then-column order; absent cells read 0
+        pair = np.concatenate([a.row_ids(), b.row_ids()])
+        cell, slot = np.unique(pair * X.n_cols + np.concatenate([a.indices, b.indices]),
+                               return_inverse=True)
+        av, bv = np.zeros(len(cell)), np.zeros(len(cell))
+        av[slot[: len(a.data)]] = a.data
+        bv[slot[len(a.data) :]] = b.data
+        point = av + lam[lo:hi][cell // X.n_cols] * (bv - av)
+        keep = point != 0
+        sizes.append(np.bincount(cell[keep] // X.n_cols, minlength=hi - lo))
+        indices.append(used[cell[keep] % X.n_cols])
+        data.append(point[keep])
+    indptr = np.zeros(len(src) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    return CountMatrix(
+        indptr, np.concatenate(indices).astype(np.int64), np.concatenate(data), minority.n_cols
+    )
+
+
+def _nearest_exact(X: CountMatrix, k: int, dense: np.ndarray) -> np.ndarray:
+    """Each row's k nearest other rows by (squared distance, index), shape (rows, k).
+
+    X lists distinct nonzero columns per row, its values are integers, and no
+    row's sum of squares exceeds 2^24. By Cauchy-Schwarz every partial sum of
+    a Gram entry is then an integer of at most 2^24 in magnitude, exact in
+    float32 in any order. The columns marked dense are multiplied in float32
+    BLAS a block of rows at a time; every other column adds its products into
+    the block's Gram directly. d2 = sq_i + sq_j - 2G is then the exact
+    integer distance.
+    """
+    n = len(X)
+    rows = X.row_ids()
+    sq = np.bincount(rows, weights=X.data**2, minlength=n)
+    by_column = _columns(X)
+    on = dense[X.indices]
+    block = np.zeros((n, int(dense.sum())), dtype=np.float32)
+    block[rows[on], (np.cumsum(dense) - 1)[X.indices[on]]] = X.data[on]
+    rare_rows, rare_cols, rare_vals = rows[~on], X.indices[~on], X.data[~on].astype(np.int64)
+    col_lo, col_len = by_column.indptr[:-1], np.diff(by_column.indptr)
+    col_vals = by_column.data.astype(np.int64)
+    # row i ranks j by the distinct key d2 * n + j (below 2^26 * n, so it fits
+    # int64); sq_i * n is the same along the row and is left out
+    base = sq.astype(np.int64) * n + np.arange(n)
+    neighbor_ids = np.empty((n, k), dtype=np.int64)
+    for lo in range(0, n, _SMOTE_BLOCK):
+        hi = min(lo + _SMOTE_BLOCK, n)
+        key = (block[lo:hi] @ block.T).astype(np.int64)
+        # every rare cell of the block's rows times every cell of its column
+        first, last = np.searchsorted(rare_rows, [lo, hi])
+        c = rare_cols[first:last]
+        reach = col_len[c]
+        start = np.cumsum(reach) - reach
+        at = np.repeat(col_lo[c] - start, reach) + np.arange(reach.sum())
+        np.add.at(
+            key,
+            (np.repeat(rare_rows[first:last] - lo, reach), by_column.indices[at]),
+            np.repeat(rare_vals[first:last], reach) * col_vals[at],
+        )
+        key *= -2 * n
+        key += base
+        key[np.arange(hi - lo), np.arange(lo, hi)] = np.iinfo(np.int64).max
+        near = np.argpartition(key, k - 1, axis=1)[:, :k]
+        order = np.argsort(np.take_along_axis(key, near, axis=1), axis=1)
+        neighbor_ids[lo:hi] = np.take_along_axis(near, order, axis=1)
+    return neighbor_ids
+
+
+def _nearest_float64(X: CountMatrix, k: int) -> np.ndarray:
+    """_nearest_exact for any real values: a dense float64 Gram, ties found by scanning."""
+    dense = X.toarray()
     sq = np.einsum("ij,ij->i", dense, dense)
     neighbor_ids = np.empty((len(dense), k), dtype=np.int64)
     # a block of rows at a time: memory grows with the rows, not their square
@@ -227,25 +316,7 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
         cols = np.nonzero(near)[1].reshape(-1, k)
         order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
         neighbor_ids[lo:hi] = np.take_along_axis(cols, order, axis=1)
-    rng = np.random.default_rng([seed, len(minority), k])
-    indptr = [0]
-    indices: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    for _ in range(reps):
-        for i in range(len(minority)):
-            j = int(neighbor_ids[i, rng.integers(k)])
-            lam = rng.random()
-            point = dense[i] + lam * (dense[j] - dense[i])
-            nonzero = np.flatnonzero(point)
-            indices.append(used[nonzero])
-            data.append(point[nonzero])
-            indptr.append(indptr[-1] + len(nonzero))
-    return CountMatrix(
-        np.array(indptr, dtype=np.int64),
-        np.concatenate(indices).astype(np.int64),
-        np.concatenate(data),
-        minority.n_cols,
-    )
+    return neighbor_ids
 
 
 def subsample_spread(
@@ -384,8 +455,15 @@ def _to_json(obj: object, parts: list[str], fmt_real) -> None:
     elif isinstance(obj, (float, np.floating)):
         parts.append(fmt_real(float(obj)))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=False))
+        parts.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            parts.append("[" + ",".join(map(fmt_real, obj)) + "]")
+            return
+        if kinds == {str}:
+            parts.append("[" + ",".join(map(encode_basestring, obj)) + "]")
+            return
         parts.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -397,7 +475,7 @@ def _to_json(obj: object, parts: list[str], fmt_real) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if i:
                 parts.append(",")
-            parts.append(json.dumps(str(key), ensure_ascii=False) + ":")
+            parts.append(encode_basestring(str(key)) + ":")
             _to_json(value, parts, fmt_real)
         parts.append("}")
     else:
@@ -406,7 +484,7 @@ def _to_json(obj: object, parts: list[str], fmt_real) -> None:
 
 def _tree_to_obj(node) -> dict:
     if node.dist is not None:
-        return {"leaf": [float(p) for p in node.dist]}
+        return {"leaf": node.dist.tolist()}
     return {
         "feature": int(node.feature),
         "threshold": float(node.threshold),
@@ -463,8 +541,8 @@ def save_model(
     if isinstance(model, MnnbModel):
         doc["params"] = {
             "alpha": model.alpha,
-            "class_log_prior": [float(x) for x in model.class_log_prior],
-            "term_log_prob": [[float(x) for x in row] for row in model.term_log_prob],
+            "class_log_prior": model.class_log_prior.tolist(),
+            "term_log_prob": model.term_log_prob.tolist(),
         }
     elif isinstance(model, RfModel):
         doc["params"] = {

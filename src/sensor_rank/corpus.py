@@ -90,10 +90,13 @@ def open_utf8(path: str | Path, encoding: str = "utf-8") -> Iterator[TextIO]:
 
 
 def read_json(path: str | Path) -> object:
-    """The one JSON document in a UTF-8 file; nesting too deep to read is a ValueError."""
+    """The one JSON document in a UTF-8 file; malformed or too deeply nested
+    JSON is a ValueError naming the file."""
     with open_utf8(path) as fh:
         try:
             return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 

@@ -53,7 +53,7 @@ def _columns(X: CountMatrix) -> CountMatrix:
     """
     order = np.argsort(X.indices, kind="stable")
     cols = X.indices[order]
-    rows = np.repeat(np.arange(len(X)), np.diff(X.indptr))[order]
+    rows = X.row_ids()[order]
     vals = X.data[order]
     keep = np.append((cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1]), True) & (vals != 0)
     ptr = np.zeros(X.n_cols + 1, dtype=np.int64)
@@ -66,25 +66,29 @@ def _leaf(counts: np.ndarray) -> np.ndarray:
 
 
 def _best_split(
-    columns: CountMatrix, y: np.ndarray, idx: np.ndarray, counts: np.ndarray,
-    feats: np.ndarray, weight: np.ndarray,
+    columns: CountMatrix, y: np.ndarray, rows: np.ndarray, mult: np.ndarray,
+    counts: np.ndarray, feats: np.ndarray, weight: np.ndarray,
 ) -> tuple[int, float] | None:
     """The (feature, threshold) of least Gini cost over feats, or None.
 
-    Each feature's in-node rows are its nonzeros plus one block at value 0
-    for the rest. Boundaries between distinct values are scored in
-    (feature, value) order, so the first minimum has the lowest feature id,
-    then the lowest threshold. weight is an all-zero scratch array, one slot
-    per row, and is all-zero again on return.
+    The node holds the distinct rows, each mult times. Each feature's in-node
+    rows are its nonzeros plus one block at value 0 for the rest. Boundaries
+    between distinct values are scored in (feature, value) order, so the
+    first minimum has the lowest feature id, then the lowest threshold.
+    weight is an all-zero scratch array, one slot per row, and is all-zero
+    again on return.
     """
-    np.add.at(weight, idx, 1)  # bootstrap multiplicity of each row in the node
-    sub = columns.rows(feats)
     m = len(feats)
-    w = weight[sub.indices]
-    weight[idx] = 0
+    lo, length = columns.indptr[feats], columns.indptr[feats + 1] - columns.indptr[feats]
+    # position of every entry of the m columns in columns' arrays
+    at = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
+    weight[rows] = mult
+    w = weight[columns.indices[at]]
+    weight[rows] = 0
     inside = w > 0
-    slot = np.repeat(np.arange(m), np.diff(sub.indptr))[inside]
-    vals, w, cls = sub.data[inside], w[inside], y[sub.indices[inside]]
+    at, w = at[inside], w[inside]
+    slot = np.repeat(np.arange(m), length)[inside]
+    vals, cls = columns.data[at], y[columns.indices[at]]
     # class counts are integers, so every sum below is exact in floats
     per_entry = np.zeros((len(w), 3))
     per_entry[np.arange(len(w)), cls] = w
@@ -103,7 +107,7 @@ def _best_split(
     first = np.searchsorted(slot, slot[cut])  # first entry of each cut's feature
     left = cum[cut] - cum[first] + per_entry[first]
     right = counts - left
-    nn = len(idx)
+    nn = mult.sum()
     nl = left.sum(axis=1)
     # minimizing this is equivalent to minimizing weighted Gini impurity
     cost = -(left**2).sum(axis=1) / nl - (right**2).sum(axis=1) / (nn - nl)
@@ -114,39 +118,44 @@ def _best_split(
 def _grow_tree(
     columns: CountMatrix, y: np.ndarray, boot: np.ndarray, m: int, rng: np.random.Generator
 ) -> TreeNode:
-    """One tree over the transposed design matrix (see _columns)."""
+    """One tree over the transposed design matrix (see _columns) and a bootstrap.
+
+    Each node holds its distinct rows and how often the bootstrap drew each.
+    """
     n_features = len(columns)
     # all-zero scratch arrays, one slot per row
     weight = np.zeros(len(y), dtype=np.int64)
     value = np.zeros(len(y))
     root = TreeNode()
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, boot)]
+    stack: list[tuple[TreeNode, np.ndarray, np.ndarray]] = [
+        (root, *np.unique(boot, return_counts=True))
+    ]
     while stack:
-        node, idx = stack.pop()
-        counts = np.bincount(y[idx], minlength=3).astype(float)
-        if len(idx) < 2 or counts.max() == len(idx):
+        node, rows, mult = stack.pop()
+        counts = np.bincount(y[rows], weights=mult, minlength=3)
+        nn = mult.sum()
+        if nn < 2 or counts.max() == nn:
             node.dist = _leaf(counts)
             continue
         feats = np.sort(rng.choice(n_features, size=m, replace=False))
-        split = _best_split(columns, y, idx, counts, feats, weight)
+        split = _best_split(columns, y, rows, mult, counts, feats, weight)
         if split is None:
             node.dist = _leaf(counts)
             continue
         feature, threshold = split
-        rows, vals = columns.row(feature)
-        value[rows] = vals
-        mask = value[idx] <= threshold
-        value[rows] = 0.0
-        left_idx, right_idx = idx[mask], idx[~mask]
-        if len(left_idx) == 0 or len(right_idx) == 0:
+        cells, vals = columns.row(feature)
+        value[cells] = vals
+        mask = value[rows] <= threshold
+        value[cells] = 0.0
+        if mask.all() or not mask.any():
             node.dist = _leaf(counts)
             continue
         node.feature = feature
         node.threshold = threshold
         node.left = TreeNode()
         node.right = TreeNode()
-        stack.append((node.right, right_idx))
-        stack.append((node.left, left_idx))
+        stack.append((node.right, rows[~mask], mult[~mask]))
+        stack.append((node.left, rows[mask], mult[mask]))
     return root
 
 

@@ -111,9 +111,9 @@ class RankConfig:
 class TransitionMatrix:
     """Sparse follower-to-friend transition weights over the candidate set.
 
-    users names each row and column index. Rows are sub-stochastic: the
-    tau-ratio factors of a row sum to at most 1 and each is scaled by a
-    similarity in [0,1].
+    users names each row and column index. Edges are distinct and ordered by
+    (row, col). Rows are sub-stochastic: the tau-ratio factors of a row sum to
+    at most 1 and each is scaled by a similarity in [0,1].
     """
 
     users: tuple[str, ...]
@@ -298,7 +298,10 @@ def connected_components(
     components = sorted(
         (sorted(c) for c in members.values()), key=lambda c: (-len(c), c[0])
     )
-    mutual = np.isin(P.rows * P.n + P.cols, P.cols * P.n + P.rows) & (P.rows < P.cols)
+    # P's edges are distinct and ordered by (row, col), so their codes are sorted
+    code, back = P.rows * P.n + P.cols, P.cols * P.n + P.rows
+    found = code[np.minimum(np.searchsorted(code, back), len(code) - 1)] == back
+    mutual = found & (P.rows < P.cols)
     pairs = sorted(
         tuple(sorted((ids[i], ids[j]))) for i, j in zip(P.rows[mutual], P.cols[mutual])
     )

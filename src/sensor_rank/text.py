@@ -267,6 +267,10 @@ class CountMatrix:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(column ids, values) of row i."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -296,7 +300,7 @@ class CountMatrix:
     def toarray(self) -> np.ndarray:
         """Dense float64 copy, shape (rows, n_cols)."""
         dense = np.zeros((len(self), self.n_cols))
-        dense[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = self.data
+        dense[self.row_ids(), self.indices] = self.data
         return dense
 
 

@@ -241,6 +241,29 @@ def oracle_smote(
     return out
 
 
+def oracle_dumps_json(obj: object) -> str:
+    """`classify.dumps_json` one element at a time, every value through one
+    recursive writer: reals as 17 significant digits, non-finite reals rejected."""
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite real {obj!r}")
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(oracle_dumps_json(item) for item in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(
+            json.dumps(str(key), ensure_ascii=False) + ":" + oracle_dumps_json(value)
+            for key, value in obj.items()
+        ) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def oracle_linear_solve(
     P: TransitionMatrix, E: np.ndarray, gamma: float
 ) -> np.ndarray:

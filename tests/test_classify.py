@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensor_rank import classify
 from sensor_rank.classify import (
@@ -23,7 +25,7 @@ from sensor_rank.corpus import LABEL_ORDER, Corpus, Label, TweetRecord, class_id
 from sensor_rank.forest import train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
-from oracles import oracle_evaluate, oracle_nb_posterior, oracle_smote
+from oracles import oracle_dumps_json, oracle_evaluate, oracle_nb_posterior, oracle_smote
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -291,6 +293,80 @@ def test_smote_matches_brute_force_across_blocks():
     ]
 
 
+def split_gram_rows(rng, n, frequent, rare):
+    """n integer rows: each frequent column in about half of them, plus one to
+    three of the rare columns per row, in shuffled entry order."""
+    rows = []
+    for _ in range(n):
+        cols = [c for c in range(frequent) if rng.random() < 0.5]
+        cols += [frequent + int(c) for c in rng.choice(rare, size=rng.integers(1, 4),
+                                                       replace=False)]
+        rows.append({c: float(rng.integers(1, 4)) for c in rng.permutation(cols).tolist()})
+    return rows
+
+
+def test_smote_matches_brute_force_with_dense_and_sparse_gram_parts():
+    rng = np.random.default_rng(16)
+    n, frequent, rare, k = 300, 4, 400, 5
+    assert n > classify._SMOTE_BLOCK
+    rows = split_gram_rows(rng, n, frequent, rare)
+    nnz = np.bincount([c for row in rows for c in row], minlength=frequent + rare)
+    # both parts of the Gram run: frequent columns go dense, the rest sparse
+    assert (nnz[:frequent] > n / 100).all() and (nnz[frequent:] <= n / 100).sum() > 300
+    dim = frequent + rare
+    got = rows_of(smote(matrix(rows, dim), 100, k, 4))
+    assert [list(row.items()) for row in got] == [
+        list(row.items()) for row in oracle_smote(rows, dim, 100, k, 4)
+    ]
+
+
+def test_exact_neighbors_do_not_depend_on_the_dense_sparse_split():
+    rng = np.random.default_rng(17)
+    n, k = 290, 4
+    rows = split_gram_rows(rng, n, 5, 60)
+    rows += [dict(rows[3])] * 6 + [{}] * 3  # exact ties, and empty rows
+    X = matrix([dict(sorted(row.items())) for row in rows])
+    every = np.ones(X.n_cols, dtype=bool)
+    split = rng.random(X.n_cols) < 0.5
+    assert split.any() and not split.all()
+    ids = [classify._nearest_exact(X, k, dense) for dense in (every, ~every, split)]
+    assert np.array_equal(ids[0], ids[1]) and np.array_equal(ids[0], ids[2])
+    assert np.array_equal(ids[0], classify._nearest_float64(X, k))
+
+
+def test_smote_many_identical_rows_pick_the_lowest_indices():
+    rows = [{0: 1.0, 2: 2.0}] * 12 + [{0: 1.0, 2: 3.0}, {1: 5.0}] + [{0: 1.0, 2: 2.0}] * 3
+    k = 4
+    X = matrix(rows)
+    ids = classify._nearest_exact(X, k, np.zeros(X.n_cols, dtype=bool))
+    same = [i for i, row in enumerate(rows) if row == rows[0]]
+    for i in same:
+        assert ids[i].tolist() == [j for j in same if j != i][:k]
+    got = rows_of(smote(X, 200, k, 3))
+    assert got == oracle_smote(rows, X.n_cols, 200, k, 3)
+
+
+@pytest.mark.parametrize("case", ["real values", "sum of squares above 2^24"])
+def test_smote_falls_back_to_float64_beyond_the_exact_range(monkeypatch, case):
+    rng = np.random.default_rng(18)
+    rows = [{int(c): float(rng.integers(1, 4)) for c in rng.choice(6, size=3, replace=False)}
+            for _ in range(30)]
+    if case == "real values":
+        rows[7][1] = 1.5
+    else:
+        rows[7] = {0: 4097.0}  # 4097^2 > 2^24
+    # the exact search is not used; the float64 one still gives exact ids here
+    monkeypatch.setattr(classify, "_nearest_exact", None)
+    got = rows_of(smote(matrix(rows, 6), 200, 3, 5))
+    assert got == oracle_smote(rows, 6, 200, 3, 5)
+
+
+def test_smote_uses_the_exact_search_up_to_2_to_the_24(monkeypatch):
+    rows = [{0: 4096.0}] + [{0: float(i), 1: 1.0} for i in range(8)]  # 4096^2 == 2^24
+    monkeypatch.setattr(classify, "_nearest_float64", None)
+    assert rows_of(smote(matrix(rows), 100, 3, 2)) == oracle_smote(rows, 2, 100, 3, 2)
+
+
 def test_smote_identical_sources_reproduce_themselves():
     minority = matrix([{0: 2.0, 3: 1.0}] * 7)
     for point in rows_of(smote(minority, 100, 5, 9)):
@@ -531,6 +607,44 @@ def test_dumps_json_formatting():
         dumps_json(float("nan"))
     with pytest.raises(TypeError):
         dumps_json({"x": object()})
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.text(),
+)
+json_documents = st.recursive(
+    json_scalars
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False))
+    | st.lists(st.text()),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents)
+def test_dumps_json_matches_recursive_writer(doc):
+    assert dumps_json(doc) == oracle_dumps_json(doc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(json_documents, st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(),
+       st.booleans())
+def test_dumps_json_rejects_non_finite_reals(doc, bad, numpy_scalar, in_float_list):
+    bad = np.float64(bad) if numpy_scalar else bad
+    spliced = {"doc": doc, "bad": [0.5, bad] if in_float_list else bad}
+    for write in (dumps_json, oracle_dumps_json):
+        with pytest.raises(ValueError, match="non-finite"):
+            write(spliced)
 
 
 def test_model_roundtrip_mnnb(tmp_path):

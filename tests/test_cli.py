@@ -662,3 +662,21 @@ def test_bytes_that_are_not_utf8_name_file_and_line(pipeline, tmp_path, capsys, 
     assert err.startswith(f"error: {bad}: line 2: not valid UTF-8: ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["config", "synth config", "model"])
+def test_malformed_json_names_the_file(pipeline, tmp_path, capsys, reader):
+    bad = tmp_path / "truncated.json"
+    bad.write_text('{"k": 3,', encoding="utf-8")
+    rank = ["rank", "--corpus", str(pipeline["classified"]), "--graph", str(pipeline["graph"])]
+    argv = {
+        "config": [*rank, "--config", str(bad)],
+        "synth config": ["synth", "--config", str(bad)],
+        "model": ["classify", "--corpus", str(pipeline["corpus"]), "--model", str(bad)],
+    }[reader]
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid JSON: Expecting property name")
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -200,6 +200,30 @@ def test_sparse_splitter_matches_dense_oracle(case):
         assert_same_tree(matrix, y, boot, m, trial)
 
 
+def test_sparse_splitter_matches_dense_oracle_with_multiplicities_up_to_6():
+    rng = np.random.default_rng(21)
+    for trial in range(15):
+        n, v = int(rng.integers(5, 60)), int(rng.integers(2, 20))
+        matrix = random_rows(rng, n, v, 0.3, lambda r: r.integers(-2, 4))
+        y = rng.integers(0, 3, size=n)
+        drawn = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        mult = rng.integers(1, 7, size=len(drawn))
+        mult[0] = 6
+        boot = rng.permutation(np.repeat(drawn, mult))
+        assert np.unique(boot, return_counts=True)[1].max() == 6
+        assert_same_tree(matrix, y, boot, int(rng.integers(1, v + 1)), trial)
+
+
+def test_sparse_splitter_matches_dense_oracle_on_one_distinct_row_repeated():
+    matrix = CountMatrix.from_rows([{0: 1.0}, {1: 2.0}, {0: 3.0, 1: 1.0}], 2)
+    y = np.array([0, 1, 2])
+    # a root of one row drawn 5 times; a root whose split leaves each child one
+    # row repeated; and a child of one repeated row beside a mixed one
+    for boot in ([2] * 5, [0] * 4 + [1] * 3, [1] * 3 + [0, 2] * 2):
+        for seed in range(4):
+            assert_same_tree(matrix, y, np.array(boot), 2, seed)
+
+
 def test_sparse_splitter_matches_dense_oracle_on_smote_rows():
     # real-valued synthetic rows next to the integer counts they came from
     rng = np.random.default_rng(12)
