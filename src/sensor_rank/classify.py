@@ -197,8 +197,10 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
     Emits (percent/100)·|minority| rows: one pass over the sources per 100
     percent, each source paired with one of its k nearest neighbors (Euclidean
     distance over the counts, ties by index) at a uniform random point along
-    the segment. Counts stay real-valued; each row lists its nonzero columns in
-    ascending order.
+    the segment. The minority must hold integer counts, as count_ngrams gives,
+    and no row's sum of squares S may reach 2^53 or exceed 2^60 / |minority|;
+    other input is a ValueError. The synthetic counts are real-valued; each
+    row lists its nonzero columns in ascending order.
     """
     if percent < 0 or percent % 100 != 0:
         raise ValueError(f"percent must be a nonnegative multiple of 100, got {percent}")
@@ -213,13 +215,11 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
     # only the columns the minority uses, as distinct ascending nonzero cells
     used, local = np.unique(minority.indices, return_inverse=True)
     X = _columns(_columns(CountMatrix(minority.indptr, local, minority.data, len(used))))
-    sq = np.bincount(X.row_ids(), weights=X.data**2, minlength=n)
-    if (X.data == np.floor(X.data)).all() and sq.max(initial=0) <= 2**24:
-        # frequent columns go dense; the rest carry few products each
-        dense = np.bincount(X.indices, minlength=X.n_cols) > n / 100
-        neighbor_ids = _nearest_exact(X, k, dense)
-    else:
-        neighbor_ids = _nearest_float64(X, k)
+    if not (X.data == np.floor(X.data)).all():
+        raise ValueError("smote takes integer counts")
+    # frequent columns go dense; the rest carry few products each
+    dense = np.bincount(X.indices, minlength=X.n_cols) > n / 100
+    neighbor_ids = _nearest_exact(X, k, dense)
     rng = np.random.default_rng([seed, n, k])
     draws = [(rng.integers(k), rng.random()) for _ in range(reps * n)]
     picks, lam = (np.array(column) for column in zip(*draws))
@@ -252,26 +252,34 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
 def _nearest_exact(X: CountMatrix, k: int, dense: np.ndarray) -> np.ndarray:
     """Each row's k nearest other rows by (squared distance, index), shape (rows, k).
 
-    X lists distinct nonzero columns per row, its values are integers, and no
-    row's sum of squares exceeds 2^24. By Cauchy-Schwarz every partial sum of
-    a Gram entry is then an integer of at most 2^24 in magnitude, exact in
-    float32 in any order. The columns marked dense are multiplied in float32
-    BLAS a block of rows at a time; every other column adds its products into
-    the block's Gram directly. d2 = sq_i + sq_j - 2G is then the exact
-    integer distance.
+    X lists distinct nonzero columns per row and its values are integers. Let
+    S be the largest row sum of squares. By Cauchy-Schwarz every partial sum
+    of a Gram entry is an integer of at most S in magnitude, so it is exact in
+    float32 while S <= 2^24 and in float64 while S < 2^53 (S is itself a
+    float64 sum of integers, exact while it reads below 2^53). The columns
+    marked dense are multiplied as a block of that float type, a block of rows
+    at a time; every other column adds its products into the block's Gram
+    directly. d2 = sq_i + sq_j - 2G is then the exact integer distance, and
+    row i ranks j by the distinct key d2 * n + j, which fits int64 while
+    (4S + 1) * n does: S <= 2^60 / n. Larger S is a ValueError.
     """
     n = len(X)
     rows = X.row_ids()
     sq = np.bincount(rows, weights=X.data**2, minlength=n)
+    top, limit = sq.max(initial=0), min(2**53 - 1, 2**60 // n)
+    if not top <= limit:
+        raise ValueError(
+            f"a minority row's sum of squares is {top:.17g}; smote ranks {n} rows "
+            f"exactly only up to {limit}"
+        )
     by_column = _columns(X)
     on = dense[X.indices]
-    block = np.zeros((n, int(dense.sum())), dtype=np.float32)
+    block = np.zeros((n, int(dense.sum())), dtype=np.float32 if top <= 2**24 else np.float64)
     block[rows[on], (np.cumsum(dense) - 1)[X.indices[on]]] = X.data[on]
     rare_rows, rare_cols, rare_vals = rows[~on], X.indices[~on], X.data[~on].astype(np.int64)
     col_lo, col_len = by_column.indptr[:-1], np.diff(by_column.indptr)
     col_vals = by_column.data.astype(np.int64)
-    # row i ranks j by the distinct key d2 * n + j (below 2^26 * n, so it fits
-    # int64); sq_i * n is the same along the row and is left out
+    # sq_i * n is the same along row i and is left out of its keys
     base = sq.astype(np.int64) * n + np.arange(n)
     neighbor_ids = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, _SMOTE_BLOCK):
@@ -294,28 +302,6 @@ def _nearest_exact(X: CountMatrix, k: int, dense: np.ndarray) -> np.ndarray:
         near = np.argpartition(key, k - 1, axis=1)[:, :k]
         order = np.argsort(np.take_along_axis(key, near, axis=1), axis=1)
         neighbor_ids[lo:hi] = np.take_along_axis(near, order, axis=1)
-    return neighbor_ids
-
-
-def _nearest_float64(X: CountMatrix, k: int) -> np.ndarray:
-    """_nearest_exact for any real values: a dense float64 Gram, ties found by scanning."""
-    dense = X.toarray()
-    sq = np.einsum("ij,ij->i", dense, dense)
-    neighbor_ids = np.empty((len(dense), k), dtype=np.int64)
-    # a block of rows at a time: memory grows with the rows, not their square
-    for lo in range(0, len(dense), _SMOTE_BLOCK):
-        hi = min(lo + _SMOTE_BLOCK, len(dense))
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (dense[lo:hi] @ dense.T)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        # the k first by (distance, index): all below the k-th smallest
-        # distance, then the lowest-index ties at it
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-        near = d2 < kth
-        tie = d2 == kth
-        near |= tie & (np.cumsum(tie, axis=1) <= k - near.sum(axis=1, keepdims=True))
-        cols = np.nonzero(near)[1].reshape(-1, k)
-        order = np.argsort(np.take_along_axis(d2, cols, axis=1), axis=1, kind="stable")
-        neighbor_ids[lo:hi] = np.take_along_axis(cols, order, axis=1)
     return neighbor_ids
 
 
@@ -538,22 +524,26 @@ def save_model(
         "label_order": [label.value for label in LABEL_ORDER],
         "vocabulary": vocab.terms_in_id_order(),
     }
-    if isinstance(model, MnnbModel):
-        doc["params"] = {
-            "alpha": model.alpha,
-            "class_log_prior": model.class_log_prior.tolist(),
-            "term_log_prob": model.term_log_prob.tolist(),
-        }
-    elif isinstance(model, RfModel):
-        doc["params"] = {
-            "n_trees": model.n_trees,
-            "feature_subsample": model.feature_subsample,
-            "seed": model.seed,
-            "trees": [_tree_to_obj(t) for t in model.trees],
-        }
-    else:
-        raise TypeError(f"unsupported model type: {type(model).__name__}")
-    Path(path).write_text(dumps_json(doc) + "\n", encoding="utf-8")
+    try:
+        if isinstance(model, MnnbModel):
+            doc["params"] = {
+                "alpha": model.alpha,
+                "class_log_prior": model.class_log_prior.tolist(),
+                "term_log_prob": model.term_log_prob.tolist(),
+            }
+        elif isinstance(model, RfModel):
+            doc["params"] = {
+                "n_trees": model.n_trees,
+                "feature_subsample": model.feature_subsample,
+                "seed": model.seed,
+                "trees": [_tree_to_obj(t) for t in model.trees],
+            }
+        else:
+            raise TypeError(f"unsupported model type: {type(model).__name__}")
+        text = dumps_json(doc) + "\n"
+    except RecursionError:
+        raise ValueError(f"{path}: a tree is too deep to write") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:

@@ -19,7 +19,6 @@ __all__ = [
     "LABEL_ORDER",
     "class_ids",
     "require_all_classes",
-    "TweetRecord",
     "Corpus",
     "FollowerGraph",
     "load_corpus",
@@ -58,21 +57,6 @@ def require_all_classes(y: np.ndarray) -> None:
         raise ValueError(f"training data is missing class(es): {', '.join(missing)}")
 
 
-@dataclass(frozen=True)
-class TweetRecord:
-    """One post: identity, author, text, timestamp, optional label, author volume."""
-
-    id: str
-    user: str
-    text: str
-    created_at: str
-    label: Label | None = None
-    user_total_tweets: int | None = None
-
-    def __post_init__(self) -> None:
-        _check_record(self.id, self.user, self.created_at, self.user_total_tweets)
-
-
 @contextmanager
 def open_utf8(path: str | Path, encoding: str = "utf-8") -> Iterator[TextIO]:
     """open(path) for reading text; bytes that are not UTF-8 fail with a ValueError
@@ -101,26 +85,12 @@ def read_json(path: str | Path) -> object:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _check_record(rid: str, user: str, created_at: str, total: int | None) -> None:
-    """The checks every record passes, whether built as a TweetRecord or loaded."""
-    if not rid.strip():
-        raise ValueError("record id must be non-empty")
-    if not user.strip():
-        raise ValueError(f"record {rid}: user must be non-empty")
-    try:
-        datetime.fromisoformat(created_at.replace("Z", "+00:00"))
-    except (ValueError, AttributeError):
-        raise ValueError(f"record {rid}: created_at is not ISO 8601: {created_at!r}") from None
-    if total is not None and (type(total) is not int or not 0 <= total < 2**63):
-        raise ValueError(f"record {rid}: user_total_tweets must be an int64 >= 0, got {total!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """An ordered collection of records, held as columns: the strings ids, users,
     texts and created_at, and two int64 arrays with -1 for an absent value: y, the
-    label's position in LABEL_ORDER, and user_total_tweets. load_corpus,
-    from_records and synth.generate build one; records gives the rows."""
+    label's position in LABEL_ORDER, and user_total_tweets. load_corpus and
+    synth.generate build one."""
 
     ids: tuple[str, ...]
     users: tuple[str, ...]
@@ -129,31 +99,12 @@ class Corpus:
     y: np.ndarray
     user_total_tweets: np.ndarray
 
-    @classmethod
-    def from_records(cls, records: Iterable[TweetRecord]) -> "Corpus":
-        """Pack records into columns; a repeated id is rejected."""
-        rows: dict[str, tuple] = {}
-        for r in records:
-            if r.id in rows:
-                raise ValueError(f"duplicate record id: {r.id}")
-            total = -1 if r.user_total_tweets is None else r.user_total_tweets
-            rows[r.id] = (r.id, r.user, r.text, r.created_at, _CLASS_ID.get(r.label, -1), total)
-        return _pack(rows.values())
-
     def _rows(self) -> Iterator[tuple[str, str, str, str, int, int]]:
         columns = (self.ids, self.users, self.texts, self.created_at)
         return zip(*columns, self.y.tolist(), self.user_total_tweets.tolist())
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def records(self) -> tuple[TweetRecord, ...]:
-        """The rows as TweetRecords, built anew on each access."""
-        return tuple(
-            TweetRecord(i, u, t, c, None if y < 0 else LABEL_ORDER[y], None if n < 0 else n)
-            for i, u, t, c, y, n in self._rows()
-        )
 
     def labeled(self) -> "Corpus":
         """Sub-corpus of records carrying a label, original order preserved."""
@@ -240,7 +191,20 @@ def _row(obj: object, escaped: bool) -> tuple[str, str, str, str, int, int]:
         raise ValueError(f"unknown label {label!r}")
     record_id, user = str(obj["id"]), str(obj["user"])
     text, created_at, total = obj["text"], obj["created_at"], obj.get("user_total_tweets")
-    _check_record(record_id, user, created_at, total)
+    if not record_id.strip():
+        raise ValueError("record id must be non-empty")
+    if not user.strip():
+        raise ValueError(f"record {record_id}: user must be non-empty")
+    try:
+        datetime.fromisoformat(created_at.replace("Z", "+00:00"))
+    except ValueError:
+        raise ValueError(
+            f"record {record_id}: created_at is not ISO 8601: {created_at!r}"
+        ) from None
+    if total is not None and (type(total) is not int or not 0 <= total < 2**63):
+        raise ValueError(
+            f"record {record_id}: user_total_tweets must be an int64 >= 0, got {total!r}"
+        )
     for key, value in (("id", record_id), ("user", user), ("text", text)) if escaped else ():
         if lone := _SURROGATE.search(value):
             raise ValueError(f"field {key!r} holds a lone surrogate {lone.group()!r}")

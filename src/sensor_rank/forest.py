@@ -187,12 +187,13 @@ def predict_proba(model: RfModel, X: CountMatrix) -> np.ndarray:
     """Mean leaf distribution of every row, shape (rows, 3).
 
     All rows descend each tree together, split by split; a cell a row does not
-    list counts as 0. Every row adds its leaf distributions in tree order, and
-    the sum is then divided by the tree count.
+    list, or a feature at or past X's width, counts as 0. Every row adds its
+    leaf distributions in tree order, and the sum is then divided by the tree
+    count.
     """
     n = len(X)
-    width = max([X.n_cols] + [_max_feature(root) + 1 for root in model.trees])
-    columns = _columns(CountMatrix(X.indptr, X.indices, X.data, width))
+    # one extra, empty column stands for every feature at or past X's width
+    columns = _columns(CountMatrix(X.indptr, X.indices, X.data, X.n_cols + 1))
     value = np.zeros(n)  # all-zero scratch, one slot per row
     acc = np.zeros((n, 3))
     for root in model.trees:
@@ -202,15 +203,9 @@ def predict_proba(model: RfModel, X: CountMatrix) -> np.ndarray:
             if node.dist is not None:
                 acc[idx] += node.dist
             elif len(idx):
-                rows, vals = columns.row(node.feature)
+                rows, vals = columns.row(min(node.feature, X.n_cols))
                 value[rows] = vals
                 mask = value[idx] <= node.threshold
                 value[rows] = 0.0
                 stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
     return acc / len(model.trees)
-
-
-def _max_feature(node: TreeNode) -> int:
-    if node.dist is not None:
-        return -1
-    return max(node.feature, _max_feature(node.left), _max_feature(node.right))

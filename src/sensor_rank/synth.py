@@ -183,14 +183,6 @@ class SynthConfig:
                 raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
         if "seed" not in raw:
             raise ValueError(f"{path}: config must supply a seed")
-        if "planted_influencers" in raw:
-            raw["planted_influencers"] = tuple(
-                tuple(entry) for entry in raw["planted_influencers"]
-            )
-        if "class_vocabularies" in raw:
-            raw["class_vocabularies"] = tuple(
-                tuple(v) for v in raw["class_vocabularies"]
-            )
         return cls(**raw)
 
 

@@ -297,12 +297,6 @@ class CountMatrix:
             self.n_cols,
         )
 
-    def toarray(self) -> np.ndarray:
-        """Dense float64 copy, shape (rows, n_cols)."""
-        dense = np.zeros((len(self), self.n_cols))
-        dense[self.row_ids(), self.indices] = self.data
-        return dense
-
 
 def count_ngrams(
     texts: Iterable[str],

@@ -1,7 +1,9 @@
 """Independent numeric oracles for the tests.
 
 Written from scratch on purpose (pure-Python elimination, exact rationals),
-so the tests never validate the main code against itself.
+so the tests never validate the main code against itself. The builders
+here (TweetRecord rows, dense copies, deep hand-built trees) make test
+inputs without going through the code under test.
 """
 
 from __future__ import annotations
@@ -11,14 +13,16 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass
+from datetime import datetime
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from sensor_rank.classify import EvalReport
-from sensor_rank.corpus import LABEL_ORDER, FollowerGraph, Label, TweetRecord
-from sensor_rank.forest import TreeNode
+from sensor_rank.corpus import LABEL_ORDER, Corpus, FollowerGraph, Label
+from sensor_rank.forest import RfModel, TreeNode
 from sensor_rank.rank import RankingReport, RankRow, TransitionMatrix, UserStats
 from sensor_rank.text import (
     _EMOTICON_RE,
@@ -32,6 +36,72 @@ from sensor_rank.text import (
     Vocabulary,
     ngrams,
 )
+
+
+@dataclass(frozen=True)
+class TweetRecord:
+    """One post as a record: identity, author, text, timestamp, optional label
+    and author volume. Built unchecked; oracle_load_corpus checks its fields."""
+
+    id: str
+    user: str
+    text: str
+    created_at: str
+    label: Label | None = None
+    user_total_tweets: int | None = None
+
+
+def from_records(records) -> Corpus:
+    """The corpus of the given records, in order, packed into columns."""
+    records = list(records)
+    return Corpus(
+        tuple(r.id for r in records),
+        tuple(r.user for r in records),
+        tuple(r.text for r in records),
+        tuple(r.created_at for r in records),
+        np.array([-1 if r.label is None else LABEL_ORDER.index(r.label) for r in records],
+                 dtype=np.int64),
+        np.array([-1 if r.user_total_tweets is None else r.user_total_tweets for r in records],
+                 dtype=np.int64),
+    )
+
+
+def records_of(corpus: Corpus) -> tuple[TweetRecord, ...]:
+    """The rows of a corpus as TweetRecords, in corpus order."""
+    return tuple(
+        TweetRecord(i, u, t, c, None if y < 0 else LABEL_ORDER[y], None if n < 0 else n)
+        for i, u, t, c, y, n in zip(
+            corpus.ids, corpus.users, corpus.texts, corpus.created_at,
+            corpus.y.tolist(), corpus.user_total_tweets.tolist(),
+        )
+    )
+
+
+def toarray(matrix: CountMatrix) -> np.ndarray:
+    """A dense float64 copy of a count matrix, shape (rows, n_cols)."""
+    dense = np.zeros((len(matrix), matrix.n_cols))
+    dense[matrix.row_ids(), matrix.indices] = matrix.data
+    return dense
+
+
+def chain_forest(depth: int, width: int) -> RfModel:
+    """A one-tree forest whose tree is a chain of depth internal nodes.
+
+    Node d tests feature d % (width + 2), so two of every width + 2 levels test
+    a feature past a width-column matrix, which reads 0. A row leaves to the
+    left at node d when its value is at most d / 100, or d / 100 - 12 for a
+    feature past the width: rows pass those until level 1200. Leaf d holds
+    [1, d, 1] / (d + 2), and the chain ends in the leaf [0, 1, 0].
+    """
+    root = node = TreeNode()
+    for d in range(depth):
+        node.feature = d % (width + 2)
+        node.threshold = d / 100 - (12 if node.feature >= width else 0)
+        node.left = TreeNode(dist=np.array([1.0, d, 1.0]) / (d + 2))
+        node.right = TreeNode()
+        node = node.right
+    node.dist = np.array([0.0, 1.0, 0.0])
+    return RfModel((root,), n_trees=1, feature_subsample=1, seed=0)
 
 
 def oracle_transition(candidates: UserStats, graph: FollowerGraph) -> TransitionMatrix:
@@ -399,6 +469,23 @@ _CORPUS_TYPE_NAMES = {str: "a string", int: "an integer"}
 _LABEL_BY_VALUE = {label.value: label for label in Label}
 
 
+def _record_problem(r: TweetRecord) -> str | None:
+    """Why a record is invalid, or None: an empty id or user, a created_at that
+    is not ISO 8601, or a user_total_tweets outside int64 >= 0."""
+    if not r.id.strip():
+        return "record id must be non-empty"
+    if not r.user.strip():
+        return f"record {r.id}: user must be non-empty"
+    try:
+        datetime.fromisoformat(r.created_at.replace("Z", "+00:00"))
+    except ValueError:
+        return f"record {r.id}: created_at is not ISO 8601: {r.created_at!r}"
+    total = r.user_total_tweets
+    if total is not None and (type(total) is not int or not 0 <= total <= 2**63 - 1):
+        return f"record {r.id}: user_total_tweets must be an int64 >= 0, got {total!r}"
+    return None
+
+
 def oracle_load_corpus(path) -> dict[str, list]:
     """A corpus file read one json.loads and one TweetRecord per line.
 
@@ -442,17 +529,17 @@ def oracle_load_corpus(path) -> dict[str, list]:
                 if not isinstance(obj["label"], str) or obj["label"] not in _LABEL_BY_VALUE:
                     raise ValueError(f"{path}: line {lineno}: unknown label {obj['label']!r}")
                 label = _LABEL_BY_VALUE[obj["label"]]
-            try:
-                record = TweetRecord(
-                    id=str(obj["id"]),
-                    user=str(obj["user"]),
-                    text=obj["text"],
-                    created_at=obj["created_at"],
-                    label=label,
-                    user_total_tweets=obj.get("user_total_tweets"),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            record = TweetRecord(
+                id=str(obj["id"]),
+                user=str(obj["user"]),
+                text=obj["text"],
+                created_at=obj["created_at"],
+                label=label,
+                user_total_tweets=obj.get("user_total_tweets"),
+            )
+            problem = _record_problem(record)
+            if problem:
+                raise ValueError(f"{path}: line {lineno}: {problem}")
             for key in ("id", "user", "text"):
                 lone = re.search(r"[\ud800-\udfff]", getattr(record, key))
                 if lone:

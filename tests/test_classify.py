@@ -21,11 +21,19 @@ from sensor_rank.classify import (
     subsample_spread,
     train_mnnb,
 )
-from sensor_rank.corpus import LABEL_ORDER, Corpus, Label, TweetRecord, class_ids
+from sensor_rank.corpus import LABEL_ORDER, Label, class_ids
 from sensor_rank.forest import train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
-from oracles import oracle_dumps_json, oracle_evaluate, oracle_nb_posterior, oracle_smote
+from oracles import (
+    TweetRecord,
+    chain_forest,
+    from_records,
+    oracle_dumps_json,
+    oracle_evaluate,
+    oracle_nb_posterior,
+    oracle_smote,
+)
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -115,7 +123,7 @@ def test_dataset_from_corpus_skips_unlabeled():
         TweetRecord(id="t3", user="b", text="bom dia", created_at="2016-09-01T00:00:00Z",
                     label=Z),
     )
-    corpus = Corpus.from_records(records)
+    corpus = from_records(records)
     vocab = make_vocab(0)
     vocab.term_to_id.update({"zika": 0, "bom": 1, "dia": 2})
     data = dataset_from_corpus(corpus, vocab=vocab)
@@ -329,9 +337,13 @@ def test_exact_neighbors_do_not_depend_on_the_dense_sparse_split():
     every = np.ones(X.n_cols, dtype=bool)
     split = rng.random(X.n_cols) < 0.5
     assert split.any() and not split.all()
-    ids = [classify._nearest_exact(X, k, dense) for dense in (every, ~every, split)]
-    assert np.array_equal(ids[0], ids[1]) and np.array_equal(ids[0], ids[2])
-    assert np.array_equal(ids[0], classify._nearest_float64(X, k))
+    want = []
+    for i, row in enumerate(rows):
+        d2 = [sum((row.get(c, 0) - other.get(c, 0)) ** 2 for c in {*row, *other})
+              for other in rows]
+        want.append([j for _, j in sorted((d, j) for j, d in enumerate(d2) if j != i)[:k]])
+    for dense in (every, ~every, split):
+        assert classify._nearest_exact(X, k, dense).tolist() == want
 
 
 def test_smote_many_identical_rows_pick_the_lowest_indices():
@@ -347,24 +359,72 @@ def test_smote_many_identical_rows_pick_the_lowest_indices():
 
 
 @pytest.mark.parametrize("case", ["real values", "sum of squares above 2^24"])
-def test_smote_falls_back_to_float64_beyond_the_exact_range(monkeypatch, case):
+def test_smote_falls_back_to_float64_beyond_the_exact_range(case):
     rng = np.random.default_rng(18)
     rows = [{int(c): float(rng.integers(1, 4)) for c in rng.choice(6, size=3, replace=False)}
             for _ in range(30)]
     if case == "real values":
         rows[7][1] = 1.5
-    else:
-        rows[7] = {0: 4097.0}  # 4097^2 > 2^24
-    # the exact search is not used; the float64 one still gives exact ids here
-    monkeypatch.setattr(classify, "_nearest_exact", None)
+        with pytest.raises(ValueError, match="integer counts"):
+            smote(matrix(rows, 6), 200, 3, 5)
+        return
+    rows[7] = {0: 4097.0}  # 4097^2 > 2^24: the dense block is float64
     got = rows_of(smote(matrix(rows, 6), 200, 3, 5))
     assert got == oracle_smote(rows, 6, 200, 3, 5)
 
 
-def test_smote_uses_the_exact_search_up_to_2_to_the_24(monkeypatch):
-    rows = [{0: 4096.0}] + [{0: float(i), 1: 1.0} for i in range(8)]  # 4096^2 == 2^24
-    monkeypatch.setattr(classify, "_nearest_float64", None)
-    assert rows_of(smote(matrix(rows), 100, 3, 2)) == oracle_smote(rows, 2, 100, 3, 2)
+def test_smote_uses_the_exact_search_up_to_2_to_the_24():
+    # 4096^2 == 2^24 keeps the float32 block; one more unit of S takes float64
+    for extra in ({}, {1: 1.0}):
+        rows = [{0: 4096.0, **extra}] + [{0: float(i), 1: 1.0} for i in range(8)]
+        assert rows_of(smote(matrix(rows, 2), 100, 3, 2)) == oracle_smote(rows, 2, 100, 3, 2)
+    # past 2^24, products such as 4097 * 4099 are odd integers float32 cannot
+    # hold; row 0 ties rows 1 and 2 at d2 = 4 and must take row 1 first
+    rows = [{0: 4097.0}, {0: 4097.0, 1: 2.0}, {0: 4099.0}]
+    rows += [{0: float(i), 1: 1.0} for i in range(8)]
+    X = matrix(rows, 2)
+    assert classify._nearest_exact(X, 2, np.ones(2, dtype=bool))[0].tolist() == [1, 2]
+    assert rows_of(smote(X, 300, 2, 2)) == oracle_smote(rows, 2, 300, 2, 2)
+
+
+def test_smote_refuses_sums_of_squares_beyond_exact_keys():
+    rows = [{0: float(i), 1: 1.0} for i in range(8)]
+    # S = 2 * (2^26)^2 == 2^53 is past float64's exact integers
+    wide = [{0: 2.0**26, 1: 2.0**26}] + rows
+    with pytest.raises(ValueError, match="sum of squares"):
+        smote(matrix(wide, 2), 100, 3, 2)
+    below = [{0: 2.0**26, 1: 2.0**26 - 1}] + rows
+    assert rows_of(smote(matrix(below, 2), 100, 3, 2)) == oracle_smote(below, 2, 100, 3, 2)
+    # below 2^53, but S = 2^52 + 1 > 2^60 // 257 rows: d2 * n + j may not fit int64
+    many = [{0: 2.0**26, 1: 1.0}] + rows * 32
+    assert len(many) > 256 and 2**52 + 1 > 2**60 // len(many)
+    with pytest.raises(ValueError, match="sum of squares"):
+        smote(matrix(many, 2), 100, 3, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_smote_refuses_non_finite_counts(bad):
+    rows = [{0: float(i), 1: 1.0} for i in range(8)]
+    rows[3][1] = bad
+    with pytest.raises(ValueError, match="integer counts|sum of squares"):
+        smote(matrix(rows, 2), 100, 3, 2)
+
+
+def test_smote_memory_follows_nonzeros_past_2_to_the_24():
+    # one long row pushes S past 2^24; every column is rare, so no dense
+    # rows x rows or rows x columns array is needed
+    n = 2000
+    rows = [{1 + i: 1.0} for i in range(n)] + [{0: 4097.0}]
+    minority = matrix(rows)
+    tracemalloc.start()
+    try:
+        got = smote(minority, 100, 5, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense float64 copy of the minority alone takes 2001 x 2001 x 8 = 32 MB
+    assert peak < 24_000_000
+    assert len(got) == n + 1
 
 
 def test_smote_identical_sources_reproduce_themselves():
@@ -672,6 +732,14 @@ def test_model_roundtrip_rf(tmp_path):
     assert loaded.n_trees == 4
     for query in rows_of(data.matrix):
         assert np.array_equal(predict(loaded, query), predict(model, query))
+
+
+def test_save_model_refuses_a_tree_too_deep_to_write(tmp_path):
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="too deep") as exc:
+        save_model(chain_forest(1500, 5), make_vocab(5), "h", path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert not path.exists()
 
 
 def test_load_model_rejects_foreign_files(tmp_path):

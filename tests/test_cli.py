@@ -7,10 +7,13 @@ from pathlib import Path
 import pytest
 
 import sensor_rank
+from sensor_rank import cli
 from sensor_rank.classify import load_model
 from sensor_rank.cli import main
 from sensor_rank.corpus import load_corpus
 from sensor_rank.keywords import SEED_KEYWORDS
+
+from oracles import chain_forest, records_of
 
 SYNTH = {
     "seed": 11,
@@ -58,7 +61,7 @@ def test_synth_outputs(pipeline, capsys):
     assert pipeline["graph"].exists()
     corpus = load_corpus(pipeline["corpus"])
     assert len(corpus) > 500
-    assert all(r.label is not None for r in corpus.records)
+    assert all(r.label is not None for r in records_of(corpus))
 
 
 def test_synth_seed_flag_overrides_config(pipeline, tmp_path, capsys):
@@ -114,8 +117,8 @@ def test_classify_labels_everything(pipeline, capsys):
     classified = load_corpus(pipeline["classified"])
     original = load_corpus(pipeline["corpus"])
     assert len(classified) == len(original)
-    assert all(r.label is not None for r in classified.records)
-    assert [r.id for r in classified.records] == [r.id for r in original.records]
+    assert all(r.label is not None for r in records_of(classified))
+    assert [r.id for r in records_of(classified)] == [r.id for r in records_of(original)]
 
 
 def test_classify_stdout_tally(pipeline, tmp_path, capsys):
@@ -125,7 +128,7 @@ def test_classify_stdout_tally(pipeline, tmp_path, capsys):
     stdout = capsys.readouterr().out.strip()
     corpus = load_corpus(out / "classified.jsonl")
     tally = {"relevant": 0, "news": 0, "noise": 0}
-    for record in corpus.records:
+    for record in records_of(corpus):
         tally[record.label.value.lower()] += 1
     want = (
         f"classified {len(corpus)} records: "
@@ -600,6 +603,18 @@ def test_classify_rejects_malformed_model(pipeline, tmp_path, capsys, edit):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_train_reports_a_tree_too_deep_to_write(pipeline, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train_model", lambda *args: chain_forest(1500, 5))
+    model = tmp_path / "m.json"
+    code = main(["train", "--corpus", str(pipeline["corpus"]), "--model", str(model),
+                 *TRAIN_FLAGS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: a tree is too deep to write")
+    assert "Traceback" not in err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("reader", ["model", "corpus", "config", "synth config"])

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from sensor_rank import classify, corpus as corpus_module, rank
 from sensor_rank.corpus import (
     LABEL_ORDER,
-    Corpus,
     FollowerGraph,
     Label,
-    TweetRecord,
     load_corpus,
     load_exclusions,
     load_follower_graph,
@@ -20,7 +18,7 @@ from sensor_rank.corpus import (
     write_follower_graph,
 )
 
-from oracles import oracle_load_corpus
+from oracles import TweetRecord, from_records, oracle_load_corpus, records_of
 
 
 def record(i, user="u1", text="zika chegou", label=None, total=None):
@@ -38,28 +36,36 @@ def write_jsonl(path, rows):
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
 
 
-def test_record_validation():
-    with pytest.raises(ValueError, match="id"):
-        TweetRecord(id="", user="u", text="x", created_at="2016-09-01T00:00:00Z")
-    with pytest.raises(ValueError, match="user"):
-        TweetRecord(id="t", user=" ", text="x", created_at="2016-09-01T00:00:00Z")
-    with pytest.raises(ValueError, match="created_at"):
-        TweetRecord(id="t", user="u", text="x", created_at="yesterday")
-    with pytest.raises(ValueError, match="user_total_tweets"):
-        TweetRecord(id="t", user="u", text="x", created_at="2016-09-01T00:00:00Z",
-                    user_total_tweets=-1)
+def test_record_validation(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(path, [{"id": "", "user": "u", "text": "x", "created_at": "2016-09-01T00:00:00Z"}])
+    with pytest.raises(ValueError, match="line 1: record id"):
+        load_corpus(path)
+    write_jsonl(path, [{"id": "t", "user": " ", "text": "x", "created_at": "2016-09-01T00:00:00Z"}])
+    with pytest.raises(ValueError, match="line 1: record t: user"):
+        load_corpus(path)
+    write_jsonl(path, [{"id": "t", "user": "u", "text": "x", "created_at": "yesterday"}])
+    with pytest.raises(ValueError, match="line 1: record t: created_at"):
+        load_corpus(path)
+    write_jsonl(path, [{"id": "t", "user": "u", "text": "x", "created_at": "2016-09-01T00:00:00Z",
+                        "user_total_tweets": -1}])
+    with pytest.raises(ValueError, match="line 1: record t: user_total_tweets"):
+        load_corpus(path)
 
 
-def test_corpus_rejects_duplicate_ids():
-    with pytest.raises(ValueError, match="duplicate"):
-        Corpus.from_records((record(1), record(1)))
+def test_corpus_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(from_records((record(1),)), path)
+    path.write_text(path.read_text(encoding="utf-8") * 2, encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: duplicate record id"):
+        load_corpus(path)
 
 
 def test_corpus_labeled_and_users():
-    c = Corpus.from_records(
+    c = from_records(
         (record(1, user="b"), record(2, user="a", label=Label.NEWS), record(3, user="a"))
     )
-    assert [r.id for r in c.labeled().records] == ["t2"]
+    assert [r.id for r in records_of(c.labeled())] == ["t2"]
 
 
 def test_load_corpus_roundtrip(tmp_path):
@@ -71,15 +77,15 @@ def test_load_corpus_roundtrip(tmp_path):
     ]
     write_jsonl(path, rows)
     corpus = load_corpus(path)
-    assert len(corpus.records) == 2
-    assert corpus.records[0].label is Label.RELEVANT
-    assert corpus.records[0].user_total_tweets == 140
-    assert corpus.records[1].label is None
+    assert len(records_of(corpus)) == 2
+    assert records_of(corpus)[0].label is Label.RELEVANT
+    assert records_of(corpus)[0].user_total_tweets == 140
+    assert records_of(corpus)[1].label is None
 
     out = tmp_path / "copy.jsonl"
     write_corpus(corpus, out)
     again = load_corpus(out)
-    assert again.records == corpus.records
+    assert records_of(again) == records_of(corpus)
 
 
 def test_load_corpus_reports_line_numbers(tmp_path):
@@ -132,7 +138,7 @@ def test_load_corpus_reports_line_numbers(tmp_path):
         with pytest.raises(ValueError, match=f"line 2: field '{key}' must be "):
             load_corpus(path)
     write_jsonl(path, [{**good, "id": 7, "user": 42}])
-    assert [(r.id, r.user) for r in load_corpus(path).records] == [("7", "42")]
+    assert [(r.id, r.user) for r in records_of(load_corpus(path))] == [("7", "42")]
 
 
 def test_load_corpus_skips_blank_lines(tmp_path):
@@ -141,7 +147,7 @@ def test_load_corpus_skips_blank_lines(tmp_path):
         '\n{"id": "t1", "user": "a", "text": "x", "created_at": "2016-09-01T00:00:00Z"}\n\n',
         encoding="utf-8",
     )
-    assert len(load_corpus(path).records) == 1
+    assert len(records_of(load_corpus(path))) == 1
 
 
 def test_load_corpus_builds_columns(tmp_path):
@@ -160,7 +166,7 @@ def test_load_corpus_builds_columns(tmp_path):
     assert corpus.y.dtype == corpus.user_total_tweets.dtype == np.int64
     assert corpus.y.tolist() == [1, -1]
     assert corpus.user_total_tweets.tolist() == [9, -1]
-    assert Corpus.from_records(corpus.records).records == corpus.records
+    assert records_of(from_records(records_of(corpus))) == records_of(corpus)
 
 
 def test_load_corpus_rejects_lone_surrogates(tmp_path):
@@ -175,10 +181,14 @@ def test_load_corpus_rejects_lone_surrogates(tmp_path):
     assert load_corpus(path).texts == ("zika \U0001f99f",)
 
 
-def test_corpus_rejects_totals_beyond_int64():
-    with pytest.raises(ValueError, match="user_total_tweets"):
-        record(1, total=2**63)
-    record(1, total=2**63 - 1)
+def test_corpus_rejects_totals_beyond_int64(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    line = {"id": "t1", "user": "u1", "text": "x", "created_at": "2016-09-01T12:00:00Z"}
+    write_jsonl(path, [{**line, "user_total_tweets": 2**63}])
+    with pytest.raises(ValueError, match="line 1: record t1: user_total_tweets"):
+        load_corpus(path)
+    write_jsonl(path, [{**line, "user_total_tweets": 2**63 - 1}])
+    assert load_corpus(path).user_total_tweets.tolist() == [2**63 - 1]
 
 
 def test_traced_layer_names_stay_public_functions(tmp_path):
@@ -191,7 +201,7 @@ def test_traced_layer_names_stay_public_functions(tmp_path):
         assert name in module.__all__
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__
     path = tmp_path / "corpus.jsonl"
-    write_corpus(Corpus.from_records([record(i) for i in range(3)]), path)
+    write_corpus(from_records([record(i) for i in range(3)]), path)
     assert len(load_corpus(path)) == 3
 
 
@@ -300,7 +310,7 @@ _written_record = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_written_record, max_size=6, unique_by=lambda r: r.id))
 def test_write_corpus_lines_equal_json_dumps(tmp_path_factory, records):
-    corpus = Corpus.from_records(records)
+    corpus = from_records(records)
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     write_corpus(corpus, path)
     want = []
@@ -312,7 +322,7 @@ def test_write_corpus_lines_equal_json_dumps(tmp_path_factory, records):
             obj["user_total_tweets"] = r.user_total_tweets
         want.append(json.dumps(obj, ensure_ascii=False) + "\n")
     assert path.read_bytes() == "".join(want).encode("utf-8")
-    assert load_corpus(path).records == corpus.records
+    assert records_of(load_corpus(path)) == records_of(corpus)
 
 
 def test_follower_graph_rejects_self_follow():

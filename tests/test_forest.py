@@ -10,7 +10,7 @@ from sensor_rank.corpus import LABEL_ORDER, Label, class_ids
 from sensor_rank.forest import RfModel, TreeNode, _columns, _grow_tree, predict_proba, train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
-from oracles import oracle_forest_proba, oracle_grow_tree
+from oracles import chain_forest, oracle_forest_proba, oracle_grow_tree, toarray
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -163,7 +163,7 @@ def tree_tuple(node):
 def assert_same_tree(matrix, y, boot, m, seed):
     """The sparse grower and the dense oracle build the identical tree from one seed."""
     sparse = _grow_tree(_columns(matrix), y, boot, m, np.random.default_rng(seed))
-    dense = oracle_grow_tree(matrix.toarray(), y, boot, m, np.random.default_rng(seed))
+    dense = oracle_grow_tree(toarray(matrix), y, boot, m, np.random.default_rng(seed))
     assert tree_tuple(sparse) == tree_tuple(dense)
 
 
@@ -297,3 +297,21 @@ def test_predict_proba_matches_per_row_walk():
     )
     for X in (data.matrix, queries, repeated):
         assert np.array_equal(predict_proba(model, X), oracle_forest_proba(model, X))
+
+
+def test_predict_many_routes_a_1500_level_chain():
+    # deeper than the interpreter's recursion limit; features past the
+    # matrix's 5 columns read 0
+    model = chain_forest(1500, 5)
+    rng = np.random.default_rng(21)
+    rows = [
+        {int(c): float(rng.integers(1, 20)) for c in rng.choice(5, size=rng.integers(0, 6),
+                                                                replace=False)}
+        for _ in range(60)
+    ]
+    X = CountMatrix.from_rows(rows + [{c: 19.0 for c in range(5)}], 5)
+    got = predict_many(model, X)
+    assert np.array_equal(got, oracle_forest_proba(model, X))
+    # the last row passes every test on its own columns and leaves at the
+    # first past-width feature from level 1200 on: level 1202
+    assert got[-1].tolist() == (np.array([1.0, 1202.0, 1.0]) / 1204).tolist()

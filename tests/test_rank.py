@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sensor_rank import rank
-from sensor_rank.corpus import Corpus, FollowerGraph, Label, TweetRecord
+from sensor_rank.corpus import FollowerGraph, Label
 from sensor_rank.rank import (
     REPORT_METRICS,
     RankConfig,
@@ -26,7 +26,13 @@ from sensor_rank.rank import (
     write_report,
 )
 
-from oracles import oracle_linear_solve, oracle_ranking_report, oracle_transition
+from oracles import (
+    TweetRecord,
+    from_records,
+    oracle_linear_solve,
+    oracle_ranking_report,
+    oracle_transition,
+)
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -43,7 +49,7 @@ def record(i, user, total=None):
 
 def classified(pairs):
     """The corpus of (record, label) pairs, each record carrying its label."""
-    return Corpus.from_records(replace(rec, label=label) for rec, label in pairs)
+    return from_records(replace(rec, label=label) for rec, label in pairs)
 
 
 def table(*rows):

@@ -17,7 +17,7 @@ from sensor_rank.rank import (
 )
 from sensor_rank.synth import SynthConfig, generate
 
-from oracles import oracle_linear_solve, oracle_nb_posterior
+from oracles import oracle_linear_solve, oracle_nb_posterior, records_of
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -83,7 +83,7 @@ def test_generate_is_deterministic(tmp_path):
     config = small_config()
     corpus1, graph1, gold1 = generate(config)
     corpus2, graph2, gold2 = generate(config)
-    assert corpus1.records == corpus2.records
+    assert records_of(corpus1) == records_of(corpus2)
     assert graph1 == graph2
     assert gold1 == gold2
 
@@ -100,7 +100,7 @@ def test_generate_is_deterministic(tmp_path):
 def test_generate_varies_with_seed():
     corpus1, _, _ = generate(small_config(seed=11))
     corpus2, _, _ = generate(small_config(seed=12))
-    assert corpus1.records != corpus2.records
+    assert records_of(corpus1) != records_of(corpus2)
 
 
 def test_generate_reproduces_activity_histogram():
@@ -134,12 +134,12 @@ def test_generate_reproduces_activity_histogram():
 def test_generate_class_mix_and_labels():
     config = small_config()
     corpus, _, gold = generate(config)
-    assert set(gold) == {rec.id for rec in corpus.records}
+    assert set(gold) == {rec.id for rec in records_of(corpus)}
     counts = {R: 0, N: 0, Z: 0}
-    for rec in corpus.records:
+    for rec in records_of(corpus):
         assert gold[rec.id] is rec.label
         counts[rec.label] += 1
-    n = len(corpus.records)
+    n = len(records_of(corpus))
     for share, label in zip(config.class_mix, (R, N, Z)):
         assert abs(counts[label] / n - share) < 0.05
 
@@ -147,8 +147,8 @@ def test_generate_class_mix_and_labels():
 def test_generate_relevant_budget_matches_mix():
     config = small_config()
     corpus, _, gold = generate(config)
-    n_rel = sum(1 for rec in corpus.records if rec.label is R)
-    assert len(corpus.records) == round(n_rel / config.class_mix[0])
+    n_rel = sum(1 for rec in records_of(corpus) if rec.label is R)
+    assert len(records_of(corpus)) == round(n_rel / config.class_mix[0])
 
 
 def test_generated_text_uses_class_vocabulary():
@@ -158,7 +158,7 @@ def test_generated_text_uses_class_vocabulary():
         label: set(terms)
         for label, terms in zip((R, N, Z), config.class_vocabularies)
     }
-    for rec in corpus.records[:500]:
+    for rec in records_of(corpus)[:500]:
         words = set(rec.text.split())
         assert words <= vocab_of[rec.label]
 
@@ -172,7 +172,7 @@ def test_generate_noise_rate_mixes_foreign_terms():
         label: set(terms)
         for label, terms in zip((R, N, Z), config.class_vocabularies)
     }
-    for rec in corpus.records:
+    for rec in records_of(corpus):
         checked += len(rec.text.split())
         foreign += sum(1 for w in rec.text.split() if w not in vocab_of[rec.label])
     assert 0.3 < foreign / checked < 0.5
@@ -209,7 +209,7 @@ def test_candidate_population_is_exact():
 
 def test_generate_timestamps_are_valid_and_increasing():
     corpus, _, _ = generate(small_config())
-    times = [rec.created_at for rec in corpus.records]
+    times = [rec.created_at for rec in records_of(corpus)]
     assert all(t.endswith("Z") for t in times)
     assert times == sorted(times)
     assert len(set(times)) == len(times)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_count_ngrams, oracle_fold_accents
+from oracles import oracle_count_ngrams, oracle_fold_accents, toarray
 from sensor_rank import text as text_module
 from sensor_rank.text import (
     DROP,
@@ -296,7 +296,7 @@ def test_count_matrix_toarray_matches_dict_densification(case):
     for i, row in enumerate(rows):
         for t, c in row.items():
             dense[i, t] = c
-    assert np.array_equal(CountMatrix.from_rows(rows, n_cols).toarray(), dense)
+    assert np.array_equal(toarray(CountMatrix.from_rows(rows, n_cols)), dense)
 
 
 def test_count_matrix_rejects_out_of_range_columns():
