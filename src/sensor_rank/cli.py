@@ -202,6 +202,11 @@ def _fmt4(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _tally(counts) -> str:
+    """Per-class counts in LABEL_ORDER, as "relevant=3 news=1 noise=0"."""
+    return " ".join(f"{label.value.lower()}={n}" for label, n in zip(LABEL_ORDER, counts))
+
+
 def _labeled_corpus(settings: Settings) -> Corpus:
     corpus = load_corpus(settings.require("corpus")).labeled()
     if len(corpus) == 0:
@@ -241,6 +246,10 @@ def cmd_train(settings: Settings) -> int:
     seed = settings.require("seed")
     data = dataset_from_corpus(corpus, table, settings.get("ngrams", 3))
     train = rebalance(data, tcfg, [seed])
+    log.info(
+        "train: %d terms; classes %s before rebalance, %s after",
+        len(data.vocab), _tally(data.class_counts()), _tally(train.class_counts()),
+    )
     model = train_model(train, tcfg, seed)
     save_model(model, data.vocab, table.table_hash(), model_path)
     log.info(
@@ -305,11 +314,13 @@ def cmd_classify(settings: Settings) -> int:
     _, counts = count_ngrams(corpus.texts, table, vocab=vocab)
     predicted = predict_many(model, counts).argmax(axis=1)
     write_corpus(dataclasses.replace(corpus, y=predicted), out / "classified.jsonl")
-    tally = np.bincount(predicted, minlength=len(LABEL_ORDER))
-    print(
-        f"classified {len(corpus)} records: "
-        + " ".join(f"{label.value.lower()}={n}" for label, n in zip(LABEL_ORDER, tally))
+    tally = _tally(np.bincount(predicted, minlength=len(LABEL_ORDER)))
+    no_term = int(np.count_nonzero(np.diff(counts.indptr) == 0))
+    log.info(
+        "classify: %s; %d of %d records (%.1f%%) hold no in-vocabulary term",
+        tally, no_term, len(corpus), 100 * no_term / max(len(corpus), 1),
     )
+    print(f"classified {len(corpus)} records: {tally}")
     return 0
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .corpus import Corpus
-from .text import ReplacementTable, count_ngrams, tfidf_rank
+from .text import ReplacementTable, _canonical_token, count_ngrams, tfidf_rank
 
 __all__ = [
     "SEED_KEYWORDS",
@@ -54,11 +54,12 @@ def expansion_candidates(
     """The corpus's top_n unigrams by TF-IDF, with their scores, seeds excluded.
 
     The corpus is expected to be a harvest made with the seed terms. Seeds and
-    stopwords never enter; terms come in descending score order.
+    stopwords, canonicalized like tokens, never enter; terms come in
+    descending score order.
     """
     if top_n < 0:
         raise ValueError(f"top_n must be >= 0, got {top_n}")
-    blocked = {str(s) for s in seed}
+    blocked = {_canonical_token(str(s)) for s in seed}
     vocab, counts = count_ngrams(corpus.texts, table, n_max=1)
     return [pair for pair in tfidf_rank(counts, vocab, stopwords) if pair[0] not in blocked][:top_n]
 

@@ -6,6 +6,7 @@ import array
 import csv
 import hashlib
 import itertools
+import logging
 import math
 import re
 import unicodedata
@@ -16,6 +17,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import open_utf8
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "DROP",
@@ -36,6 +39,10 @@ DROP = "<DROP>"
 # Tokens are maximal ASCII alphanumeric runs of the lowercased, accent-folded text.
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _VALID_TOKEN_RE = re.compile(r"^[a-z0-9]+$")
+# Tokens and the line breaks between chunks in `_Chunks`; a line break maps
+# to the id _LINE_END.
+_LINE_TOKEN_RE = re.compile(_TOKEN_RE.pattern + "|\n")
+_LINE_END = -2
 
 # Image links are recognized before generic URLs so they map to their own class.
 _IMAGE_RE = re.compile(
@@ -60,9 +67,10 @@ _DEFAULT_LINGO = {
 }
 
 
-# Rows counted per numpy pass in count_ngrams. Its temporary arrays and
-# strings follow this, not the corpus; 1,024 counts as fast as 4,096 and
-# leaves a smaller heap behind for the training that follows.
+# Rows counted per pass in count_ngrams: the block's unseen chunks are
+# normalized as one string and its n-grams counted in one numpy pass. Its
+# temporary arrays and strings follow this, not the corpus; 1,024 counts as
+# fast as 4,096 and leaves a smaller heap behind for the training that follows.
 _NGRAM_BLOCK = 1024
 
 
@@ -155,7 +163,7 @@ def _resolve_chains(mapping: dict[str, str]) -> dict[str, str]:
 
 
 class _Tokenizer(dict):
-    """`normalize` for one replacement table, with per-call token ids.
+    """Per-call token ids for one replacement table.
 
     Maps each raw token (an alphanumeric run of the cleaned text) to the id
     of the token it becomes, or -1 when the table drops it, so the digit,
@@ -178,19 +186,66 @@ class _Tokenizer(dict):
         self[raw] = tid
         return tid
 
-    def raw_tokens(self, text: str) -> list[str]:
-        """Alphanumeric runs of the case- and accent-folded text, links and emoticons replaced."""
-        s = fold_accents(text.lower())
+
+class _Chunks(dict):
+    """Per-call token ids of whitespace-delimited chunks (`str.split()` pieces).
+
+    Maps each chunk to its id, in first-appearance order; the kept token ids
+    of chunk c are `flat[ptr[c]:ptr[c + 1]]`. Tweets reuse words, so most
+    chunks cost one dict lookup. A block's unseen chunks are cleaned together
+    as one string, one chunk per line. That is exact because a chunk holds no
+    whitespace, and no cleaning pass matches across whitespace, removes any
+    or makes a line break, so each line of the cleaned string is exactly one
+    chunk's.
+    """
+
+    def __init__(self, table: ReplacementTable):
+        super().__init__()
+        self.tokenizer = _Tokenizer(table)
+        self.tokenizer["\n"] = _LINE_END
+        self.ptr = array.array("q", [0])
+        self.flat = array.array("q")
+        self.unseen: list[str] = []
+        self.occurrences = 0
+
+    def __missing__(self, chunk: str) -> int:
+        cid = self[chunk] = len(self)
+        self.unseen.append(chunk)
+        return cid
+
+    def tokens(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(kept token ids, row of each) for the texts, in text order."""
+        split = [text.split() for text in texts]
+        chunks = list(itertools.chain.from_iterable(split))
+        self.occurrences += len(chunks)
+        ids = np.fromiter(map(self.__getitem__, chunks), dtype=np.int64, count=len(chunks))
+        if self.unseen:
+            self._add()
+        ptr, flat = np.frombuffer(self.ptr, dtype=np.int64), np.frombuffer(self.flat, dtype=np.int64)
+        start = ptr[ids]
+        lengths = ptr[ids + 1] - start
+        # position of each chunk's first token in the block's token array
+        offsets = np.cumsum(lengths) - lengths
+        tok = flat[np.repeat(start - offsets, lengths) + np.arange(lengths.sum())]
+        row = np.repeat(np.arange(len(texts)), list(map(len, split)))
+        return tok, np.repeat(row, lengths)
+
+    def _add(self) -> None:
+        """Append the kept token ids of the unseen chunks, which come in id order."""
+        unseen, self.unseen = self.unseen, []
+        s = fold_accents("\n".join(unseen).lower())
         # each pass runs only on text holding a substring every match contains
         if "http" in s or "pic.twitter.com/" in s:
             s = _IMAGE_RE.sub(" image ", s)
         if "http" in s or "www." in s:
             s = _URL_RE.sub(" url ", s)
-        return _TOKEN_RE.findall(_EMOTICON_RE.sub(" ", s))
-
-    def __call__(self, text: str) -> list[str]:
-        tokens = self.tokens
-        return [tokens[t] for t in map(self.__getitem__, self.raw_tokens(text)) if t >= 0]
+        raw = _LINE_TOKEN_RE.findall(_EMOTICON_RE.sub(" ", s))
+        ids = np.fromiter(map(self.tokenizer.__getitem__, raw), dtype=np.int64, count=len(raw))
+        kept = ids >= 0
+        # line breaks before a token = its chunk's place in unseen
+        lengths = np.bincount(np.cumsum(ids == _LINE_END)[kept], minlength=len(unseen))
+        self.flat.frombytes(ids[kept].tobytes())
+        self.ptr.frombytes((np.cumsum(lengths) + self.ptr[-1]).tobytes())
 
 
 def normalize(text: str, table: ReplacementTable | None = None) -> list[str]:
@@ -203,7 +258,9 @@ def normalize(text: str, table: ReplacementTable | None = None) -> list[str]:
     """
     if table is None:
         table = ReplacementTable.default()
-    return _Tokenizer(table)(text)
+    chunks = _Chunks(table)
+    tok, _ = chunks.tokens([text])
+    return list(map(chunks.tokenizer.tokens.__getitem__, tok.tolist()))
 
 
 def ngrams(tokens: list[str], n_max: int) -> list[str]:
@@ -318,7 +375,7 @@ def count_ngrams(
         vocab = Vocabulary({}, n_max)
     if not 1 <= vocab.n_max <= 3:
         raise ValueError(f"n_max must be in 1..3, got {vocab.n_max}")
-    tokenizer = _Tokenizer(table)
+    chunks = _Chunks(table)
     # Row lengths, term ids and counts each grow in one buffer that the
     # result then shares. Per-block arrays concatenated at the end would leave
     # their freed memory resident in the process heap (about 25 MB at the
@@ -326,7 +383,7 @@ def count_ngrams(
     buffers = (array.array("q"), array.array("q"), array.array("d"))
     texts = iter(texts)
     while block := list(itertools.islice(texts, _NGRAM_BLOCK)):
-        for buffer, part in zip(buffers, _count_block(block, tokenizer, vocab, grow)):
+        for buffer, part in zip(buffers, _count_block(block, chunks, vocab, grow)):
             buffer.frombytes(part.tobytes())
     lengths, indices, data = (
         np.frombuffer(buffer, dtype=dtype)
@@ -334,28 +391,22 @@ def count_ngrams(
     )
     if grow and not len(lengths):
         raise ValueError("cannot build a vocabulary from an empty corpus")
+    log.info(
+        "count_ngrams: %d texts, %d chunks, %d distinct",
+        len(lengths), chunks.occurrences, len(chunks),
+    )
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     return vocab, CountMatrix(indptr, indices, data, len(vocab))
 
 
 def _count_block(
-    texts: list[str], tokenizer: _Tokenizer, vocab: Vocabulary, grow: bool
+    texts: list[str], chunks: _Chunks, vocab: Vocabulary, grow: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """count_ngrams over one block of rows: (row lengths, term ids, counts)."""
     n_max, term_to_id = vocab.n_max, vocab.term_to_id
-    # token ids go straight into a flat buffer, so each text's raw token
-    # strings are freed before the next text is read
-    ids = array.array("q")
-    raw_lengths = []
-    for text in texts:
-        raw = tokenizer.raw_tokens(text)
-        ids.extend(map(tokenizer.__getitem__, raw))
-        raw_lengths.append(len(raw))
-    ids = np.frombuffer(ids, dtype=np.int64)
-    kept = ids >= 0
-    tok = ids[kept]
-    row = np.repeat(np.arange(len(texts)), raw_lengths)[kept]
+    tok, row = chunks.tokens(texts)
+    tokenizer = chunks.tokenizer
     # tokens from each position to the end of its row, itself included
     left = np.cumsum(np.bincount(row, minlength=len(texts)))[row] - np.arange(len(tok))
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -319,6 +320,28 @@ def test_keywords_respects_stopwords(tmp_path, capsys):
     assert "comum" in stdout
 
 
+@pytest.mark.parametrize("key", ["seeds", "stopwords"])
+def test_keywords_blocks_seeds_and_stopwords_as_tokens(tmp_path, capsys, key):
+    corpus = tmp_path / "kw.jsonl"
+    rows = [
+        {"id": "t1", "user": "a", "text": "zika surto surto",
+         "created_at": "2016-09-01T00:00:00Z"},
+        {"id": "t2", "user": "b", "text": "dengue comum",
+         "created_at": "2016-09-01T00:00:00Z"},
+    ]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    stop = tmp_path / "stop.txt"
+    stop.write_text("Súrto\n", encoding="utf-8")
+    # the same spelling either way, canonicalized to the token "surto"
+    config = {"seeds": ["zika", " Súrto"]} if key == "seeds" else {"stopwords": str(stop)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["keywords", "--config", str(cfg), "--corpus", str(corpus), "--k", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("expansion candidates (top 1):")
+    assert lines[at + 1].split("\t")[0] == "  comum"
+
+
 def test_keywords_zero_expansion_keeps_only_seeds(tmp_path, capsys):
     corpus = tmp_path / "kw.jsonl"
     corpus.write_text(json.dumps({"id": "t1", "user": "a", "text": "zika surto",
@@ -349,6 +372,34 @@ def test_console_module_smoke(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("seed keywords (8):")
     assert "INFO" in proc.stderr  # info level unlocked by SENSOR_RANK_LOG
+
+
+def test_info_logs_leave_stdout_and_files_unchanged(pipeline, tmp_path, capsys, caplog):
+    corpus = str(pipeline["corpus"])
+    runs = []
+    for level in (logging.WARNING, logging.INFO):
+        caplog.clear()
+        caplog.set_level(level, logger="sensor_rank")
+        out = tmp_path / logging.getLevelName(level)
+        out.mkdir()
+        model = str(out / "model.json")
+        stdout = []
+        for argv in (
+            ["train", "--corpus", corpus, "--model", model, *TRAIN_FLAGS],
+            ["classify", "--corpus", corpus, "--model", model, "--out", str(out / "cls")],
+            ["keywords", "--corpus", corpus, "--out", str(out / "kw")],
+        ):
+            assert main(argv) == 0
+            stdout.append(capsys.readouterr().out)
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        runs.append((stdout, files, caplog.text))
+    (warn_out, warn_files, warn_log), (info_out, info_files, info_log) = runs
+    assert info_out == warn_out
+    assert len(warn_files) == 3 and info_files == warn_files
+    assert warn_log == ""
+    for expected in ("texts,", "chunks,", "distinct", "terms; classes relevant=",
+                     "after", "hold no in-vocabulary term"):
+        assert expected in info_log
 
 
 def test_log_env_values(tmp_path):

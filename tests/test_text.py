@@ -1,3 +1,5 @@
+import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -200,6 +202,26 @@ def test_fold_accents_matches_reference_on_every_code_point(monkeypatch):
         assert fold_accents(chunk) == oracle_fold_accents(chunk), hex(points[lo])
 
 
+def test_whitespace_survives_case_and_accent_folding_on_every_code_point():
+    # count_ngrams cleans each str.split() chunk on its own. That gives the
+    # tokens of the whole text only while str.split() and re's \s agree, and
+    # lower() then NFD keep every whitespace character whitespace and make
+    # none out of anything else.
+    points = "".join(chr(cp) for cp in range(0x110000) if not 0xD800 <= cp <= 0xDFFF)
+    spaces = [c for c in points if c.isspace()]
+    assert re.findall(r"\s", points) == spaces
+    # lower() reads its neighbours only for a final sigma, and NFD reorders
+    # only combining marks, so folding the rest at once shows it makes no whitespace
+    rest = "".join(points.split())
+    assert not re.search(r"\s", unicodedata.normalize("NFD", rest.lower()))
+    for c in spaces:
+        folded = unicodedata.normalize("NFD", c.lower())
+        assert folded.isspace(), hex(ord(c))
+        assert not any(map(unicodedata.combining, folded)), hex(ord(c))
+        # a chunk's final sigma is decided within the chunk
+        assert ("ΑΣ" + c + "Σ").lower().split() == ["ας", "σ"], hex(ord(c))
+
+
 def test_count_ngrams_rejects_n_max_out_of_range():
     for n_max in (0, 4):
         with pytest.raises(ValueError, match="n_max"):
@@ -215,9 +237,11 @@ TEXT_PIECES = [
     "pic.twitter.com/xyz", "www.site.com.br/p", "wwwx", "http", ":)", ";-(", "<3", "x:D",
     "8)", ":-p", "42", "2016", "zika2016", "kkkk", "hahaha", "rsrs", "kk", "ha",
     "vc", "tb", "RT", "dengue", "febre", "virus", "alta", "😀", "𝐙𝐢𝐤𝐚", "#tag", "@user",
-    ",", "…", "",
+    ",", "…", "", "\x00", "\x01", "ΟΔΟΣ",
 ]
-SEPARATORS = ["", " ", "  ", "\n", ",", "."]
+SEPARATORS = [
+    "", " ", "  ", "\n", ",", ".", "\t", "\xa0", "\x1c", "\x85", "\u2028", "\u3000",
+]
 post_texts = st.one_of(
     st.lists(st.tuples(st.sampled_from(TEXT_PIECES), st.sampled_from(SEPARATORS)), max_size=14)
     .map(lambda parts: "".join(p + sep for p, sep in parts)),
@@ -250,7 +274,8 @@ def assert_same_counts(got, expected):
 )
 def test_count_ngrams_matches_per_text_counter_oracle(texts, others, table, n_max):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(text_module, "_NGRAM_BLOCK", 3)  # rows straddle block boundaries
+        # rows straddle block boundaries, and chunks recur across blocks
+        mp.setattr(text_module, "_NGRAM_BLOCK", 3)
         grown = count_ngrams(texts, table, n_max)
         assert_same_counts(grown, oracle_count_ngrams(texts, table, n_max))
         vocab = grown[0]
