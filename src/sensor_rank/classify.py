@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LABEL_ORDER, Corpus, Label, read_json, require_all_classes
+from .corpus import LABEL_ORDER, Corpus, Label, has_shape, read_json, require_all_classes
 from .forest import RfModel, TreeNode, _columns, predict_proba, train_rf
 from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
@@ -479,26 +479,18 @@ def _tree_to_obj(node) -> dict:
     }
 
 
-def _finite_real(x) -> bool:
-    """A JSON number, not a bool, that is finite as a float."""
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _tree_from_obj(obj: dict, n_features: int) -> TreeNode:
     """A tree from its file form: a leaf holds 3 finite reals, an internal node
     a feature id below n_features and a finite threshold."""
     if "leaf" in obj:
         leaf = obj["leaf"]
-        if not isinstance(leaf, list) or len(leaf) != 3 or not all(map(_finite_real, leaf)):
+        if not has_shape(leaf, (float, float, float)):
             raise ValueError(f"tree leaf must be 3 finite reals, got {leaf!r}")
         return TreeNode(dist=np.array(leaf, dtype=float))
     feature, threshold = obj["feature"], obj["threshold"]
-    if type(feature) is not int or not 0 <= feature < n_features:
+    if not has_shape(feature, int) or not 0 <= feature < n_features:
         raise ValueError(f"tree feature must be an integer in [0, {n_features}), got {feature!r}")
-    if not _finite_real(threshold):
+    if not has_shape(threshold, float):
         raise ValueError(f"tree threshold must be a finite real, got {threshold!r}")
     return TreeNode(
         feature=feature,
@@ -556,15 +548,15 @@ def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
     if doc.get("label_order") != [label.value for label in LABEL_ORDER]:
         raise ValueError(f"{path}: unexpected label order {doc.get('label_order')!r}")
     terms = doc.get("vocabulary")
-    if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+    if not has_shape(terms, [str]):
         raise ValueError(f"{path}: 'vocabulary' must be a list of strings")
     n_max = doc.get("n_max")
-    if type(n_max) is not int or not 1 <= n_max <= 3:
+    if not has_shape(n_max, int) or not 1 <= n_max <= 3:
         raise ValueError(f"{path}: 'n_max' must be an integer in 1..3, got {n_max!r}")
     params = doc.get("params")
     if not isinstance(params, dict):
         raise ValueError(f"{path}: 'params' must be an object")
-    if not isinstance(doc.get("table_hash"), str):
+    if not has_shape(doc.get("table_hash"), str):
         raise ValueError(f"{path}: 'table_hash' must be a string")
     vocab = Vocabulary({t: i for i, t in enumerate(terms)}, n_max)
     if len(vocab) != len(terms):
@@ -578,13 +570,11 @@ def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
             prior, log_prob, alpha = (
                 params[key] for key in ("class_log_prior", "term_log_prob", "alpha")
             )
-            if not isinstance(prior, list) or not all(map(_finite_real, prior)):
+            if not has_shape(prior, [float]):
                 raise ValueError("'class_log_prior' must be a list of finite reals")
-            if not isinstance(log_prob, list) or not all(
-                isinstance(row, list) and all(map(_finite_real, row)) for row in log_prob
-            ):
+            if not has_shape(log_prob, [[float]]):
                 raise ValueError("'term_log_prob' must be a list of lists of finite reals")
-            if not _finite_real(alpha) or alpha <= 0:
+            if not has_shape(alpha, float) or alpha <= 0:
                 raise ValueError(f"'alpha' must be a finite real > 0, got {alpha!r}")
             model = MnnbModel(
                 class_log_prior=np.array(prior, dtype=float),
@@ -598,7 +588,7 @@ def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
                 raise ValueError("'trees' is empty")
             header = {key: params[key] for key in ("n_trees", "feature_subsample", "seed")}
             for key, value in header.items():
-                if type(value) is not int:
+                if not has_shape(value, int):
                     raise ValueError(f"{key!r} must be an integer, got {value!r}")
             if header["n_trees"] != len(trees):
                 raise ValueError(f"'n_trees' is {header['n_trees']}, but {len(trees)} trees follow")

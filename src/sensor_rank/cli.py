@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .classify import (
+    LabeledDataset,
     TrainingConfig,
     cross_validate,
     dataset_from_corpus,
@@ -31,11 +32,10 @@ from .classify import (
 )
 from .corpus import (
     LABEL_ORDER,
-    Corpus,
     load_corpus,
     load_exclusions,
     load_follower_graph,
-    read_json,
+    read_config,
     write_corpus,
     write_follower_graph,
 )
@@ -53,7 +53,7 @@ from .rank import (
     write_report,
 )
 from .synth import SynthConfig, generate
-from .text import ReplacementTable, count_ngrams, load_stopwords
+from .text import ReplacementTable, _canonical_token, count_ngrams, load_stopwords
 
 log = logging.getLogger("sensor_rank")
 
@@ -99,22 +99,9 @@ _KEYS = {
 }
 
 
-def _config_value(key: _Key, value, path: str):
-    """A config-file value checked against its key; floats accept integers."""
-    if key.type is float:
-        ok = isinstance(value, (int, float))
-    elif key.type is list:
-        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-    else:
-        ok = isinstance(value, key.type)
-    if not ok or isinstance(value, bool):
-        kind = "a list of strings" if key.type is list else f"a {key.type.__name__}"
-        raise ValueError(f"{path}: config key {key.name!r} must be {kind}, got {value!r}")
-    if key.choices and value not in key.choices:
-        raise ValueError(
-            f"{path}: config key {key.name!r} must be one of {key.choices}, got {value!r}"
-        )
-    return float(value) if key.type is float else value
+# the config-file shape and wording of each key type; see corpus.has_shape
+_KINDS = {int: (int, "an integer"), float: (float, "a real"), str: (str, "a string"),
+          list: ([str], "a list of strings")}
 
 
 class Settings:
@@ -128,21 +115,21 @@ class Settings:
         self.config_path = args.config
         values: dict = {}
         if use_config_file and args.config:
-            raw = read_json(args.config)
-            if not isinstance(raw, dict):
-                raise ValueError(f"{args.config}: config must be a JSON object")
-            unknown = set(raw) - set(_KEYS)
-            if unknown:
-                raise ValueError(
-                    f"{args.config}: unknown config key(s) {sorted(unknown)}"
-                )
-            for name, value in raw.items():
-                if value is not None:  # null leaves the key unset
-                    values[name] = _config_value(_KEYS[name], value, args.config)
+            shapes = {key.name: _KINDS[key.type] for key in _KEYS.values()}
+            values = read_config(args.config, shapes, null_unsets=True)
+            for name, value in values.items():
+                key = _KEYS[name]
+                if key.choices and value not in key.choices:
+                    raise ValueError(f"{args.config}: config key {name!r} must be one of "
+                                     f"{key.choices}, got {value!r}")
+                if key.type is float:
+                    values[name] = float(value)
         for key in _KEYS.values():  # config-only keys have no attribute on args
             flag = getattr(args, key.name, None)
             if flag is not None:
                 values[key.name] = flag
+        if values.get("seed", 0) < 0:
+            raise ValueError(f"seed must be >= 0, got {values['seed']}")
         self.values = values
 
     def get(self, key: str, default=None):
@@ -177,25 +164,12 @@ def _out_dir(settings: Settings) -> Path:
     return out
 
 
-def _training_config(settings: Settings) -> TrainingConfig:
-    return TrainingConfig(
-        classifier=settings.get("classifier", "rf"),
-        alpha=settings.get("alpha", 1.0),
-        n_trees=settings.get("trees", 100),
-        smote_percent=settings.get("smote_percent", 100),
-        smote_k=settings.get("smote_k", 5),
-        spread_ratio=settings.get("spread_ratio"),
-    )
-
-
-def _rank_config(settings: Settings) -> RankConfig:
-    return RankConfig(
-        gamma=settings.get("gamma", 0.85),
-        tol=settings.get("tol", 1e-9),
-        max_iter=settings.get("max_iter", 1000),
-        min_relevant=settings.get("min_relevant", 3),
-        k=settings.get("k", 10),
-    )
+def _config(cls, settings: Settings):
+    """A TrainingConfig or RankConfig from the settings named like its fields (`trees`
+    sets n_trees); the fields left unset keep the defaults cls states."""
+    fields = {field.name for field in dataclasses.fields(cls)}
+    named = {"n_trees" if k == "trees" else k: v for k, v in settings.values.items()}
+    return cls(**{k: v for k, v in named.items() if k in fields})
 
 
 def _fmt4(x: float) -> str:
@@ -207,18 +181,20 @@ def _tally(counts) -> str:
     return " ".join(f"{label.value.lower()}={n}" for label, n in zip(LABEL_ORDER, counts))
 
 
-def _labeled_corpus(settings: Settings) -> Corpus:
+def _dataset(settings: Settings, table: ReplacementTable) -> LabeledDataset:
+    """The labeled records of --corpus, counted at the --ngrams order (default 3)."""
     corpus = load_corpus(settings.require("corpus")).labeled()
     if len(corpus) == 0:
         raise ValueError("corpus contains no labeled records")
-    return corpus
+    return dataset_from_corpus(corpus, table, settings.get("ngrams", 3))
 
 
 def cmd_keywords(settings: Settings) -> int:
     table = _table(settings)
     stopwords = _stopwords(settings)
     corpus = load_corpus(settings.require("corpus"))
-    seeds = settings.get("seeds", list(SEED_KEYWORDS))
+    # printed and written as the tokens expansion_candidates blocks
+    seeds = [_canonical_token(s) for s in settings.get("seeds", SEED_KEYWORDS)]
     top_n = settings.get("k", 10)
     expansion = expansion_candidates(seeds, corpus, stopwords, table, top_n)
     merged = seeds + [term for term, _ in expansion]
@@ -239,12 +215,11 @@ def cmd_keywords(settings: Settings) -> int:
 
 
 def cmd_train(settings: Settings) -> int:
-    corpus = _labeled_corpus(settings)
     model_path = settings.require("model")
     table = _table(settings)
-    tcfg = _training_config(settings)
+    tcfg = _config(TrainingConfig, settings)
     seed = settings.require("seed")
-    data = dataset_from_corpus(corpus, table, settings.get("ngrams", 3))
+    data = _dataset(settings, table)
     train = rebalance(data, tcfg, [seed])
     log.info(
         "train: %d terms; classes %s before rebalance, %s after",
@@ -260,12 +235,10 @@ def cmd_train(settings: Settings) -> int:
 
 
 def cmd_eval(settings: Settings) -> int:
-    corpus = _labeled_corpus(settings)
-    table = _table(settings)
-    tcfg = _training_config(settings)
+    tcfg = _config(TrainingConfig, settings)
     seed = settings.require("seed")
     folds = settings.get("folds", 10)
-    data = dataset_from_corpus(corpus, table, settings.get("ngrams", 3))
+    data = _dataset(settings, _table(settings))
     report = cross_validate(data, folds, tcfg, seed)
     out = _out_dir(settings)
     doc = {
@@ -327,7 +300,7 @@ def cmd_classify(settings: Settings) -> int:
 def _rank_pipeline(settings: Settings):
     corpus = load_corpus(settings.require("corpus"))
     graph = load_follower_graph(settings.require("graph"))
-    rcfg = _rank_config(settings)
+    rcfg = _config(RankConfig, settings)
     stats = compute_user_stats(corpus)
     candidates = candidate_filter(stats, rcfg, _exclusions(settings))
     matrix = build_transition(candidates, graph)

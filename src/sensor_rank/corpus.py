@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -83,6 +84,44 @@ def read_json(path: str | Path) -> object:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def has_shape(value: object, shape) -> bool:
+    """Whether a decoded JSON value has a shape: int (an integer, not a bool), float
+    (a number, not a bool, that is finite as a float, so an integer beyond the float
+    range is not one), str, [shape] for a list of them, {str: shape} for an object
+    of them, or a tuple of shapes for a list of that length."""
+    if shape is float:
+        try:
+            return type(value) in (int, float) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    if shape is int or shape is str:
+        return type(value) is shape
+    if isinstance(shape, dict):
+        return type(value) is dict and all(has_shape(v, shape[str]) for v in value.values())
+    if type(value) is not list:
+        return False
+    if isinstance(shape, tuple):
+        return len(value) == len(shape) and all(map(has_shape, value, shape))
+    return all(has_shape(v, shape[0]) for v in value)
+
+
+def read_config(path: str | Path, shapes: dict, null_unsets: bool = False) -> dict:
+    """A JSON config file, checked against shapes (key -> (JSON shape, its wording in
+    errors)): an object with no other keys, each value of its key's shape. With
+    null_unsets, null is also allowed and leaves its key out of the result."""
+    raw = read_json(path)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = set(raw) - set(shapes)
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {sorted(unknown)}")
+    for key, value in raw.items():
+        shape, kind = shapes[key]
+        if not (has_shape(value, shape) or null_unsets and value is None):
+            raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 @dataclass(frozen=True, eq=False)

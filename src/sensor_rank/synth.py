@@ -7,13 +7,12 @@ influencers (known leaders for ranking-recovery tests).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label, read_json
+from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label, read_config
 
 __all__ = [
     "BUCKET_ORDER",
@@ -60,9 +59,7 @@ _NOISE_VOCAB = (
 
 DEFAULT_CLASS_VOCABULARIES = (_RELEVANT_VOCAB, _NEWS_VOCAB, _NOISE_VOCAB)
 
-# config-file key -> (JSON shape, its wording in errors). A shape is int,
-# float (a finite real; integers too), str, [shape] for a list of them,
-# {str: shape} for an object of them, or a tuple of shapes for a fixed list.
+# config-file key -> (JSON shape, its wording in errors); see corpus.has_shape
 _CONFIG_SHAPES = {
     "seed": (int, "an integer"),
     "n_users": (int, "an integer"),
@@ -73,22 +70,6 @@ _CONFIG_SHAPES = {
     "edge_density": (float, "a real"),
     "noise_rate": (float, "a real"),
 }
-
-
-def _has_shape(value, shape) -> bool:
-    if shape is int:
-        return type(value) is int
-    if shape is float:
-        return type(value) is int or type(value) is float and math.isfinite(value)
-    if shape is str:
-        return isinstance(value, str)
-    if isinstance(shape, dict):
-        return isinstance(value, dict) and all(_has_shape(v, shape[str]) for v in value.values())
-    if not isinstance(value, list):
-        return False
-    if isinstance(shape, tuple):
-        return len(value) == len(shape) and all(map(_has_shape, value, shape))
-    return all(_has_shape(v, shape[0]) for v in value)
 
 
 def _bucket_of(r: int) -> str:
@@ -137,6 +118,8 @@ class SynthConfig:
                 for uid, r, fan_in in self.planted_influencers
             ),
         )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.class_vocabularies) != 3 or any(
             not v for v in self.class_vocabularies
         ):
@@ -171,16 +154,7 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":
-        raw = read_json(path)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{path}: expected a JSON object")
-        unknown = set(raw) - set(_CONFIG_SHAPES)
-        if unknown:
-            raise ValueError(f"{path}: unknown config key(s) {sorted(unknown)}")
-        for key, value in raw.items():
-            shape, kind = _CONFIG_SHAPES[key]
-            if not _has_shape(value, shape):
-                raise ValueError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
+        raw = read_config(path, _CONFIG_SHAPES)
         if "seed" not in raw:
             raise ValueError(f"{path}: config must supply a seed")
         return cls(**raw)

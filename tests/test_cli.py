@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sensor_rank
 from sensor_rank import cli
@@ -13,6 +19,7 @@ from sensor_rank.classify import load_model
 from sensor_rank.cli import main
 from sensor_rank.corpus import load_corpus
 from sensor_rank.keywords import SEED_KEYWORDS
+from sensor_rank.synth import BUCKET_ORDER
 
 from oracles import chain_forest, records_of
 
@@ -88,6 +95,7 @@ def test_synth_requires_seed(tmp_path, capsys):
     ("class_vocabularies", [["a"], ["b"], [3]]),
     ("planted_influencers", [["sentinela001", 40]]),
     ("planted_influencers", [["sentinela001", 40, "20"]]),
+    ("class_mix", [10**400, 0.5, 0.5]), ("n_users", None),
 ])
 def test_synth_config_values_are_type_checked(tmp_path, capsys, key, value):
     cfg = tmp_path / "synth.json"
@@ -336,10 +344,16 @@ def test_keywords_blocks_seeds_and_stopwords_as_tokens(tmp_path, capsys, key):
     config = {"seeds": ["zika", " Súrto"]} if key == "seeds" else {"stopwords": str(stop)}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["keywords", "--config", str(cfg), "--corpus", str(corpus), "--k", "1"]) == 0
+    out = tmp_path / "kw"
+    assert main(["keywords", "--config", str(cfg), "--corpus", str(corpus), "--k", "1",
+                 "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     at = lines.index("expansion candidates (top 1):")
     assert lines[at + 1].split("\t")[0] == "  comum"
+    # seeds are printed and written as the tokens they block
+    seeds = ["zika", "surto"] if key == "seeds" else list(SEED_KEYWORDS)
+    assert lines[1:at] == [f"  {s}" for s in seeds]
+    assert (out / "keywords.txt").read_text(encoding="utf-8").split("\n") == [*seeds, "comum", ""]
 
 
 def test_keywords_zero_expansion_keeps_only_seeds(tmp_path, capsys):
@@ -426,6 +440,7 @@ def test_log_env_values(tmp_path):
 @pytest.mark.parametrize("raw", [
     '{"k": [1]}', '{"k": true}', '{"k": "5"}', '{"k": 2.0}', '{"gamma": "0.5"}',
     '{"corpus": 3}', '{"seeds": "dengue"}', '{"seeds": [1]}', '{"ngrams": 4}',
+    pytest.param('{"gamma": 1' + "0" * 400 + "}", id="gamma-of-401-digits"), '{"alpha": NaN}',
 ])
 def test_config_values_are_type_checked(pipeline, tmp_path, capsys, raw):
     cfg = tmp_path / "cfg.json"
@@ -446,6 +461,58 @@ def test_config_accepts_ints_for_floats_and_null(pipeline, tmp_path, capsys):
     cfg.write_text('{"gamma": 0.85, "k": null}', encoding="utf-8")
     assert main(args) == 0
     assert len(capsys.readouterr().out.splitlines()) == 11  # null k leaves the default 10
+
+
+def json_values(*ints):
+    """Decoded JSON of every type: null, bools, ints (from ints), reals with NaN and
+    the infinities among them, short strings, lists and objects."""
+    scalars = st.sampled_from([None, True, False, *ints, 0.5, 0.85, 1.5, -0.25,
+                               math.nan, math.inf, -math.inf, "", "x", "tr", "rf"])
+    return scalars | st.recursive(scalars, lambda children: st.lists(children, max_size=3)
+                                  | st.dictionaries(st.sampled_from(["1", "x"]), children,
+                                                    max_size=2), max_leaves=6)
+
+
+# keys that size nothing may take integers beyond the float range
+any_json = json_values(-(10**400), -1, 0, 1, 2, 3, 10, 10**400)
+
+
+def run_config(argv, config: dict) -> None:
+    """main(argv + --config + --out) in a fresh working directory: it returns 0, or 2
+    with an `error:` line on stderr and no output directory."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("cfg.json").write_text(json.dumps(config), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--config", "cfg.json", "--out", "o"])
+        assert (code, err.getvalue().startswith("error: "), Path("o").exists()) in (
+            (0, False, True), (2, True, False)), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@example(config={"gamma": 10**400})
+@given(st.dictionaries(st.sampled_from([*sorted(cli._KEYS), "bogus"]), any_json, max_size=4))
+def test_rank_config_fuzz_exits_cleanly(pipeline, config):
+    run_config(["rank", "--corpus", str(pipeline["classified"]),
+                "--graph", str(pipeline["graph"])], config)
+
+
+# sizes stay small, so no example asks for a large corpus
+small_json = json_values(-1, 0, 1, 3, 10, 40, 60)
+
+
+@settings(max_examples=100, deadline=None)
+@example(config={"class_mix": [10**400, 0.5, 0.5]})
+@given(st.fixed_dictionaries({}, optional={
+    "seed": st.sampled_from([1, 11]) | any_json, "class_vocabularies": any_json,
+    "class_mix": any_json, "edge_density": any_json, "noise_rate": any_json,
+    "n_users": st.sampled_from([60, 150]) | small_json,
+    "tail_histogram": st.dictionaries(st.sampled_from([*BUCKET_ORDER, "x"]), small_json,
+                                      max_size=3) | small_json,
+    "planted_influencers": small_json,
+}))
+def test_synth_config_fuzz_exits_cleanly(config):
+    run_config(["synth"], {**SYNTH, **config})
 
 
 @pytest.mark.parametrize("total", ['"5"', "true", "2.5", "-1"])
@@ -546,6 +613,31 @@ def test_rejected_eval_leaves_no_out_dir(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["train", "eval", "synth", "config", "synth config"])
+def test_negative_seed_is_refused_before_any_input_is_read(
+        pipeline, tmp_path, capsys, monkeypatch, case):
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_corpus", unread)
+    out, model = tmp_path / "o", tmp_path / "m.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SYNTH, "seed": -2} if case == "synth config" else {"seed": -2}),
+                   encoding="utf-8")
+    corpus = ["--corpus", str(pipeline["corpus"])]
+    argv = {
+        "train": ["train", *corpus, "--model", str(model), "--classifier", "rf", "--seed", "-1"],
+        "eval": ["eval", *corpus, "--out", str(out), "--seed", "-3"],
+        "synth": ["synth", "--seed", "-1", "--out", str(out)],
+        "config": ["train", *corpus, "--model", str(model), "--config", str(cfg)],
+        "synth config": ["synth", "--config", str(cfg), "--out", str(out)],
+    }[case]
+    assert main(argv) == 2
+    seed = {"train": -1, "eval": -3, "synth": -1}.get(case, -2)
+    assert capsys.readouterr().err == f"error: seed must be >= 0, got {seed}\n"
+    assert not out.exists() and not model.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "0"],
     ["--spread-ratio", "nan"], ["--spread-ratio", "inf"], ["--spread-ratio", "0.5"],
@@ -606,6 +698,7 @@ def test_classify_accepts_handwritten_forest(pipeline, tmp_path, capsys):
     # vocabulary and a finite threshold
     lambda d: forest({"leaf": [1.0]})(d),
     lambda d: forest({"leaf": [1.0, 0.0, 0.0, 0.0]})(d),
+    lambda d: forest({"leaf": [10**400, 0, 0]})(d),
     lambda d: forest({"leaf": [float("nan"), 0.0, 0.0]})(d),
     lambda d: forest({"leaf": [float("inf"), 0.0, 0.0]})(d),
     lambda d: forest({"leaf": [True, 0, 0]})(d),
