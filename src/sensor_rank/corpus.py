@@ -9,8 +9,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter
 from pathlib import Path
+from types import NoneType
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -80,17 +82,22 @@ def read_json(path: str | Path) -> object:
     with open_utf8(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError:
+            raise  # open_utf8 names the line
+        except ValueError as exc:  # malformed, or an integer too long to convert
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def has_shape(value: object, shape) -> bool:
-    """Whether a decoded JSON value has a shape: int (an integer, not a bool), float
-    (a number, not a bool, that is finite as a float, so an integer beyond the float
-    range is not one), str, [shape] for a list of them, {str: shape} for an object
-    of them, or a tuple of shapes for a list of that length."""
+    """Whether a decoded JSON value has a shape: int (an integer, not a bool), np.int64
+    (an int that fits in int64), float (a number, not a bool, that is finite as a
+    float, so an integer beyond the float range is not one), str, [shape] for a list
+    of them, {str: shape} for an object of them, or a tuple of shapes for a list of
+    that length."""
+    if shape is np.int64:
+        return type(value) is int and -(2**63) <= value < 2**63
     if shape is float:
         try:
             return type(value) in (int, float) and math.isfinite(value)
@@ -153,8 +160,12 @@ class Corpus:
 
 def _pack(rows: Iterable[tuple]) -> Corpus:
     """(id, user, text, created_at, class id, total) rows as a Corpus."""
-    columns = tuple(zip(*rows)) or ((),) * 6
-    return Corpus(*columns[:4], *(np.array(c, dtype=np.int64) for c in columns[4:]))
+    return _from_columns(list(zip(*rows)) or [()] * 6)
+
+
+def _from_columns(columns: list) -> Corpus:
+    """The six columns (ids, users, texts, created_at, class ids, totals) as a Corpus."""
+    return Corpus(*map(tuple, columns[:4]), *(np.array(c, dtype=np.int64) for c in columns[4:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,13 +189,17 @@ class FollowerGraph:
         with leading or trailing whitespace, or containing a comma, a line
         break or U+FEFF (the byte-order mark).
         """
-        flat = list(chain.from_iterable(pairs))
+        return cls._from_flat(list(chain.from_iterable(pairs)))
+
+    @classmethod
+    def _from_flat(cls, flat: list[str]) -> "FollowerGraph":
+        """from_pairs of the pairs (flat[0], flat[1]), (flat[2], flat[3]), ..."""
         names = sorted(set(flat))
         for name in names:
             if not name or name != name.strip() or any(c in name for c in ",\r\n\ufeff"):
                 raise ValueError(f"graph user id cannot be written as CSV: {name!r}")
         index = dict(zip(names, range(len(names))))
-        ids = np.array([index[name] for name in flat], dtype=np.int64).reshape(-1, 2)
+        ids = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat)).reshape(-1, 2)
         loops = ids[:, 0] == ids[:, 1]
         if loops.any():
             raise ValueError(f"self-follow edge not allowed: {names[ids[loops.argmax(), 0]]!r}")
@@ -251,8 +266,82 @@ def _row(obj: object, escaped: bool) -> tuple[str, str, str, str, int, int]:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read a JSONL corpus into columns, decoding and checking each line once; any
-    malformed line fails with its line number."""
+    """Read a JSONL corpus into columns; any malformed line fails with its line number.
+
+    Lines are decoded and checked _BLOCK at a time. Only a file that fails a
+    block check is read again one line at a time, which words its first error
+    or reads a valid file in another form (blank lines, whitespace around an object).
+    """
+    columns = _read_blocks(path)
+    return _load_corpus_by_line(path) if columns is None else _from_columns(columns)
+
+
+# lines load_corpus decodes with one json.loads
+_BLOCK = 1024
+_REQUIRED_VALUES = itemgetter(*_REQUIRED_FIELDS)
+_CLASS_ID_OR_ABSENT = {None: -1, **_CLASS_ID_BY_VALUE}
+
+
+def _read_blocks(path: str | Path) -> list[list] | None:
+    """The corpus columns of a file whose every line is one record object, ids
+    unique, or None when some line is not or breaks a rule of _row."""
+    columns: list[list] = [[], [], [], [], [], []]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while block := list(islice(fh, _BLOCK)):
+                # No JSON string holds a raw line break. So when each line starts
+                # with "{" and the array holds one flat object per line, each
+                # object is one line's, with at most whitespace after it.
+                if not all(map(str.startswith, block, repeat("{"))):
+                    return None
+                text = ",".join(block)
+                objs = json.loads(f"[{text}]")
+                block_columns = len(objs) == len(block) and _block_columns(objs, "\\u" in text)
+                if not block_columns:
+                    return None
+                for column, values in zip(columns, block_columns):
+                    column += values
+    except (ValueError, RecursionError):  # not JSON, an integer too long, or not UTF-8
+        return None
+    return columns if len(set(columns[0])) == len(columns[0]) else None
+
+
+def _types(values: Iterable) -> set[type]:
+    return set(map(type, values))
+
+
+def _block_columns(objs: list, escaped: bool) -> tuple[list, ...] | None:
+    """The six columns of decoded records when each one passes _row's checks (but
+    for unique ids), else None; escaped: the records' lines hold a \\u."""
+    if _types(objs) != {dict} or not _FIELDS.issuperset(chain.from_iterable(objs)):
+        return None
+    try:
+        ids, users, texts, created_at = zip(*map(_REQUIRED_VALUES, objs))
+    except KeyError:
+        return None
+    labels = list(map(dict.get, objs, repeat("label")))
+    totals = list(map(dict.get, objs, repeat("user_total_tweets")))
+    if not (_types(ids) | _types(users) <= {str, int} and _types(texts + created_at) == {str}
+            and _types(labels) <= {str, NoneType} and _types(totals) <= {int, NoneType}):
+        return None
+    ids, users = list(map(str, ids)), list(map(str, users))
+    y = list(map(_CLASS_ID_OR_ABSENT.get, labels))
+    counts = set(totals) - {None}
+    if (None in y or not all(map(str.strip, ids)) or not all(map(str.strip, users))
+            or counts and not 0 <= min(counts) <= max(counts) < 2**63
+            or escaped and _SURROGATE.search("".join(chain(ids, users, texts)))):
+        return None
+    try:
+        for stamp in set(created_at):
+            datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+    except ValueError:
+        return None
+    return ids, users, texts, created_at, y, [-1 if n is None else n for n in totals]
+
+
+def _load_corpus_by_line(path: str | Path) -> Corpus:
+    """load_corpus decoding and checking one line at a time; the first malformed
+    line fails with its line number."""
     rows: dict[str, tuple] = {}
     decode = json.JSONDecoder().raw_decode
     with open_utf8(path) as fh:
@@ -296,8 +385,44 @@ def load_follower_graph(path: str | Path) -> FollowerGraph:
     """Read `follower_id,friend_id` CSV; duplicate edges collapse silently.
 
     A leading byte-order mark is skipped. A line that is not two ids, repeats
-    one id, or holds U+FEFF fails with its line number.
+    one id, or holds U+FEFF fails with its line number. The text is split in
+    one pass when every line is exactly `id,id`; only a file that is not is
+    read again one line at a time, which words its first error or reads a
+    valid file in another form (blank lines, ids padded with whitespace).
     """
+    flat = _edge_ids(path)
+    if flat is not None:
+        try:
+            return FollowerGraph._from_flat(flat)
+        except ValueError:  # an empty, padded or U+FEFF-holding id, or a self-follow
+            pass
+    return _load_follower_graph_by_line(path)
+
+
+_TWO_COMMAS = re.compile(",[^\n]*,")
+
+
+def _edge_ids(path: str | Path) -> list[str] | None:
+    """The ids of a graph file in file order when each of its lines holds one
+    comma, else None."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if text and not text.endswith("\n"):
+        text += "\n"
+    # as many commas as lines, and never two on one line
+    if text.count(",") != text.count("\n") or _TWO_COMMAS.search(text):
+        return None
+    flat = text.replace("\n", ",").split(",")
+    flat.pop()  # the empty string after the last line end
+    return flat
+
+
+def _load_follower_graph_by_line(path: str | Path) -> FollowerGraph:
+    """load_follower_graph reading one line at a time; the first bad line fails
+    with its line number."""
     pairs: list[tuple[str, str]] = []
     with open_utf8(path, "utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):

@@ -62,11 +62,14 @@ DEFAULT_CLASS_VOCABULARIES = (_RELEVANT_VOCAB, _NEWS_VOCAB, _NOISE_VOCAB)
 # config-file key -> (JSON shape, its wording in errors); see corpus.has_shape
 _CONFIG_SHAPES = {
     "seed": (int, "an integer"),
-    "n_users": (int, "an integer"),
+    "n_users": (np.int64, "a 64-bit integer"),
     "class_vocabularies": ([[str]], "a list of lists of strings"),
     "class_mix": ([float], "a list of reals"),
-    "tail_histogram": ({str: int}, "an object of integers"),
-    "planted_influencers": ([(str, int, int)], "a list of [id, relevant count, fan-in] triples"),
+    "tail_histogram": ({str: np.int64}, "an object of 64-bit integers"),
+    "planted_influencers": (
+        [(str, np.int64, np.int64)],
+        "a list of [id, relevant count, fan-in] triples with 64-bit counts",
+    ),
     "edge_density": (float, "a real"),
     "noise_rate": (float, "a real"),
 }

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sensor_rank
-from sensor_rank import cli
+from sensor_rank import cli, corpus as corpus_module
 from sensor_rank.classify import load_model
 from sensor_rank.cli import main
 from sensor_rank.corpus import load_corpus
@@ -70,6 +70,30 @@ def test_synth_outputs(pipeline, capsys):
     corpus = load_corpus(pipeline["corpus"])
     assert len(corpus) > 500
     assert all(r.label is not None for r in records_of(corpus))
+
+
+def _columns(corpus):
+    return (corpus.ids, corpus.users, corpus.texts, corpus.created_at,
+            corpus.y.dtype, corpus.y.tolist(),
+            corpus.user_total_tweets.dtype, corpus.user_total_tweets.tolist())
+
+
+def test_written_files_are_read_in_bulk(pipeline, monkeypatch):
+    """The files synth and classify write load without the per-line readers, in
+    blocks of any size, into what those readers give."""
+    corpora = [pipeline["corpus"], pipeline["classified"]]
+    want = [_columns(corpus_module._load_corpus_by_line(path)) for path in corpora]
+    want_graph = corpus_module._load_follower_graph_by_line(pipeline["graph"])
+
+    def unread(path):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(corpus_module, "_load_corpus_by_line", unread)
+    monkeypatch.setattr(corpus_module, "_load_follower_graph_by_line", unread)
+    for block in (corpus_module._BLOCK, 100):
+        monkeypatch.setattr(corpus_module, "_BLOCK", block)
+        assert [_columns(load_corpus(path)) for path in corpora] == want
+    assert corpus_module.load_follower_graph(pipeline["graph"]) == want_graph
 
 
 def test_synth_seed_flag_overrides_config(pipeline, tmp_path, capsys):
@@ -503,6 +527,7 @@ small_json = json_values(-1, 0, 1, 3, 10, 40, 60)
 
 @settings(max_examples=100, deadline=None)
 @example(config={"class_mix": [10**400, 0.5, 0.5]})
+@example(config={"planted_influencers": [["sentinela001", 10**20, 20]]})
 @given(st.fixed_dictionaries({}, optional={
     "seed": st.sampled_from([1, 11]) | any_json, "class_vocabularies": any_json,
     "class_mix": any_json, "edge_density": any_json, "noise_rate": any_json,
@@ -825,8 +850,7 @@ def test_bytes_that_are_not_utf8_name_file_and_line(pipeline, tmp_path, capsys, 
 
 @pytest.mark.parametrize("reader", ["config", "synth config", "model"])
 def test_malformed_json_names_the_file(pipeline, tmp_path, capsys, reader):
-    bad = tmp_path / "truncated.json"
-    bad.write_text('{"k": 3,', encoding="utf-8")
+    bad = tmp_path / "bad.json"
     rank = ["rank", "--corpus", str(pipeline["classified"]), "--graph", str(pipeline["graph"])]
     argv = {
         "config": [*rank, "--config", str(bad)],
@@ -834,8 +858,13 @@ def test_malformed_json_names_the_file(pipeline, tmp_path, capsys, reader):
         "model": ["classify", "--corpus", str(pipeline["corpus"]), "--model", str(bad)],
     }[reader]
     out = tmp_path / "o"
-    assert main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: invalid JSON: Expecting property name")
-    assert "Traceback" not in err
-    assert not out.exists()
+    for raw, problem in [
+        ('{"k": 3,', "Expecting property name"),
+        ('{"k": 1' + "0" * 5000 + "}", "Exceeds the limit"),  # too long to convert
+    ]:
+        bad.write_text(raw, encoding="utf-8")
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid JSON: {problem}")
+        assert "Traceback" not in err
+        assert not out.exists()

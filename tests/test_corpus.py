@@ -1,9 +1,11 @@
 import inspect
 import json
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensor_rank import classify, corpus as corpus_module, rank
@@ -191,18 +193,39 @@ def test_corpus_rejects_totals_beyond_int64(tmp_path):
     assert load_corpus(path).user_total_tweets.tolist() == [2**63 - 1]
 
 
-def test_traced_layer_names_stay_public_functions(tmp_path):
-    """perfbench/tracer.py wraps these names and counts len(load_corpus(path))."""
+def test_traced_layer_names_stay_public_functions(tmp_path, monkeypatch):
+    """perfbench/tracer.py wraps these names at every import site, this module's own
+    too, and counts len(load_corpus(path)) and the edges of load_follower_graph(path):
+    one load calls each public name once, whether it reads in bulk or line by line."""
     for module, name in [
         (corpus_module, "load_corpus"), (corpus_module, "write_corpus"),
+        (corpus_module, "load_follower_graph"),
         (rank, "compute_user_stats"), (classify, "dataset_from_corpus"),
     ]:
         fn = getattr(module, name)
         assert name in module.__all__
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__
-    path = tmp_path / "corpus.jsonl"
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in corpus_module.__all__:
+        if inspect.isfunction(fn := getattr(corpus_module, name)):
+            monkeypatch.setattr(corpus_module, name, counted(name, fn))
+    path, graph = tmp_path / "corpus.jsonl", tmp_path / "graph.csv"
     write_corpus(from_records([record(i) for i in range(3)]), path)
-    assert len(load_corpus(path)) == 3
+    lines = path.read_text(encoding="utf-8")
+    for corpus_text, graph_text in [(lines, "a,b\nb,c\n"), ("\n" + lines, "a,b\n\n b,c\n")]:
+        path.write_text(corpus_text, encoding="utf-8")
+        graph.write_text(graph_text, encoding="utf-8")
+        calls.clear()
+        assert len(corpus_module.load_corpus(path)) == 3
+        assert len(corpus_module.load_follower_graph(graph).edges) == 2
+        assert calls == {"load_corpus": 1, "load_follower_graph": 1}
 
 
 # Corpus lines for the loader property: mostly valid lines, some with flaws.
@@ -267,19 +290,39 @@ corpus_text = st.tuples(
 ).map(lambda t: "".join(line + end for line, end in t[0]) + t[1])
 
 
+def _line(i, **fields):
+    return json.dumps({"id": f"t{i}", "user": "ana", "text": "zika",
+                       "created_at": "2016-09-01T00:00:00Z", **fields})
+
+
 @settings(max_examples=400, deadline=None)
-@given(corpus_text)
-def test_load_corpus_matches_per_line_oracle(tmp_path_factory, text):
+@given(corpus_text, st.sampled_from([corpus_module._BLOCK, 2]))
+# load_corpus decodes a block of lines as one JSON array; each example below is a
+# file in which that array is not one record object per line, so only the per-line
+# pass may read it
+@example(text='{"id": "t1", "user": "ana",\n "text": "zika", "created_at": "2016-09-01"}\n',
+         block=2)
+@example(text=f'{_line(1)}, {_line(2)[:-1]}\n"label": "News"}}\n', block=2)
+@example(text=f'{_line(1)}, {_line(2)}\n{_line(3)[:-1]}, "label": [1\n{{"x": 2}}]}}\n',
+         block=corpus_module._BLOCK)
+@example(text=f"{_line(1)}, {_line(2)}\n", block=2)
+@example(text=f"[{_line(1)},\n{_line(2)}]\n", block=2)
+@example(text=f'{_line(1)[:-1]}, "user_total_tweets": 1{"0" * 4999}}}\n', block=2)
+@example(text=f"{_line(1)}\n\n{_line(2)}\n", block=2)
+@example(text=f"{_line(1)} \t\n{_line(2)}\n", block=2)
+@example(text=f"{_line(1)}\n{_line(2)}\n{_line(1)}\n", block=2)  # a duplicate in the next block
+def test_load_corpus_matches_per_line_oracle(tmp_path_factory, text, block):
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     try:
         want = oracle_load_corpus(path)
     except ValueError as exc:
-        with pytest.raises(ValueError) as got:
+        with pytest.raises(ValueError) as got, mock.patch.object(corpus_module, "_BLOCK", block):
             load_corpus(path)
         assert str(got.value) == str(exc)
         return
-    corpus = load_corpus(path)
+    with mock.patch.object(corpus_module, "_BLOCK", block):
+        corpus = load_corpus(path)
     assert {
         "ids": list(corpus.ids), "users": list(corpus.users), "texts": list(corpus.texts),
         "created_at": list(corpus.created_at), "y": corpus.y.tolist(),
@@ -415,6 +458,12 @@ graph_text = st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(graph_text)
+@example(text=" a,b\nb,c\n")
+@example(text="a,b\n\nb,c\n")
+@example(text="a,b,c\nd\n")  # as many commas as lines, two on one line
+@example(text="a,b\nc\nd\n")  # lines without a comma whose ids would pair up
+@example(text="a,b\nc,c\n")
+@example(text="a,b\n\ufeffb,c\nc,a\n")
 def test_load_follower_graph_matches_line_oracle_and_roundtrips(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("graph") / "graph.csv"
     path.write_bytes(text.encode("utf-8"))
