@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,61 @@ def test_generate_is_deterministic(tmp_path):
     write_follower_graph(graph1, ga)
     write_follower_graph(graph2, gb)
     assert ga.read_bytes() == gb.read_bytes()
+
+
+# config -> sha256 of (corpus.jsonl, graph.csv) as `synth` writes them
+GOLDEN = {
+    "default": (
+        {"seed": 1},
+        "ba93a005083cf1786f5665da9180d65d0ad800679a7a645f2e4e0d970400ef99",
+        "f5b56fc70469833eddb09cfe4688aaad3e51e5c723f745e3f4a9ad72affb2bbd",
+    ),
+    "dense_graph": (
+        {"seed": 1, "n_users": 4500, "noise_rate": 0.2, "class_mix": [0.25, 0.4, 0.35],
+         "edge_density": 0.07,
+         "tail_histogram": {"1": 2000, "2": 300, "3": 1200, "4": 200, "5-9": 100, "20+": 1},
+         "planted_influencers": [["sentinela001", 50, 400]]},
+        "36620a66d7faacb1b5cde30c79b43e1010cc37bb2bab947d206c4b9f2dcebf15",
+        "22d7d8e9b25338cb989d4aa0e853ce8842ae431a526126f778c20be395d88b35",
+    ),
+    "no_influencers": (
+        {"seed": 2, "n_users": 300, "tail_histogram": SMALL_HISTOGRAM,
+         "planted_influencers": [], "noise_rate": 0.1},
+        "9280a6233c813b19b830c34749e1c9dd2a2a27165a9e6ab8b527611058e1d538",
+        "0d6b8f64f4b1869e65596f239d2063f27ea46afbf36560f3de1f7f85d2585a4c",
+    ),
+    "no_core_edges": (
+        {"seed": 4, "n_users": 150, "tail_histogram": SMALL_HISTOGRAM,
+         "planted_influencers": [["sentinela001", 40, 20]], "edge_density": 0.0},
+        "161de70dfacb7c70703f35c1afad621a502a5548cc980ef3da974c8a3702d87a",
+        "5b6fa627ff2b1d7904a612e79b47bbcd00744978bcec61a06af34b7bf3d71027",
+    ),
+    # the influencer's id is also the third organic user's: ids compare as strings
+    "id_collision": (
+        {"seed": 5, "n_users": 900, "planted_influencers": [["u00002", 40, 10]],
+         "tail_histogram": {"1": 300, "3": 50, "5-9": 20, "20+": 3}},
+        "7920fc9b9f6e10988e55e0b696f2646dae4b3223a9c6aac8cb5418935ebc1331",
+        "6c50293069122efc08a0fb46a6e64aeefaccdc2ba7d2d5fe6d58bb6afd81219f",
+    ),
+    "two_influencers": (
+        {"seed": 3, "n_users": 400, "tail_histogram": {"1": 200, "3": 40, "4": 10, "20+": 3},
+         "planted_influencers": [["a1", 45, 12], ["b2", 60, 15]], "edge_density": 0.05,
+         "noise_rate": 0.3},
+        "63ee2471a2e193744cb2425fc07909178ea348b8defb8d33d9b89d0563d581cd",
+        "e8d767bff94e45f166afb5c73637d2984b54b19e22039024c98f1247af3c847e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_generate_writes_pinned_bytes(tmp_path, name):
+    config, corpus_sha, graph_sha = GOLDEN[name]
+    corpus, graph, _ = generate(SynthConfig(**config))
+    write_corpus(corpus, tmp_path / "corpus.jsonl")
+    write_follower_graph(graph, tmp_path / "graph.csv")
+    digest = {p: hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()
+              for p in ("corpus.jsonl", "graph.csv")}
+    assert digest == {"corpus.jsonl": corpus_sha, "graph.csv": graph_sha}
 
 
 def test_generate_varies_with_seed():
