@@ -13,7 +13,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import NoneType
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -192,14 +192,21 @@ class FollowerGraph:
         return cls._from_flat(list(chain.from_iterable(pairs)))
 
     @classmethod
-    def _from_flat(cls, flat: list[str]) -> "FollowerGraph":
-        """from_pairs of the pairs (flat[0], flat[1]), (flat[2], flat[3]), ..."""
+    def _from_flat(cls, flat: Sequence[str], ids: np.ndarray | None = None) -> "FollowerGraph":
+        """from_pairs of the pairs (flat[0], flat[1]), (flat[2], flat[3]), ...; or,
+        given an (m, 2) array ids of positions in flat, of the pairs (flat[i], flat[j])
+        for its rows (i, j), where flat may repeat an id or hold unused ones."""
+        if ids is not None:
+            used = np.bincount(ids.ravel(), minlength=len(flat)) > 0
+            flat = list(compress(flat, used.tolist()))
+            ids = (np.cumsum(used) - 1)[ids]
         names = sorted(set(flat))
         for name in names:
             if not name or name != name.strip() or any(c in name for c in ",\r\n\ufeff"):
                 raise ValueError(f"graph user id cannot be written as CSV: {name!r}")
         index = dict(zip(names, range(len(names))))
-        ids = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat)).reshape(-1, 2)
+        positions = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat))
+        ids = positions.reshape(-1, 2) if ids is None else positions[ids]
         loops = ids[:, 0] == ids[:, 1]
         if loops.any():
             raise ValueError(f"self-follow edge not allowed: {names[ids[loops.argmax(), 0]]!r}")
@@ -213,10 +220,6 @@ class FollowerGraph:
         if not isinstance(other, FollowerGraph):
             return NotImplemented
         return self.names == other.names and np.array_equal(self.edges, other.edges)
-
-    def pairs(self) -> list[tuple[str, str]]:
-        """The edges as sorted (follower, friend) string pairs."""
-        return list(map(tuple, np.array(self.names, dtype=object)[self.edges].tolist()))
 
 
 # required field -> the JSON types it accepts; integer ids and users become strings
@@ -445,9 +448,10 @@ def _load_follower_graph_by_line(path: str | Path) -> FollowerGraph:
 
 def write_follower_graph(graph: FollowerGraph, path: str | Path) -> None:
     """Write edges as `follower_id,friend_id`, sorted, one per line."""
+    follower = np.array([name + "," for name in graph.names], dtype=object)
+    friend = np.array([name + "\n" for name in graph.names], dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        for follower, friend in graph.pairs():
-            fh.write(f"{follower},{friend}\n")
+        fh.write("".join((follower[graph.edges[:, 0]] + friend[graph.edges[:, 1]]).tolist()))
 
 
 def load_exclusions(path: str | Path) -> frozenset[str]:

@@ -17,6 +17,7 @@ from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label, read_config
 __all__ = [
     "BUCKET_ORDER",
     "DEFAULT_TAIL_HISTOGRAM",
+    "MAX_TWEETS",
     "SynthConfig",
     "generate",
 ]
@@ -59,6 +60,9 @@ _NOISE_VOCAB = (
 
 DEFAULT_CLASS_VOCABULARIES = (_RELEVANT_VOCAB, _NEWS_VOCAB, _NOISE_VOCAB)
 
+#: Most tweets a config may ask for: as many as seven-digit tweet ids number.
+MAX_TWEETS = 10_000_000
+
 # config-file key -> (JSON shape, its wording in errors); see corpus.has_shape
 _CONFIG_SHAPES = {
     "seed": (int, "an integer"),
@@ -73,16 +77,6 @@ _CONFIG_SHAPES = {
     "edge_density": (float, "a real"),
     "noise_rate": (float, "a real"),
 }
-
-
-def _bucket_of(r: int) -> str:
-    if r >= 20:
-        return "20+"
-    if r >= 10:
-        return "10-19"
-    if r >= 5:
-        return "5-9"
-    return str(r)
 
 
 @dataclass(frozen=True)
@@ -154,6 +148,12 @@ class SynthConfig:
                 )
             if fan_in < 1:
                 raise ValueError(f"influencer {uid}: fan_in must be >= 1")
+        # relevant tweets at each histogram slot's largest draw, plus the influencers'
+        r_max = sum(r for _, r, _ in self.planted_influencers) + sum(
+            int(n) * _BUCKET_RANGES[b][1] for b, n in self.tail_histogram.items())
+        if r_max > MAX_TWEETS * self.class_mix[0]:
+            raise ValueError(f"tweet budget too large: up to {r_max} relevant tweets at a "
+                             f"relevant share of {self.class_mix[0]} exceed {MAX_TWEETS}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":
@@ -170,42 +170,39 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
     consume a slot of their bucket). Every non-influencer author also gets
     non-relevant harvest tweets and off-harvest activity, so the planted
     influencers are the only candidates with perfect focus metrics.
+
+    Texts are slices of one token list per class. Follow edges are drawn as
+    position arrays over the user ids, deduplicated as int64 codes and
+    interned into the graph once; user ids compare as strings throughout.
     """
     rng = np.random.default_rng(config.seed)
 
     # relevant-count plan: influencers first, then bucket draws
     buckets = {b: int(config.tail_histogram.get(b, 0)) for b in BUCKET_ORDER}
-    for uid, r, _ in config.planted_influencers:
-        bucket = _bucket_of(r)
-        if buckets[bucket] <= 0:
-            raise ValueError(
-                f"influencer {uid} needs a {bucket!r} histogram slot and none is left"
-            )
-        buckets[bucket] -= 1
+    for uid, _, _ in config.planted_influencers:  # each count exceeds 30: a "20+" slot
+        if buckets["20+"] <= 0:
+            raise ValueError(f"influencer {uid} needs a '20+' histogram slot and none is left")
+        buckets["20+"] -= 1
     demanded = sum(int(c) for c in config.tail_histogram.values())
     if demanded > config.n_users:
         raise ValueError(
             f"histogram demands {demanded} users but n_users={config.n_users}"
         )
-    influencer_ids = [uid for uid, _, _ in config.planted_influencers]
-    user_ids: list[str] = list(influencer_ids)
-    r_counts: list[int] = [r for _, r, _ in config.planted_influencers]
-    serial = 0
+    n_inf = len(config.planted_influencers)
+    r_counts = [r for _, r, _ in config.planted_influencers]
     for bucket in BUCKET_ORDER:
         count = buckets[bucket]
         if count == 0:
             continue
         lo, hi = _BUCKET_RANGES[bucket]
         draws = np.full(count, lo) if lo == hi else rng.integers(lo, hi + 1, size=count)
-        for r in draws:
-            user_ids.append(f"u{serial:05d}")
-            serial += 1
-            r_counts.append(int(r))
-    n_cand = len(user_ids)
-    background = [f"u{serial + i:05d}" for i in range(config.n_users - n_cand)]
-    all_users = user_ids + background
+        r_counts += draws.tolist()
+    n_cand = len(r_counts)
+    # influencers, then the organic candidates and the background as u00000, u00001, ...
+    all_users = [uid for uid, _, _ in config.planted_influencers] + [
+        f"u{i:05d}" for i in range(config.n_users - n_inf)
+    ]
     n_all = len(all_users)
-    n_inf = len(influencer_ids)
 
     # tweet budget: relevant volume is fixed, the rest realizes the class mix
     rel = np.zeros(n_all, dtype=int)
@@ -214,18 +211,13 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
     total_tweets = round(r_total / config.class_mix[0])
     n_nonrel = total_tweets - r_total
     fill = np.zeros(n_all, dtype=int)
-    for i in range(n_inf, n_cand):
-        fill[i] = max(1, rel[i] // 2) if rel[i] >= 3 else 1
+    fill[n_inf:n_cand] = np.where(rel[n_inf:n_cand] >= 3, rel[n_inf:n_cand] // 2, 1)
     spare = n_nonrel - int(fill.sum())
     if spare < 0:
         raise ValueError(
             "class_mix leaves too few non-relevant tweets for the harvest filler"
         )
-    pool = (
-        np.arange(n_cand, n_all)
-        if n_all > n_cand
-        else np.arange(n_inf, n_cand)
-    )
+    pool = np.arange(n_cand, n_all) if n_all > n_cand else np.arange(n_inf, n_cand)
     if spare > 0:
         if len(pool) == 0:
             raise ValueError("no users available to absorb non-relevant volume")
@@ -261,9 +253,10 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
             )
             noisy = rng.random(total_tokens) < config.noise_rate
             tokens[noisy] = other[rng.integers(0, len(other), size=int(noisy.sum()))]
-        pieces = np.split(tokens, np.cumsum(doc_lengths)[:-1])
-        for pos, piece in zip(positions, pieces):
-            texts[pos] = " ".join(piece)
+        words = tokens.tolist()
+        ends = np.cumsum(doc_lengths).tolist()
+        for pos, start, end in zip(positions.tolist(), [0, *ends], ends):
+            texts[pos] = " ".join(words[start:end])
 
     # off-harvest activity: influencers get none, everyone else some
     harvest = rel + fill
@@ -286,49 +279,45 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
     )
     gold = dict(zip(ids, map(LABEL_ORDER.__getitem__, tweet_classes.tolist())))
 
-    # follow edges among the ranking-eligible core, plus periphery noise
-    core = [user_ids[i] for i in range(n_cand) if r_counts[i] >= 3]
-    core_set = set(core)
+    # follow edges among the ranking-eligible core, plus periphery noise, as
+    # (follower, friend) positions in all_users. Ids compare as strings, so each
+    # end moves to the first position of its id (an influencer's id may also be
+    # an organic user's).
+    first = dict(zip(reversed(all_users), range(n_all - 1, -1, -1)))
+    canon = np.fromiter(map(first.__getitem__, all_users), np.int64, n_all)
+    core = np.flatnonzero(rel >= 3)
+    in_core = np.isin(canon, canon[core])
     n_core = len(core)
-    edges: set[tuple[str, str]] = set()
+    parts = [np.empty((0, 2), dtype=np.int64)]
     if n_core > 1 and config.edge_density > 0:
         mat = rng.random((n_core, n_core)) < config.edge_density
         np.fill_diagonal(mat, False)
-        for a, b in np.argwhere(mat):
-            edges.add((core[int(a)], core[int(b)]))
-    for uid, _, fan_in in config.planted_influencers:
-        others = [c for c in core if c not in influencer_ids]
+        parts.append(core[np.argwhere(mat)])
+    others = core[canon[core] >= n_inf]  # no influencer's id
+    for i, (uid, _, fan_in) in enumerate(config.planted_influencers):
         if fan_in > len(others):
             raise ValueError(
                 f"influencer {uid}: fan_in {fan_in} exceeds {len(others)} available followers"
             )
         chosen = rng.choice(len(others), size=fan_in, replace=False)
-        for c in chosen:
-            edges.add((others[int(c)], uid))
-    periphery = [u for u in all_users if u not in core_set]
-    if periphery and core:
+        parts.append(np.stack([others[chosen], np.full(fan_in, i)], axis=1))
+    periphery = np.flatnonzero(~in_core)
+    if len(periphery) and n_core:
         n_extra = min(300, len(periphery))
-        fol = rng.integers(0, len(periphery), size=n_extra)
-        fri = rng.integers(0, len(core), size=n_extra)
-        for a, b in zip(fol, fri):
-            edges.add((periphery[int(a)], core[int(b)]))
-        fol2 = rng.integers(0, len(core), size=n_extra)
-        fri2 = rng.integers(0, len(periphery), size=n_extra)
-        for a, b in zip(fol2, fri2):
-            edges.add((core[int(a)], periphery[int(b)]))
+        for a, b in ((periphery, core), (core, periphery)):
+            parts.append(np.stack([a[rng.integers(0, len(a), size=n_extra)],
+                                   b[rng.integers(0, len(b), size=n_extra)]], axis=1))
+    pairs = canon[np.concatenate(parts)]
+    codes = np.sort(pairs[:, 0] * n_all + pairs[:, 1])
+    follower, friend = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n_all)
 
     if config.planted_influencers:
-        indeg: dict[str, int] = {}
-        for _, friend in edges:
-            if friend in core_set:
-                indeg[friend] = indeg.get(friend, 0) + 1
-        top_organic = max(
-            (d for u, d in indeg.items() if u not in influencer_ids), default=0
-        )
-        if min(indeg.get(uid, 0) for uid in influencer_ids) <= top_organic:
+        indeg = np.bincount(friend[in_core[friend]], minlength=n_all)
+        if indeg[:n_inf].min() <= indeg[n_inf:].max(initial=0):
             raise ValueError(
                 "edge_density too high: an organic candidate out-ranks a planted "
                 "influencer's fan-in"
             )
 
-    return corpus, FollowerGraph.from_pairs(edges), gold
+    graph = FollowerGraph._from_flat(all_users, np.stack([follower, friend], axis=1))
+    return corpus, graph, gold

@@ -77,6 +77,11 @@ def records_of(corpus: Corpus) -> tuple[TweetRecord, ...]:
     )
 
 
+def graph_pairs(graph: FollowerGraph) -> list[tuple[str, str]]:
+    """The edges of a graph as sorted (follower, friend) string pairs."""
+    return [(graph.names[a], graph.names[b]) for a, b in graph.edges.tolist()]
+
+
 def toarray(matrix: CountMatrix) -> np.ndarray:
     """A dense float64 copy of a count matrix, shape (rows, n_cols)."""
     dense = np.zeros((len(matrix), matrix.n_cols))
@@ -113,7 +118,7 @@ def oracle_transition(candidates: UserStats, graph: FollowerGraph) -> Transition
     """
     index = {uid: i for i, uid in enumerate(candidates.users)}
     friends_of: dict[str, list[str]] = {}
-    for follower, friend in sorted(graph.pairs()):
+    for follower, friend in sorted(graph_pairs(graph)):
         friends_of.setdefault(follower, []).append(friend)
     r = np.array(candidates.relevant.tolist(), dtype=float)
     v = np.array(candidates.v.tolist())

@@ -131,6 +131,19 @@ def test_synth_config_values_are_type_checked(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_synth_rejects_a_tweet_budget_beyond_the_bound(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"planted_influencers": [["sentinela001", 2**62, 20]],
+                               "tail_histogram": {"1": 10, "3": 30, "20+": 1},
+                               "n_users": 100, "seed": 1}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tweet budget too large: ")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_synth_config_accepts_ints_for_reals(tmp_path, capsys):
     cfg = tmp_path / "synth.json"
     cfg.write_text(json.dumps({**SYNTH, "n_users": 60, "edge_density": 1, "noise_rate": 0,
@@ -528,6 +541,8 @@ small_json = json_values(-1, 0, 1, 3, 10, 40, 60)
 @settings(max_examples=100, deadline=None)
 @example(config={"class_mix": [10**400, 0.5, 0.5]})
 @example(config={"planted_influencers": [["sentinela001", 10**20, 20]]})
+@example(config={"planted_influencers": [["sentinela001", 2**62, 20]],
+                 "tail_histogram": {"1": 10, "3": 30, "20+": 1}, "n_users": 100, "seed": 1})
 @given(st.fixed_dictionaries({}, optional={
     "seed": st.sampled_from([1, 11]) | any_json, "class_vocabularies": any_json,
     "class_mix": any_json, "edge_density": any_json, "noise_rate": any_json,

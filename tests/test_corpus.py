@@ -20,7 +20,7 @@ from sensor_rank.corpus import (
     write_follower_graph,
 )
 
-from oracles import TweetRecord, from_records, oracle_load_corpus, records_of
+from oracles import TweetRecord, from_records, graph_pairs, oracle_load_corpus, records_of
 
 
 def record(i, user="u1", text="zika chegou", label=None, total=None):
@@ -386,7 +386,7 @@ def test_follower_graph_interns_sorted_unique_edges():
     g = FollowerGraph.from_pairs([("c", "a"), ("a", "c"), ("b", "a"), ("c", "a")])
     assert g.names == ("a", "b", "c")
     assert g.edges.tolist() == [[0, 2], [1, 0], [2, 0]]
-    assert g.pairs() == [("a", "c"), ("b", "a"), ("c", "a")]
+    assert graph_pairs(g) == [("a", "c"), ("b", "a"), ("c", "a")]
     assert len(FollowerGraph.from_pairs([]).edges) == 0
 
 
@@ -394,7 +394,7 @@ def test_follower_graph_file_roundtrip(tmp_path):
     path = tmp_path / "graph.csv"
     path.write_text("b,a\na,b\n\nb,a\n", encoding="utf-8")
     g = load_follower_graph(path)
-    assert g.pairs() == [("a", "b"), ("b", "a")]
+    assert graph_pairs(g) == [("a", "b"), ("b", "a")]
 
     out = tmp_path / "copy.csv"
     write_follower_graph(g, out)
@@ -418,7 +418,7 @@ def test_load_follower_graph_bad_line(tmp_path):
 def test_load_follower_graph_skips_byte_order_mark(tmp_path):
     path = tmp_path / "graph.csv"
     path.write_text("a,b\nb,c\n", encoding="utf-8-sig")
-    assert load_follower_graph(path).pairs() == [("a", "b"), ("b", "c")]
+    assert graph_pairs(load_follower_graph(path)) == [("a", "b"), ("b", "c")]
 
 
 def stripped_line_pairs(text):
@@ -473,7 +473,7 @@ def test_load_follower_graph_matches_line_oracle_and_roundtrips(tmp_path_factory
             load_follower_graph(path)
         return
     g = load_follower_graph(path)
-    assert set(g.pairs()) == pairs
+    assert set(graph_pairs(g)) == pairs
     write_follower_graph(g, path)
     assert load_follower_graph(path) == g
 

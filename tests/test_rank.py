@@ -29,6 +29,7 @@ from sensor_rank.rank import (
 from oracles import (
     TweetRecord,
     from_records,
+    graph_pairs,
     oracle_linear_solve,
     oracle_ranking_report,
     oracle_transition,
@@ -385,7 +386,7 @@ def test_connected_components_match_union_find():
     instances = [random_instance(rng) for _ in range(20)] + [long_path_instance(rng)]
     for stats, graph in instances:
         users = list(stats.users)
-        edges = set(graph.pairs())
+        edges = set(graph_pairs(graph))
         comps, mutual = connected_components(
             build_transition(candidate_filter(stats, RankConfig()), graph)
         )

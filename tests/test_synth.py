@@ -16,9 +16,9 @@ from sensor_rank.rank import (
     overall_focus,
     topic_focus,
 )
-from sensor_rank.synth import SynthConfig, generate
+from sensor_rank.synth import MAX_TWEETS, SynthConfig, generate
 
-from oracles import oracle_linear_solve, oracle_nb_posterior, records_of
+from oracles import graph_pairs, oracle_linear_solve, oracle_nb_posterior, records_of
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -59,6 +59,21 @@ def test_config_validation():
         SynthConfig(seed=1, noise_rate=1.0)
     with pytest.raises(ValueError, match="edge_density"):
         SynthConfig(seed=1, edge_density=-0.1)
+
+
+def test_config_bounds_the_tweet_budget():
+    # each "1" slot asks for one relevant tweet, each "5-9" slot for up to nine
+    half = (0.5, 0.25, 0.25)
+    SynthConfig(seed=1, class_mix=half, tail_histogram={"1": MAX_TWEETS // 2},
+                planted_influencers=())
+    with pytest.raises(ValueError, match="tweet budget"):
+        SynthConfig(seed=1, class_mix=half, tail_histogram={"1": MAX_TWEETS // 2 + 1},
+                    planted_influencers=())
+    with pytest.raises(ValueError, match="tweet budget"):
+        SynthConfig(seed=1, class_mix=half, tail_histogram={"5-9": MAX_TWEETS // 18 + 1},
+                    planted_influencers=())
+    with pytest.raises(ValueError, match="tweet budget"):
+        SynthConfig(seed=1, planted_influencers=(("boss", 2**62, 10),))
 
 
 def test_config_from_json(tmp_path):
@@ -246,7 +261,7 @@ def test_planted_influencer_dominates():
     others = np.delete(stats.relevant, boss)
     assert stats.relevant[boss] > max(others)
     in_degrees = {uid: 0 for uid in stats.users}
-    for _, friend in graph.pairs():
+    for _, friend in graph_pairs(graph):
         if friend in in_degrees:
             in_degrees[friend] += 1
     fan_in = in_degrees["sentinela001"]
