@@ -27,7 +27,6 @@ from .corpus import (
     Corpus,
     FollowerGraph,
     Label,
-    class_ids,
     load_corpus,
     load_exclusions,
     load_follower_graph,
@@ -64,8 +63,6 @@ from .text import (
     Vocabulary,
     count_ngrams,
     load_stopwords,
-    ngrams,
-    normalize,
     tfidf_rank,
 )
 
@@ -96,7 +93,6 @@ __all__ = [
     "Vocabulary",
     "build_transition",
     "candidate_filter",
-    "class_ids",
     "compute_user_stats",
     "connected_components",
     "count_ngrams",
@@ -110,8 +106,6 @@ __all__ = [
     "load_follower_graph",
     "load_model",
     "load_stopwords",
-    "ngrams",
-    "normalize",
     "overall_focus",
     "predict_many",
     "ranking_report",

@@ -50,7 +50,7 @@ _SMOTE_BLOCK = 256
 @dataclass
 class LabeledDataset:
     """Count-matrix rows over a shared vocabulary, with y holding each row's
-    class id: its label's position in LABEL_ORDER (see corpus.class_ids)."""
+    class id: its label's position in LABEL_ORDER."""
 
     matrix: CountMatrix
     y: np.ndarray

@@ -277,11 +277,12 @@ def cmd_eval(settings: Settings) -> int:
 def cmd_classify(settings: Settings) -> int:
     corpus = load_corpus(settings.require("corpus"))
     table = _table(settings)
-    model, vocab, saved_hash = load_model(settings.require("model"))
+    model_path = settings.require("model")
+    model, vocab, saved_hash = load_model(model_path)
     if saved_hash != table.table_hash():
         raise ValueError(
-            "replacement table hash mismatch: the model was trained with a "
-            "different normalization table"
+            f"{model_path}: replacement table hash mismatch: the model was trained "
+            "with a different normalization table"
         )
     out = _out_dir(settings)
     _, counts = count_ngrams(corpus.texts, table, vocab=vocab)

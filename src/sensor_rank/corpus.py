@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "Label",
     "LABEL_ORDER",
-    "class_ids",
     "require_all_classes",
     "Corpus",
     "FollowerGraph",
@@ -43,13 +42,9 @@ class Label(str, Enum):
 #: Fixed label ordering used for class axes in vectors, matrices and reports.
 LABEL_ORDER: tuple[Label, Label, Label] = (Label.RELEVANT, Label.NEWS, Label.NOISE)
 
-_CLASS_ID = {label: i for i, label in enumerate(LABEL_ORDER)}
-_CLASS_ID_BY_VALUE = {label.value: i for label, i in _CLASS_ID.items()}
-
-
-def class_ids(labels: Iterable[Label]) -> np.ndarray:
-    """Each label's position in LABEL_ORDER, as an int64 array."""
-    return np.fromiter((_CLASS_ID[label] for label in labels), dtype=np.int64)
+# A label's class id, its position in LABEL_ORDER, and -1 for no label. Label
+# is a str enum, so the map answers a label's value too.
+_CLASS_ID = {None: -1, **{label: i for i, label in enumerate(LABEL_ORDER)}}
 
 
 def require_all_classes(y: np.ndarray) -> None:
@@ -243,7 +238,7 @@ def _row(obj: object, escaped: bool) -> tuple[str, str, str, str, int, int]:
     if len(obj) > len(_REQUIRED_FIELDS) and not _FIELDS.issuperset(obj):
         raise ValueError(f"unknown field(s) {sorted(set(obj) - _FIELDS)}")
     label = obj.get("label")
-    class_id = _CLASS_ID_BY_VALUE.get(label, -1) if type(label) is str else -1
+    class_id = _CLASS_ID.get(label, -1) if type(label) is str else -1
     if label is not None and class_id < 0:
         raise ValueError(f"unknown label {label!r}")
     record_id, user = str(obj["id"]), str(obj["user"])
@@ -282,7 +277,6 @@ def load_corpus(path: str | Path) -> Corpus:
 # lines load_corpus decodes with one json.loads
 _BLOCK = 1024
 _REQUIRED_VALUES = itemgetter(*_REQUIRED_FIELDS)
-_CLASS_ID_OR_ABSENT = {None: -1, **_CLASS_ID_BY_VALUE}
 
 
 def _read_blocks(path: str | Path) -> list[list] | None:
@@ -328,7 +322,7 @@ def _block_columns(objs: list, escaped: bool) -> tuple[list, ...] | None:
             and _types(labels) <= {str, NoneType} and _types(totals) <= {int, NoneType}):
         return None
     ids, users = list(map(str, ids)), list(map(str, users))
-    y = list(map(_CLASS_ID_OR_ABSENT.get, labels))
+    y = list(map(_CLASS_ID.get, labels))
     counts = set(totals) - {None}
     if (None in y or not all(map(str.strip, ids)) or not all(map(str.strip, users))
             or counts and not 0 <= min(counts) <= max(counts) < 2**63

@@ -61,34 +61,26 @@ def _columns(X: CountMatrix) -> CountMatrix:
     return CountMatrix(ptr, rows[keep], vals[keep], len(X))
 
 
-def _leaf(counts: np.ndarray) -> np.ndarray:
-    return counts / counts.sum()
-
-
 def _best_split(
-    columns: CountMatrix, y: np.ndarray, rows: np.ndarray, mult: np.ndarray,
-    counts: np.ndarray, feats: np.ndarray, weight: np.ndarray,
+    columns: CountMatrix, y: np.ndarray, labels: np.ndarray, label: int, mult: np.ndarray,
+    counts: np.ndarray, feats: np.ndarray,
 ) -> tuple[int, float] | None:
     """The (feature, threshold) of least Gini cost over feats, or None.
 
-    The node holds the distinct rows, each mult times. Each feature's in-node
-    rows are its nonzeros plus one block at value 0 for the rest. Boundaries
-    between distinct values are scored in (feature, value) order, so the
-    first minimum has the lowest feature id, then the lowest threshold.
-    weight is an all-zero scratch array, one slot per row, and is all-zero
-    again on return.
+    The node holds the rows labelled label, row r mult[r] times. Each feature's
+    in-node rows are its nonzeros plus one block at value 0 for the rest.
+    Boundaries between distinct values are scored in (feature, value) order,
+    so the first minimum has the lowest feature id, then the lowest threshold.
     """
     m = len(feats)
     lo, length = columns.indptr[feats], columns.indptr[feats + 1] - columns.indptr[feats]
     # position of every entry of the m columns in columns' arrays
     at = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
-    weight[rows] = mult
-    w = weight[columns.indices[at]]
-    weight[rows] = 0
-    inside = w > 0
-    at, w = at[inside], w[inside]
-    slot = np.repeat(np.arange(m), length)[inside]
-    vals, cls = columns.data[at], y[columns.indices[at]]
+    slot = np.repeat(np.arange(m), length)
+    rows = columns.indices[at]
+    inside = labels[rows] == label
+    at, rows, slot = at[inside], rows[inside], slot[inside]
+    w, vals, cls = mult[rows], columns.data[at], y[rows]
     # class counts are integers, so every sum below is exact in floats
     per_entry = np.zeros((len(w), 3))
     per_entry[np.arange(len(w)), cls] = w
@@ -107,7 +99,7 @@ def _best_split(
     first = np.searchsorted(slot, slot[cut])  # first entry of each cut's feature
     left = cum[cut] - cum[first] + per_entry[first]
     right = counts - left
-    nn = mult.sum()
+    nn = counts.sum()
     nl = left.sum(axis=1)
     # minimizing this is equivalent to minimizing weighted Gini impurity
     cost = -(left**2).sum(axis=1) / nl - (right**2).sum(axis=1) / (nn - nl)
@@ -115,47 +107,51 @@ def _best_split(
     return int(feats[slot[p]]), float((vals[p] + vals[p + 1]) / 2.0)
 
 
+def _split(
+    columns: CountMatrix, labels: np.ndarray, label: int, feature: int, threshold: float
+) -> np.ndarray:
+    """The rows labelled label that "value <= threshold" sends to the side without
+    value 0: right (value > threshold) when threshold >= 0, else left. NaN goes right."""
+    rows, vals = columns.row(feature)
+    inside = labels[rows] == label
+    return rows[inside][(vals[inside] <= threshold) != (threshold >= 0)]
+
+
 def _grow_tree(
     columns: CountMatrix, y: np.ndarray, boot: np.ndarray, m: int, rng: np.random.Generator
 ) -> TreeNode:
     """One tree over the transposed design matrix (see _columns) and a bootstrap.
 
-    Each node holds its distinct rows and how often the bootstrap drew each.
+    Each row carries its node's label (-1 outside the bootstrap) and counts as
+    often as the bootstrap drew it. A split relabels the rows _split returns.
     """
     n_features = len(columns)
-    # all-zero scratch arrays, one slot per row
-    weight = np.zeros(len(y), dtype=np.int64)
-    value = np.zeros(len(y))
+    mult = np.bincount(boot, minlength=len(y))
+    labels = np.where(mult > 0, 0, -1)
     root = TreeNode()
-    stack: list[tuple[TreeNode, np.ndarray, np.ndarray]] = [
-        (root, *np.unique(boot, return_counts=True))
-    ]
+    stack = [(root, 0, np.bincount(y, weights=mult, minlength=3))]
+    new = 0
     while stack:
-        node, rows, mult = stack.pop()
-        counts = np.bincount(y[rows], weights=mult, minlength=3)
-        nn = mult.sum()
-        if nn < 2 or counts.max() == nn:
-            node.dist = _leaf(counts)
+        node, label, counts = stack.pop()
+        nn = counts.sum()
+        split = None
+        if nn >= 2 and counts.max() < nn:
+            feats = np.sort(rng.choice(n_features, size=m, replace=False))
+            split = _best_split(columns, y, labels, label, mult, counts, feats)
+        if split is not None:
+            rows = _split(columns, labels, label, *split)
+            # integer sums, so the kept side's counts are exact
+            moved = np.bincount(y[rows], weights=mult[rows], minlength=3)
+        if split is None or not 0 < moved.sum() < nn:
+            node.dist = counts / nn
             continue
-        feats = np.sort(rng.choice(n_features, size=m, replace=False))
-        split = _best_split(columns, y, rows, mult, counts, feats, weight)
-        if split is None:
-            node.dist = _leaf(counts)
-            continue
-        feature, threshold = split
-        cells, vals = columns.row(feature)
-        value[cells] = vals
-        mask = value[rows] <= threshold
-        value[cells] = 0.0
-        if mask.all() or not mask.any():
-            node.dist = _leaf(counts)
-            continue
-        node.feature = feature
-        node.threshold = threshold
-        node.left = TreeNode()
-        node.right = TreeNode()
-        stack.append((node.right, rows[~mask], mult[~mask]))
-        stack.append((node.left, rows[mask], mult[mask]))
+        new += 1
+        labels[rows] = new
+        node.feature, node.threshold = split
+        node.left, node.right = TreeNode(), TreeNode()
+        sides = (label, counts - moved), (new, moved)  # kept, relabeled
+        left, right = sides if node.threshold >= 0 else sides[::-1]
+        stack += [(node.right, *right), (node.left, *left)]
     return root
 
 
@@ -186,26 +182,29 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
 def predict_proba(model: RfModel, X: CountMatrix) -> np.ndarray:
     """Mean leaf distribution of every row, shape (rows, 3).
 
-    All rows descend each tree together, split by split; a cell a row does not
-    list, or a feature at or past X's width, counts as 0. Every row adds its
-    leaf distributions in tree order, and the sum is then divided by the tree
-    count.
+    All rows descend each tree together, relabeled split by split as in
+    growth; a cell a row does not list, or a feature at or past X's width,
+    counts as 0. Every row adds its leaf distributions in tree order, and the
+    sum is then divided by the tree count.
     """
     n = len(X)
     # one extra, empty column stands for every feature at or past X's width
     columns = _columns(CountMatrix(X.indptr, X.indices, X.data, X.n_cols + 1))
-    value = np.zeros(n)  # all-zero scratch, one slot per row
     acc = np.zeros((n, 3))
     for root in model.trees:
-        stack = [(root, np.arange(n))]
+        labels = np.zeros(n, dtype=np.int64)
+        dist_of = {}
+        stack = [(root, 0, n)]  # (node, its label, rows that carry it)
+        new = 0
         while stack:
-            node, idx = stack.pop()
+            node, label, count = stack.pop()
             if node.dist is not None:
-                acc[idx] += node.dist
-            elif len(idx):
-                rows, vals = columns.row(min(node.feature, X.n_cols))
-                value[rows] = vals
-                mask = value[idx] <= node.threshold
-                value[rows] = 0.0
-                stack += [(node.right, idx[~mask]), (node.left, idx[mask])]
+                dist_of[label] = node.dist
+            elif count:  # a subtree that no row reaches is skipped
+                new += 1
+                rows = _split(columns, labels, label, min(node.feature, X.n_cols), node.threshold)
+                labels[rows] = new
+                kept, moved = (node.left, node.right) if node.threshold >= 0 else (node.right, node.left)
+                stack += [(kept, label, count - len(rows)), (moved, new, len(rows))]
+        acc += np.array([dist_of.get(label, np.zeros(3)) for label in range(new + 1)])[labels]
     return acc / len(model.trees)

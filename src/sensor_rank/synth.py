@@ -60,7 +60,8 @@ _NOISE_VOCAB = (
 
 DEFAULT_CLASS_VOCABULARIES = (_RELEVANT_VOCAB, _NEWS_VOCAB, _NOISE_VOCAB)
 
-#: Most tweets a config may ask for: as many as seven-digit tweet ids number.
+#: Most tweets, and most users, a config may ask for: as many as seven-digit
+#: tweet ids number.
 MAX_TWEETS = 10_000_000
 
 # config-file key -> (JSON shape, its wording in errors); see corpus.has_shape
@@ -117,6 +118,8 @@ class SynthConfig:
         )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_users > MAX_TWEETS:
+            raise ValueError(f"n_users must be at most {MAX_TWEETS}, got {self.n_users}")
         if len(self.class_vocabularies) != 3 or any(
             not v for v in self.class_vocabularies
         ):

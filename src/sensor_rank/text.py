@@ -12,7 +12,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "ReplacementTable",
     "Vocabulary",
     "CountMatrix",
-    "normalize",
-    "ngrams",
     "count_ngrams",
     "tfidf_rank",
     "load_stopwords",
@@ -248,34 +246,6 @@ class _Chunks(dict):
         self.ptr.frombytes((np.cumsum(lengths) + self.ptr[-1]).tobytes())
 
 
-def normalize(text: str, table: ReplacementTable | None = None) -> list[str]:
-    """Turn raw post text into an ordered list of lowercase tokens.
-
-    Lowercases, folds accents, maps URLs/image links to the tokens "url" and
-    "image", drops emoticons, splits on non-alphanumeric boundaries, then maps
-    pure digit runs to "number", laughter patterns to "funny", and applies the
-    table's exact replacements. Any input yields a (possibly empty) sequence.
-    """
-    if table is None:
-        table = ReplacementTable.default()
-    chunks = _Chunks(table)
-    tok, _ = chunks.tokens([text])
-    return list(map(chunks.tokenizer.tokens.__getitem__, tok.tolist()))
-
-
-def ngrams(tokens: list[str], n_max: int) -> list[str]:
-    """All contiguous k-grams for k=1..n_max, underscore-joined, ordered by (position, k)."""
-    if not 1 <= n_max <= 3:
-        raise ValueError(f"n_max must be in 1..3, got {n_max}")
-    out: list[str] = []
-    n = len(tokens)
-    for i in range(n):
-        for k in range(1, n_max + 1):
-            if i + k <= n:
-                out.append("_".join(tokens[i : i + k]))
-    return out
-
-
 @dataclass
 class Vocabulary:
     """N-gram vocabulary with dense ids in first-appearance order.
@@ -307,19 +277,6 @@ class CountMatrix:
     indices: np.ndarray
     data: np.ndarray
     n_cols: int
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Mapping[int, float]], n_cols: int) -> "CountMatrix":
-        """Build from per-row {column: value} mappings, keeping their item order."""
-        rows = list(rows)
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=indptr[1:])
-        nnz = int(indptr[-1])
-        indices = np.fromiter((c for row in rows for c in row), dtype=np.int64, count=nnz)
-        data = np.fromiter((v for row in rows for v in row.values()), dtype=float, count=nnz)
-        if nnz and not (0 <= indices.min() and indices.max() < n_cols):
-            raise ValueError(f"column index out of range for {n_cols} columns")
-        return cls(indptr, indices, data, n_cols)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1

@@ -2,8 +2,10 @@
 
 Written from scratch on purpose (pure-Python elimination, exact rationals),
 so the tests never validate the main code against itself. The builders
-here (TweetRecord rows, dense copies, deep hand-built trees) make test
-inputs without going through the code under test.
+here (TweetRecord rows, count matrices from row dicts, class ids, dense
+copies, deep hand-built trees) make test inputs without going through the
+code under test. `normalize` and `ngrams` spell one text's tokens and
+n-grams as strings, so tests can read what count_ngrams counts.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from sensor_rank.text import (
     CountMatrix,
     ReplacementTable,
     Vocabulary,
-    ngrams,
+    _Chunks,
 )
 
 
@@ -80,6 +82,38 @@ def records_of(corpus: Corpus) -> tuple[TweetRecord, ...]:
 def graph_pairs(graph: FollowerGraph) -> list[tuple[str, str]]:
     """The edges of a graph as sorted (follower, friend) string pairs."""
     return [(graph.names[a], graph.names[b]) for a, b in graph.edges.tolist()]
+
+
+def class_ids(labels) -> np.ndarray:
+    """Each label's position in LABEL_ORDER, as an int64 array."""
+    return np.array([LABEL_ORDER.index(label) for label in labels], dtype=np.int64)
+
+
+def count_matrix(rows, n_cols: int) -> CountMatrix:
+    """The count matrix of per-row {column: value} mappings, keeping their item order."""
+    rows = list(rows)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.array([c for row in rows for c in row], dtype=np.int64)
+    data = np.array([v for row in rows for v in row.values()], dtype=float)
+    if len(indices) and not (0 <= indices.min() and indices.max() < n_cols):
+        raise ValueError(f"column index out of range for {n_cols} columns")
+    return CountMatrix(indptr, indices, data, n_cols)
+
+
+def normalize(text: str, table: ReplacementTable | None = None) -> list[str]:
+    """The tokens count_ngrams counts for one text, in order (default table if None)."""
+    chunks = _Chunks(ReplacementTable.default() if table is None else table)
+    tok, _ = chunks.tokens([text])
+    return [chunks.tokenizer.tokens[t] for t in tok.tolist()]
+
+
+def ngrams(tokens: list[str], n_max: int) -> list[str]:
+    """All contiguous k-grams for k=1..n_max, underscore-joined, ordered by (position, k)."""
+    if not 1 <= n_max <= 3:
+        raise ValueError(f"n_max must be in 1..3, got {n_max}")
+    return ["_".join(tokens[i : i + k])
+            for i in range(len(tokens)) for k in range(1, n_max + 1) if i + k <= len(tokens)]
 
 
 def toarray(matrix: CountMatrix) -> np.ndarray:

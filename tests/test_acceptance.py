@@ -21,7 +21,7 @@ from sensor_rank.classify import (
     train_mnnb,
 )
 from sensor_rank.cli import main
-from sensor_rank.corpus import FollowerGraph, Label, class_ids
+from sensor_rank.corpus import FollowerGraph, Label
 from sensor_rank.rank import (
     RankConfig,
     UserStats,
@@ -34,9 +34,9 @@ from sensor_rank.rank import (
     twitterrank,
 )
 from sensor_rank.synth import SynthConfig, generate
-from sensor_rank.text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
+from sensor_rank.text import ReplacementTable, Vocabulary, count_ngrams
 
-from oracles import oracle_linear_solve, oracle_nb_posterior
+from oracles import class_ids, count_matrix, oracle_linear_solve, oracle_nb_posterior
 
 GAMMA = 0.85
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
@@ -147,7 +147,7 @@ def test_05_smote_doubles_minority_and_respects_segments():
     for _ in range(n):
         tids = rng.choice(dim, size=int(rng.integers(1, 5)), replace=False)
         minority.append({int(t): float(rng.integers(1, 6)) for t in tids})
-    synthetic = smote(CountMatrix.from_rows(minority, dim), 100, k, seed=77)
+    synthetic = smote(count_matrix(minority, dim), 100, k, seed=77)
     total = len(minority) + len(synthetic)
 
     dense = np.zeros((n, dim))
@@ -193,11 +193,11 @@ def test_06_nb_posteriors_match_rational_arithmetic():
     vectors = [{0: 2, 1: 1}, {0: 1, 2: 1}, {1: 2, 3: 1}, {2: 1, 3: 2}]
     labels = [R, R, N, Z]
     vocab = Vocabulary({f"w{i}": i for i in range(4)}, 1)
-    data = LabeledDataset(CountMatrix.from_rows(vectors, 4), class_ids(labels), vocab)
+    data = LabeledDataset(count_matrix(vectors, 4), class_ids(labels), vocab)
     model = train_mnnb(data, alpha=1.0)
     worst = 0.0
     queries = ({0: 1}, {1: 1, 2: 1}, {0: 2, 3: 1}, {}, {0: 1, 1: 1, 2: 1, 3: 1})
-    for query, probs in zip(queries, predict_many(model, CountMatrix.from_rows(queries, 4))):
+    for query, probs in zip(queries, predict_many(model, count_matrix(queries, 4))):
         exact = oracle_nb_posterior(vectors, labels, 4, 1.0, query)
         for j, label in enumerate((R, N, Z)):
             worst = max(worst, abs(probs[j] - exact[label]))

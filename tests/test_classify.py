@@ -21,13 +21,15 @@ from sensor_rank.classify import (
     subsample_spread,
     train_mnnb,
 )
-from sensor_rank.corpus import LABEL_ORDER, Label, class_ids
+from sensor_rank.corpus import LABEL_ORDER, Label
 from sensor_rank.forest import train_rf
-from sensor_rank.text import CountMatrix, Vocabulary
+from sensor_rank.text import Vocabulary
 
 from oracles import (
     TweetRecord,
     chain_forest,
+    class_ids,
+    count_matrix,
     from_records,
     oracle_dumps_json,
     oracle_evaluate,
@@ -46,7 +48,7 @@ def matrix(rows, n_cols=None):
     """CountMatrix of {term id: count} rows; n_cols defaults to 1 + the largest id."""
     if n_cols is None:
         n_cols = 1 + max((t for row in rows for t in row), default=-1)
-    return CountMatrix.from_rows(rows, n_cols)
+    return count_matrix(rows, n_cols)
 
 
 def rows_of(m):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import logging
@@ -141,6 +142,16 @@ def test_synth_rejects_a_tweet_budget_beyond_the_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: tweet budget too large: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_synth_rejects_a_user_count_beyond_the_bound(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({**SYNTH, "n_users": 2**62}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: n_users must be at most 10000000, got {2**62}\n"
     assert not out.exists()
 
 
@@ -543,6 +554,7 @@ small_json = json_values(-1, 0, 1, 3, 10, 40, 60)
 @example(config={"planted_influencers": [["sentinela001", 10**20, 20]]})
 @example(config={"planted_influencers": [["sentinela001", 2**62, 20]],
                  "tail_histogram": {"1": 10, "3": 30, "20+": 1}, "n_users": 100, "seed": 1})
+@example(config={"n_users": 2**62, "tail_histogram": {"1": 1}, "planted_influencers": []})
 @given(st.fixed_dictionaries({}, optional={
     "seed": st.sampled_from([1, 11]) | any_json, "class_vocabularies": any_json,
     "class_mix": any_json, "edge_density": any_json, "noise_rate": any_json,
@@ -787,6 +799,91 @@ def test_classify_rejects_malformed_model(pipeline, tmp_path, capsys, edit):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+@pytest.fixture(scope="module")
+def model_docs(pipeline, tmp_path_factory):
+    """The decoded files of the pipeline's MNNB model and of a small forest."""
+    rf = tmp_path_factory.mktemp("rf") / "model.json"
+    assert main(["train", "--corpus", str(pipeline["corpus"]), "--model", str(rf),
+                 "--classifier", "rf", "--trees", "2", "--ngrams", "1",
+                 "--smote-percent", "0", "--seed", "3"]) == 0
+    return {kind: json.loads(path.read_text(encoding="utf-8"))
+            for kind, path in (("mnnb", pipeline["model"]), ("rf", rf))}
+
+
+def json_paths(obj, path=()):
+    """The keys and indices that lead to every value inside a decoded JSON document."""
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from json_paths(value, (*path, key))
+
+
+def mutate_model(data, doc) -> None:
+    """Apply one drawn mutation to doc: drop a key or list item, give a value another
+    JSON value, or set a forest field to a value at the edge of its checks."""
+    n_terms = len(doc["vocabulary"])
+    targeted = {
+        "threshold": st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 10**400]),
+        "feature": st.sampled_from([-1, 0, n_terms - 1, n_terms, 2**64]),
+        "leaf": st.lists(st.sampled_from([0, 0.5, 1.0]), max_size=5),
+        "n_trees": st.integers(0, 4),
+    }
+    how = data.draw(st.sampled_from(["drop", "value", *targeted]
+                                    if doc["kind"] == "rf" else ["drop", "value"]))
+    path = data.draw(st.sampled_from([p for p in json_paths(doc)
+                                      if how in ("drop", "value", p[-1])]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(any_json if how == "value" else targeted[how])
+
+
+def run_classify(argv_head, corpus, doc) -> tuple[int, str, bool]:
+    """classify --corpus corpus with doc as its model file, in a fresh working directory:
+    the exit code, stderr and whether --out was made. argv_head runs the command."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        Path("model.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["classify", "--corpus", str(corpus), "--model", "model.json", "--out", "o"]
+        if argv_head is None:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            err = err.getvalue()
+        else:
+            proc = subprocess.run([*argv_head, *argv], capture_output=True, text=True,
+                                  env=child_env())
+            code, err = proc.returncode, proc.stderr
+        return code, err, Path("o").exists()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["mnnb", "rf"]), st.data())
+def test_classify_model_fuzz_exits_cleanly(pipeline, model_docs, kind, data):
+    doc = copy.deepcopy(model_docs[kind])
+    mutate_model(data, doc)
+    code, err, made_out = run_classify(None, pipeline["corpus"], doc)
+    assert (code, err.startswith("error: model.json: "), made_out) in (
+        (0, False, True), (2, True, False)), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, edit, code", [
+    pytest.param("rf", lambda d: d["params"]["trees"][0].update(threshold=math.nan), 2,
+                 id="nan-threshold"),
+    pytest.param("mnnb", lambda d: d["params"]["term_log_prob"][0].pop(), 2, id="short-row"),
+    pytest.param("rf", lambda d: None, 0, id="unchanged-forest"),
+])
+def test_classify_model_exits_agree_in_a_child_process(pipeline, model_docs, kind, edit, code):
+    doc = copy.deepcopy(model_docs[kind])
+    edit(doc)
+    here = run_classify(None, pipeline["corpus"], doc)
+    assert here[0] == code
+    assert run_classify([sys.executable, "-m", "sensor_rank.cli"], pipeline["corpus"], doc) == here
 
 
 def test_train_reports_a_tree_too_deep_to_write(pipeline, tmp_path, capsys, monkeypatch):

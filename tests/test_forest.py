@@ -6,23 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensor_rank.classify import LabeledDataset, dumps_json, predict_many, smote
-from sensor_rank.corpus import LABEL_ORDER, Label, class_ids
+from sensor_rank.corpus import LABEL_ORDER, Label
 from sensor_rank.forest import RfModel, TreeNode, _columns, _grow_tree, predict_proba, train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
-from oracles import chain_forest, oracle_forest_proba, oracle_grow_tree, toarray
+from oracles import (
+    chain_forest, class_ids, count_matrix, oracle_forest_proba, oracle_grow_tree, toarray,
+)
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
 
 def make_data(vectors, labels, vocab_size):
     vocab = Vocabulary(term_to_id={f"w{i}": i for i in range(vocab_size)}, n_max=1)
-    return LabeledDataset(CountMatrix.from_rows(vectors, vocab_size), class_ids(labels), vocab)
+    return LabeledDataset(count_matrix(vectors, vocab_size), class_ids(labels), vocab)
 
 
 def predict(model, query):
     """The predicted label of a single {term id: count} row."""
-    probs = predict_many(model, CountMatrix.from_rows([query], 1 + max(query, default=0)))
+    probs = predict_many(model, count_matrix([query], 1 + max(query, default=0)))
     return LABEL_ORDER[probs[0].argmax()]
 
 
@@ -173,7 +175,7 @@ def random_rows(rng, n, v, density, values):
     for _ in range(n):
         cols = [int(c) for c in rng.permutation(v) if rng.random() < density]
         rows.append({c: float(values(rng)) for c in cols})
-    return CountMatrix.from_rows(rows, v)
+    return count_matrix(rows, v)
 
 
 CELL_VALUES = {
@@ -215,7 +217,7 @@ def test_sparse_splitter_matches_dense_oracle_with_multiplicities_up_to_6():
 
 
 def test_sparse_splitter_matches_dense_oracle_on_one_distinct_row_repeated():
-    matrix = CountMatrix.from_rows([{0: 1.0}, {1: 2.0}, {0: 3.0, 1: 1.0}], 2)
+    matrix = count_matrix([{0: 1.0}, {1: 2.0}, {0: 3.0, 1: 1.0}], 2)
     y = np.array([0, 1, 2])
     # a root of one row drawn 5 times; a root whose split leaves each child one
     # row repeated; and a child of one repeated row beside a mixed one
@@ -256,7 +258,7 @@ def test_sparse_splitter_matches_dense_oracle_on_smote_rows():
 )
 def test_sparse_splitter_matches_dense_oracle_hypothesis(case, data):
     v, labeled = case
-    matrix = CountMatrix.from_rows([row for row, _ in labeled], v)
+    matrix = count_matrix([row for row, _ in labeled], v)
     y = np.array([label for _, label in labeled])
     n = len(labeled)
     boot = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
@@ -299,6 +301,30 @@ def test_predict_proba_matches_per_row_walk():
         assert np.array_equal(predict_proba(model, X), oracle_forest_proba(model, X))
 
 
+def thresholds(node):
+    if node.dist is None:
+        yield node.threshold
+        yield from thresholds(node.left)
+        yield from thresholds(node.right)
+
+
+def test_predict_proba_matches_per_row_walk_on_negative_thresholds():
+    # below a negative threshold the rows holding the feature go left and the
+    # rows without it go right, the mirror of a threshold >= 0
+    rng = np.random.default_rng(15)
+    n, v = 120, 10
+    matrix = random_rows(rng, n, v, 0.4, lambda r: round(r.normal() * 2, 1))
+    y = rng.integers(0, 3, size=n)
+    vocab = Vocabulary(term_to_id={f"w{i}": i for i in range(v)}, n_max=1)
+    model = train_rf(LabeledDataset(matrix, y, vocab), n_trees=5, seed=4)
+    cuts = np.array([t for tree in model.trees for t in thresholds(tree)])
+    assert (cuts < 0).sum() > 20 and (cuts > 0).sum() > 20
+    cell = lambda r: r.choice([np.nan, -3.5, -0.25, 0.05, 0.5, 2.0])  # noqa: E731
+    queries = [random_rows(rng, 80, width, 0.5, cell) for width in (v, v - 4, v + 3)]
+    for X in (matrix, *queries):
+        assert np.array_equal(predict_proba(model, X), oracle_forest_proba(model, X))
+
+
 def test_predict_many_routes_a_1500_level_chain():
     # deeper than the interpreter's recursion limit; features past the
     # matrix's 5 columns read 0
@@ -309,7 +335,7 @@ def test_predict_many_routes_a_1500_level_chain():
                                                                 replace=False)}
         for _ in range(60)
     ]
-    X = CountMatrix.from_rows(rows + [{c: 19.0 for c in range(5)}], 5)
+    X = count_matrix(rows + [{c: 19.0 for c in range(5)}], 5)
     got = predict_many(model, X)
     assert np.array_equal(got, oracle_forest_proba(model, X))
     # the last row passes every test on its own columns and leaves at the

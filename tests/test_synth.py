@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sensor_rank.corpus import (
-    FollowerGraph, Label, class_ids, write_corpus, write_follower_graph,
+    FollowerGraph, Label, write_corpus, write_follower_graph,
 )
 from sensor_rank.rank import (
     RankConfig,
@@ -18,7 +18,9 @@ from sensor_rank.rank import (
 )
 from sensor_rank.synth import MAX_TWEETS, SynthConfig, generate
 
-from oracles import graph_pairs, oracle_linear_solve, oracle_nb_posterior, records_of
+from oracles import (
+    class_ids, graph_pairs, oracle_linear_solve, oracle_nb_posterior, records_of,
+)
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
 
@@ -59,6 +61,9 @@ def test_config_validation():
         SynthConfig(seed=1, noise_rate=1.0)
     with pytest.raises(ValueError, match="edge_density"):
         SynthConfig(seed=1, edge_density=-0.1)
+    SynthConfig(seed=1, n_users=MAX_TWEETS)
+    with pytest.raises(ValueError, match=f"n_users must be at most {MAX_TWEETS}"):
+        SynthConfig(seed=1, n_users=MAX_TWEETS + 1)
 
 
 def test_config_bounds_the_tweet_budget():

