@@ -132,6 +132,13 @@ class TrainingConfig:
             raise ValueError(f"classifier must be 'mnnb' or 'rf', got {self.classifier!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        for name in ("n_trees", "smote_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.smote_percent < 0 or self.smote_percent % 100 != 0:
+            raise ValueError(
+                f"smote_percent must be a nonnegative multiple of 100, got {self.smote_percent}"
+            )
         if self.spread_ratio is not None and not 1 <= self.spread_ratio < math.inf:
             raise ValueError(
                 f"spread_ratio must be finite and >= 1, got {self.spread_ratio}"
@@ -214,12 +221,13 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
     n = len(minority)
     # only the columns the minority uses, as distinct ascending nonzero cells
     used, local = np.unique(minority.indices, return_inverse=True)
-    X = _columns(_columns(CountMatrix(minority.indptr, local, minority.data, len(used))))
+    by_column = _columns(CountMatrix(minority.indptr, local, minority.data, len(used)))
+    X = _columns(by_column)
     if not (X.data == np.floor(X.data)).all():
         raise ValueError("smote takes integer counts")
     # frequent columns go dense; the rest carry few products each
-    dense = np.bincount(X.indices, minlength=X.n_cols) > n / 100
-    neighbor_ids = _nearest_exact(X, k, dense)
+    dense = np.diff(by_column.indptr) > n / 100
+    neighbor_ids = _nearest_exact(X, by_column, k, dense)
     rng = np.random.default_rng([seed, n, k])
     draws = [(rng.integers(k), rng.random()) for _ in range(reps * n)]
     picks, lam = (np.array(column) for column in zip(*draws))
@@ -249,19 +257,19 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
     )
 
 
-def _nearest_exact(X: CountMatrix, k: int, dense: np.ndarray) -> np.ndarray:
+def _nearest_exact(X: CountMatrix, by_column: CountMatrix, k: int, dense: np.ndarray) -> np.ndarray:
     """Each row's k nearest other rows by (squared distance, index), shape (rows, k).
 
-    X lists distinct nonzero columns per row and its values are integers. Let
-    S be the largest row sum of squares. By Cauchy-Schwarz every partial sum
-    of a Gram entry is an integer of at most S in magnitude, so it is exact in
-    float32 while S <= 2^24 and in float64 while S < 2^53 (S is itself a
-    float64 sum of integers, exact while it reads below 2^53). The columns
-    marked dense are multiplied as a block of that float type, a block of rows
-    at a time; every other column adds its products into the block's Gram
-    directly. d2 = sq_i + sq_j - 2G is then the exact integer distance, and
-    row i ranks j by the distinct key d2 * n + j, which fits int64 while
-    (4S + 1) * n does: S <= 2^60 / n. Larger S is a ValueError.
+    X lists distinct nonzero columns per row and its values are integers, and
+    by_column is X transposed. Let S be the largest row sum of squares. By
+    Cauchy-Schwarz every partial sum of a Gram entry is an integer of at most S in
+    magnitude, so it is exact in float32 while S <= 2^24 and in float64 while
+    S < 2^53 (S is itself a float64 sum of integers, exact while it reads below
+    2^53). The columns marked dense are multiplied as a block of that float type,
+    a block of rows at a time; every other column adds its products into the
+    block's Gram directly. d2 = sq_i + sq_j - 2G is then the exact integer
+    distance, and row i ranks j by the distinct key d2 * n + j, which fits int64
+    while (4S + 1) * n does: S <= 2^60 / n. Larger S is a ValueError.
     """
     n = len(X)
     rows = X.row_ids()
@@ -272,7 +280,6 @@ def _nearest_exact(X: CountMatrix, k: int, dense: np.ndarray) -> np.ndarray:
             f"a minority row's sum of squares is {top:.17g}; smote ranks {n} rows "
             f"exactly only up to {limit}"
         )
-    by_column = _columns(X)
     on = dense[X.indices]
     block = np.zeros((n, int(dense.sum())), dtype=np.float32 if top <= 2**24 else np.float64)
     block[rows[on], (np.cumsum(dense) - 1)[X.indices[on]]] = X.data[on]

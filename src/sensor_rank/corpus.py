@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from types import NoneType
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -149,18 +148,12 @@ class Corpus:
 
     def labeled(self) -> "Corpus":
         """Sub-corpus of records carrying a label, original order preserved."""
-        keep = (self.y >= 0).tolist()
-        return self if all(keep) else _pack(compress(self._rows(), keep))
-
-
-def _pack(rows: Iterable[tuple]) -> Corpus:
-    """(id, user, text, created_at, class id, total) rows as a Corpus."""
-    return _from_columns(list(zip(*rows)) or [()] * 6)
-
-
-def _from_columns(columns: list) -> Corpus:
-    """The six columns (ids, users, texts, created_at, class ids, totals) as a Corpus."""
-    return Corpus(*map(tuple, columns[:4]), *(np.array(c, dtype=np.int64) for c in columns[4:]))
+        keep = self.y >= 0
+        if keep.all():
+            return self
+        mask, strings = keep.tolist(), (self.ids, self.users, self.texts, self.created_at)
+        return Corpus(*(tuple(compress(c, mask)) for c in strings),
+                      self.y[keep], self.user_total_tweets[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,144 +218,143 @@ _FIELDS = frozenset(_REQUIRED_FIELDS) | {"label", "user_total_tweets"}
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-def _row(obj: object, escaped: bool) -> tuple[str, str, str, str, int, int]:
-    """A decoded corpus line, checked, as its column values; escaped: the line has a \\u."""
-    if not isinstance(obj, dict):
-        raise ValueError("expected a JSON object")
-    for key, types in _REQUIRED_FIELDS.items():
-        if key not in obj:
-            raise ValueError(f"missing field {key!r}")
-        if type(obj[key]) not in types:
-            kind = " or ".join(_TYPE_NAMES[t] for t in types)
-            raise ValueError(f"field {key!r} must be {kind}, got {obj[key]!r}")
-    if len(obj) > len(_REQUIRED_FIELDS) and not _FIELDS.issuperset(obj):
-        raise ValueError(f"unknown field(s) {sorted(set(obj) - _FIELDS)}")
-    label = obj.get("label")
-    class_id = _CLASS_ID.get(label, -1) if type(label) is str else -1
-    if label is not None and class_id < 0:
-        raise ValueError(f"unknown label {label!r}")
-    record_id, user = str(obj["id"]), str(obj["user"])
-    text, created_at, total = obj["text"], obj["created_at"], obj.get("user_total_tweets")
-    if not record_id.strip():
-        raise ValueError("record id must be non-empty")
-    if not user.strip():
-        raise ValueError(f"record {record_id}: user must be non-empty")
-    try:
-        datetime.fromisoformat(created_at.replace("Z", "+00:00"))
-    except ValueError:
-        raise ValueError(
-            f"record {record_id}: created_at is not ISO 8601: {created_at!r}"
-        ) from None
-    if total is not None and (type(total) is not int or not 0 <= total < 2**63):
-        raise ValueError(
-            f"record {record_id}: user_total_tweets must be an int64 >= 0, got {total!r}"
-        )
-    for key, value in (("id", record_id), ("user", user), ("text", text)) if escaped else ():
-        if lone := _SURROGATE.search(value):
-            raise ValueError(f"field {key!r} holds a lone surrogate {lone.group()!r}")
-    return record_id, user, text, created_at, class_id, -1 if total is None else total
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus into columns; any malformed line fails with its line number.
 
-    Lines are decoded and checked _BLOCK at a time. Only a file that fails a
-    block check is read again one line at a time, which words its first error
-    or reads a valid file in another form (blank lines, whitespace around an object).
+    Lines are decoded _BLOCK at a time as one JSON array and checked as columns.
+    Only a block that fails is read again one line at a time, which words the
+    error of its first bad line.
     """
-    columns = _read_blocks(path)
-    return _load_corpus_by_line(path) if columns is None else _from_columns(columns)
+    columns: list[list] = [[], [], [], [], [], []]
+    seen: set[str] = set()
+    start = 1  # the number of the block's first line
+    with open_utf8(path) as fh:
+        while block := list(islice(fh, _BLOCK)):
+            block_columns = _read_block(block, seen) or _read_lines(path, block, start, seen)
+            for column, values in zip(columns, block_columns):
+                column += values
+            start += len(block)
+    return Corpus(*map(tuple, columns[:4]), *(np.array(c, dtype=np.int64) for c in columns[4:]))
 
 
 # lines load_corpus decodes with one json.loads
 _BLOCK = 1024
-_REQUIRED_VALUES = itemgetter(*_REQUIRED_FIELDS)
 
 
-def _read_blocks(path: str | Path) -> list[list] | None:
-    """The corpus columns of a file whose every line is one record object, ids
-    unique, or None when some line is not or breaks a rule of _row."""
-    columns: list[list] = [[], [], [], [], [], []]
+def _read_block(block: list[str], seen: set[str]) -> tuple[list, ...] | None:
+    """The columns of a block of corpus lines decoded as one JSON array, their ids
+    added to seen; None when some line is not a record or repeats an id."""
+    lines = block
+    # No JSON string holds a raw line break. So when each line starts with "{"
+    # and the array holds one flat object per line, each object is one line's,
+    # with at most whitespace after it.
+    if not all(map(str.startswith, block, repeat("{"))):
+        lines = [line.lstrip(" \t") for line in block if line.strip()]
+        if not all(map(str.startswith, lines, repeat("{"))):
+            return None
     try:
-        with open(path, encoding="utf-8") as fh:
-            while block := list(islice(fh, _BLOCK)):
-                # No JSON string holds a raw line break. So when each line starts
-                # with "{" and the array holds one flat object per line, each
-                # object is one line's, with at most whitespace after it.
-                if not all(map(str.startswith, block, repeat("{"))):
-                    return None
-                text = ",".join(block)
-                objs = json.loads(f"[{text}]")
-                block_columns = len(objs) == len(block) and _block_columns(objs, "\\u" in text)
-                if not block_columns:
-                    return None
-                for column, values in zip(columns, block_columns):
-                    column += values
-    except (ValueError, RecursionError):  # not JSON, an integer too long, or not UTF-8
+        text = ",".join(lines)
+        objs = json.loads(f"[{text}]")
+        if len(objs) != len(lines):
+            return None
+        columns = _block_columns(objs, "\\u" in text)
+    except (ValueError, RecursionError):  # not JSON, an integer too long, or a bad record
         return None
-    return columns if len(set(columns[0])) == len(columns[0]) else None
-
-
-def _types(values: Iterable) -> set[type]:
-    return set(map(type, values))
-
-
-def _block_columns(objs: list, escaped: bool) -> tuple[list, ...] | None:
-    """The six columns of decoded records when each one passes _row's checks (but
-    for unique ids), else None; escaped: the records' lines hold a \\u."""
-    if _types(objs) != {dict} or not _FIELDS.issuperset(chain.from_iterable(objs)):
+    ids = set(columns[0])
+    if len(ids) < len(objs) or not seen.isdisjoint(ids):
         return None
+    seen.update(ids)
+    return columns
+
+
+def _read_lines(
+    path: str | Path, block: list[str], start: int, seen: set[str]
+) -> tuple[list, ...]:
+    """_read_block one line at a time, its first line numbered start: the first bad
+    line fails with its number."""
+    objs = []
+    for lineno, line in enumerate(block, start):
+        if not line.strip():
+            continue
+        try:
+            objs.append(json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
+        try:
+            record_id = _block_columns(objs[-1:], "\\u" in line)[0][0]
+            if record_id in seen:
+                raise ValueError(f"duplicate record id {record_id!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        seen.add(record_id)
+    return _block_columns(objs, "\\u" in "".join(block))
+
+
+def _first(values: list, ok) -> int:
+    """The position of the first of values that is not ok."""
+    return next(i for i, value in enumerate(values) if not ok(value))
+
+
+def _is_iso(stamp: str) -> bool:
     try:
-        ids, users, texts, created_at = zip(*map(_REQUIRED_VALUES, objs))
-    except KeyError:
-        return None
+        return datetime.fromisoformat(stamp.replace("Z", "+00:00")) is not None
+    except ValueError:
+        return False
+
+
+def _block_columns(objs: list, escaped: bool) -> tuple[list, ...]:
+    """The six columns of decoded corpus records, ids not checked for repeats;
+    escaped: the records' lines hold a \\u. The rules are checked in turn, each
+    over every record; the first rule some record breaks is a ValueError worded
+    for the first such record, so a one-record list gets that record's first fault."""
+    if not set(map(type, objs)) <= {dict}:
+        raise ValueError("expected a JSON object")
+    required = []
+    for key, types in _REQUIRED_FIELDS.items():
+        try:
+            values = list(map(dict.__getitem__, objs, repeat(key)))
+        except KeyError:
+            raise ValueError(f"missing field {key!r}") from None
+        if not set(map(type, values)).issubset(types):
+            value = values[_first(values, lambda v: type(v) in types)]
+            kind = " or ".join(_TYPE_NAMES[t] for t in types)
+            raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
+        required.append(values)
+    if not _FIELDS.issuperset(chain.from_iterable(objs)):
+        obj = objs[_first(objs, _FIELDS.issuperset)]
+        raise ValueError(f"unknown field(s) {sorted(set(obj) - _FIELDS)}")
     labels = list(map(dict.get, objs, repeat("label")))
-    totals = list(map(dict.get, objs, repeat("user_total_tweets")))
-    if not (_types(ids) | _types(users) <= {str, int} and _types(texts + created_at) == {str}
-            and _types(labels) <= {str, NoneType} and _types(totals) <= {int, NoneType}):
-        return None
-    ids, users = list(map(str, ids)), list(map(str, users))
-    y = list(map(_CLASS_ID.get, labels))
-    counts = set(totals) - {None}
-    if (None in y or not all(map(str.strip, ids)) or not all(map(str.strip, users))
-            or counts and not 0 <= min(counts) <= max(counts) < 2**63
-            or escaped and _SURROGATE.search("".join(chain(ids, users, texts)))):
-        return None
+    y = list(map(_CLASS_ID.get, labels)) if set(map(type, labels)) <= {str, NoneType} else [None]
+    if None in y:
+        label = labels[_first(labels, lambda v: v is None or type(v) is str and v in _CLASS_ID)]
+        raise ValueError(f"unknown label {label!r}")
+    ids, users = list(map(str, required[0])), list(map(str, required[1]))
+    texts, created_at = required[2:]
+    if not all(map(str.strip, ids)):
+        raise ValueError("record id must be non-empty")
+    if not all(map(str.strip, users)):
+        raise ValueError(f"record {ids[_first(users, str.strip)]}: user must be non-empty")
     try:
         for stamp in set(created_at):
             datetime.fromisoformat(stamp.replace("Z", "+00:00"))
     except ValueError:
-        return None
+        i = _first(created_at, _is_iso)
+        raise ValueError(
+            f"record {ids[i]}: created_at is not ISO 8601: {created_at[i]!r}"
+        ) from None
+    totals = list(map(dict.get, objs, repeat("user_total_tweets")))
+    counts = set(totals) - {None} if set(map(type, totals)) <= {int, NoneType} else {-1}
+    if counts and not 0 <= min(counts) <= max(counts) < 2**63:
+        i = _first(totals, lambda n: n is None or type(n) is int and 0 <= n < 2**63)
+        raise ValueError(
+            f"record {ids[i]}: user_total_tweets must be an int64 >= 0, got {totals[i]!r}"
+        )
+    if escaped and _SURROGATE.search("".join(chain(ids, users, texts))):
+        for row in zip(ids, users, texts):
+            for key, value in zip(("id", "user", "text"), row):
+                if lone := _SURROGATE.search(value):
+                    raise ValueError(f"field {key!r} holds a lone surrogate {lone.group()!r}")
     return ids, users, texts, created_at, y, [-1 if n is None else n for n in totals]
-
-
-def _load_corpus_by_line(path: str | Path) -> Corpus:
-    """load_corpus decoding and checking one line at a time; the first malformed
-    line fails with its line number."""
-    rows: dict[str, tuple] = {}
-    decode = json.JSONDecoder().raw_decode
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                obj, end = decode(line)
-                if line[end:] not in ("\n", ""):
-                    raise ValueError("more than one value")
-            except (ValueError, RecursionError):
-                # blank lines, surrounding whitespace, and JSON errors worded by json.loads
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            try:
-                row = _row(obj, "\\u" in line)
-                if row[0] in rows:
-                    raise ValueError(f"duplicate record id {row[0]!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            rows[row[0]] = row
-    return _pack(rows.values())
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from sensor_rank.classify import (
     train_mnnb,
 )
 from sensor_rank.corpus import LABEL_ORDER, Label
-from sensor_rank.forest import train_rf
+from sensor_rank.forest import _columns, train_rf
 from sensor_rank.text import Vocabulary
 
 from oracles import (
@@ -345,14 +345,14 @@ def test_exact_neighbors_do_not_depend_on_the_dense_sparse_split():
               for other in rows]
         want.append([j for _, j in sorted((d, j) for j, d in enumerate(d2) if j != i)[:k]])
     for dense in (every, ~every, split):
-        assert classify._nearest_exact(X, k, dense).tolist() == want
+        assert classify._nearest_exact(X, _columns(X), k, dense).tolist() == want
 
 
 def test_smote_many_identical_rows_pick_the_lowest_indices():
     rows = [{0: 1.0, 2: 2.0}] * 12 + [{0: 1.0, 2: 3.0}, {1: 5.0}] + [{0: 1.0, 2: 2.0}] * 3
     k = 4
     X = matrix(rows)
-    ids = classify._nearest_exact(X, k, np.zeros(X.n_cols, dtype=bool))
+    ids = classify._nearest_exact(X, _columns(X), k, np.zeros(X.n_cols, dtype=bool))
     same = [i for i, row in enumerate(rows) if row == rows[0]]
     for i in same:
         assert ids[i].tolist() == [j for j in same if j != i][:k]
@@ -385,7 +385,7 @@ def test_smote_uses_the_exact_search_up_to_2_to_the_24():
     rows = [{0: 4097.0}, {0: 4097.0, 1: 2.0}, {0: 4099.0}]
     rows += [{0: float(i), 1: 1.0} for i in range(8)]
     X = matrix(rows, 2)
-    assert classify._nearest_exact(X, 2, np.ones(2, dtype=bool))[0].tolist() == [1, 2]
+    assert classify._nearest_exact(X, _columns(X), 2, np.ones(2, dtype=bool))[0].tolist() == [1, 2]
     assert rows_of(smote(X, 300, 2, 2)) == oracle_smote(rows, 2, 300, 2, 2)
 
 

@@ -22,7 +22,8 @@ from sensor_rank.corpus import load_corpus
 from sensor_rank.keywords import SEED_KEYWORDS
 from sensor_rank.synth import BUCKET_ORDER
 
-from oracles import chain_forest, records_of
+from oracles import chain_forest, oracle_load_corpus, records_of
+from test_corpus import corpus_text, graph_text
 
 SYNTH = {
     "seed": 11,
@@ -74,22 +75,24 @@ def test_synth_outputs(pipeline, capsys):
 
 
 def _columns(corpus):
-    return (corpus.ids, corpus.users, corpus.texts, corpus.created_at,
-            corpus.y.dtype, corpus.y.tolist(),
-            corpus.user_total_tweets.dtype, corpus.user_total_tweets.tolist())
+    """A loaded corpus in the form oracle_load_corpus gives; its int columns are int64."""
+    assert corpus.y.dtype == corpus.user_total_tweets.dtype == "int64"
+    return {"ids": list(corpus.ids), "users": list(corpus.users), "texts": list(corpus.texts),
+            "created_at": list(corpus.created_at), "y": corpus.y.tolist(),
+            "user_total_tweets": corpus.user_total_tweets.tolist()}
 
 
 def test_written_files_are_read_in_bulk(pipeline, monkeypatch):
     """The files synth and classify write load without the per-line readers, in
-    blocks of any size, into what those readers give."""
+    blocks of any size, into what oracle_load_corpus and the per-line graph reader give."""
     corpora = [pipeline["corpus"], pipeline["classified"]]
-    want = [_columns(corpus_module._load_corpus_by_line(path)) for path in corpora]
+    want = [oracle_load_corpus(path) for path in corpora]
     want_graph = corpus_module._load_follower_graph_by_line(pipeline["graph"])
 
-    def unread(path):
+    def unread(path, *args):
         raise AssertionError(f"{path} was read line by line")
 
-    monkeypatch.setattr(corpus_module, "_load_corpus_by_line", unread)
+    monkeypatch.setattr(corpus_module, "_read_lines", unread)
     monkeypatch.setattr(corpus_module, "_load_follower_graph_by_line", unread)
     for block in (corpus_module._BLOCK, 100):
         monkeypatch.setattr(corpus_module, "_BLOCK", block)
@@ -705,6 +708,29 @@ def test_train_rejects_bad_alpha_and_spread_ratio(pipeline, tmp_path, capsys, fl
     assert not model.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("flags, message", [
+    (["--smote-percent", "-100"], "smote_percent must be a nonnegative multiple of 100, got -100"),
+    (["--smote-percent", "150"], "smote_percent must be a nonnegative multiple of 100, got 150"),
+    (["--smote-k", "0"], "smote_k must be >= 1, got 0"),
+    (["--trees", "0"], "n_trees must be >= 1, got 0"),
+    (["--trees", "-3", "--classifier", "mnnb"], "n_trees must be >= 1, got -3"),
+])
+def test_bad_smote_and_tree_counts_are_refused_before_any_input_is_read(
+        pipeline, tmp_path, capsys, monkeypatch, command, flags, message):
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_corpus", unread)
+    out, model = tmp_path / "o", tmp_path / "m.json"
+    target = ["--model", str(model)] if command == "train" else ["--out", str(out)]
+    code = main([command, "--corpus", str(pipeline["corpus"]), *target,
+                 *TRAIN_FLAGS, *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not model.exists()
+
+
 def forest(*trees):
     """An edit that makes the model a forest of the given trees over its vocabulary."""
     return lambda d: d.update(kind="rf", params={
@@ -843,12 +869,14 @@ def mutate_model(data, doc) -> None:
         parent[path[-1]] = data.draw(any_json if how == "value" else targeted[how])
 
 
-def run_classify(argv_head, corpus, doc) -> tuple[int, str, bool]:
-    """classify --corpus corpus with doc as its model file, in a fresh working directory:
-    the exit code, stderr and whether --out was made. argv_head runs the command."""
+def run_cli(argv_head, argv, files) -> tuple[int, str, bool]:
+    """argv with --out o, in a fresh working directory that holds files (name -> text):
+    the exit code, stderr and whether --out was made. argv_head runs the command in
+    a child process; None runs main in this one."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        Path("model.json").write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["classify", "--corpus", str(corpus), "--model", "model.json", "--out", "o"]
+        for name, text in files.items():
+            Path(name).write_bytes(text.encode("utf-8", "surrogatepass"))
+        argv = [*argv, "--out", "o"]
         if argv_head is None:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -859,6 +887,12 @@ def run_classify(argv_head, corpus, doc) -> tuple[int, str, bool]:
                                   env=child_env())
             code, err = proc.returncode, proc.stderr
         return code, err, Path("o").exists()
+
+
+def run_classify(argv_head, corpus, doc) -> tuple[int, str, bool]:
+    """classify --corpus corpus with doc as its model file; see run_cli."""
+    argv = ["classify", "--corpus", str(corpus), "--model", "model.json"]
+    return run_cli(argv_head, argv, {"model.json": json.dumps(doc)})
 
 
 @settings(max_examples=150, deadline=None)
@@ -884,6 +918,49 @@ def test_classify_model_exits_agree_in_a_child_process(pipeline, model_docs, kin
     here = run_classify(None, pipeline["corpus"], doc)
     assert here[0] == code
     assert run_classify([sys.executable, "-m", "sensor_rank.cli"], pipeline["corpus"], doc) == here
+
+
+def run_input(argv_head, pipeline, name, text) -> tuple[int, str, bool]:
+    """classify with text as its corpus file, or rank with text as its graph file;
+    see run_cli."""
+    argv = {
+        "corpus.jsonl": ["classify", "--corpus", name, "--model", str(pipeline["model"])],
+        "graph.csv": ["rank", "--corpus", str(pipeline["classified"]), "--graph", name],
+    }[name]
+    return run_cli(argv_head, argv, {name: text})
+
+
+def assert_clean_exit(code, err, made_out) -> None:
+    """A run exits 0 and writes --out, or prints `error: `, exits 2 and writes no --out;
+    it never prints a traceback."""
+    assert (code, err.startswith("error: "), made_out) in ((0, False, True), (2, True, False)), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus_text)
+def test_classify_corpus_fuzz_exits_cleanly(pipeline, text):
+    assert_clean_exit(*run_input(None, pipeline, "corpus.jsonl", text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_text)
+def test_rank_graph_fuzz_exits_cleanly(pipeline, text):
+    assert_clean_exit(*run_input(None, pipeline, "graph.csv", text))
+
+
+@pytest.mark.parametrize("name, text, code", [
+    pytest.param("corpus.jsonl", '{"id": "t1", "user": "ana", "text": "zika",\n', 2,
+                 id="corpus-broken-json"),
+    pytest.param("corpus.jsonl", '\n {"id": 1, "user": "ana", "text": "zika", '
+                 '"created_at": "2016-09-01"} \n', 0, id="corpus-padded"),
+    pytest.param("graph.csv", "\ufeffa,b\nb,b\n", 2, id="graph-self-follow"),
+])
+def test_input_exits_agree_in_a_child_process(pipeline, name, text, code):
+    here = run_input(None, pipeline, name, text)
+    assert here[0] == code
+    child = run_input([sys.executable, "-m", "sensor_rank.cli"], pipeline, name, text)
+    assert child == here
 
 
 def test_train_reports_a_tree_too_deep_to_write(pipeline, tmp_path, capsys, monkeypatch):

@@ -297,9 +297,9 @@ def _line(i, **fields):
 
 @settings(max_examples=400, deadline=None)
 @given(corpus_text, st.sampled_from([corpus_module._BLOCK, 2]))
-# load_corpus decodes a block of lines as one JSON array; each example below is a
-# file in which that array is not one record object per line, so only the per-line
-# pass may read it
+# load_corpus decodes a block of lines as one JSON array; in each example below that
+# array is not one record object per line, or some block holds blank lines, padded
+# objects or a fault that only a later block shows
 @example(text='{"id": "t1", "user": "ana",\n "text": "zika", "created_at": "2016-09-01"}\n',
          block=2)
 @example(text=f'{_line(1)}, {_line(2)[:-1]}\n"label": "News"}}\n', block=2)
@@ -311,6 +311,8 @@ def _line(i, **fields):
 @example(text=f"{_line(1)}\n\n{_line(2)}\n", block=2)
 @example(text=f"{_line(1)} \t\n{_line(2)}\n", block=2)
 @example(text=f"{_line(1)}\n{_line(2)}\n{_line(1)}\n", block=2)  # a duplicate in the next block
+@example(text=f"\n {_line(1)}\n\t{_line(2)} \n\n{_line(3)}\n", block=2)
+@example(text=f'{_line(1)}\n{_line(2)}\n{_line(3)}\n{_line(4, label="Spam")}\n', block=2)
 def test_load_corpus_matches_per_line_oracle(tmp_path_factory, text, block):
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
@@ -328,6 +330,41 @@ def test_load_corpus_matches_per_line_oracle(tmp_path_factory, text, block):
         "created_at": list(corpus.created_at), "y": corpus.y.tolist(),
         "user_total_tweets": corpus.user_total_tweets.tolist(),
     } == want
+
+
+def _object(i):
+    return {"id": f"t{i}", "user": "ana", "text": "zika", "created_at": "2016-09-01T00:00:00Z"}
+
+
+def test_blank_lines_and_padded_objects_are_read_in_bulk(tmp_path, monkeypatch):
+    def unread(*args):
+        raise AssertionError("a block was read line by line")
+
+    monkeypatch.setattr(corpus_module, "_read_lines", unread)
+    path = tmp_path / "corpus.jsonl"
+    one, two, three = (json.dumps(_object(i)) for i in (1, 2, 3))
+    path.write_text(f"\n {one}\n\t{two} \t\n \n{three}\n\n", encoding="utf-8")
+    for block in (corpus_module._BLOCK, 2):
+        monkeypatch.setattr(corpus_module, "_BLOCK", block)
+        assert load_corpus(path).ids == ("t1", "t2", "t3")
+
+
+def test_only_the_failing_block_is_read_line_by_line(tmp_path, monkeypatch):
+    read_lines, starts = corpus_module._read_lines, []
+
+    def counted(path, block, start, seen):
+        starts.append(start)
+        return read_lines(path, block, start, seen)
+
+    monkeypatch.setattr(corpus_module, "_read_lines", counted)
+    monkeypatch.setattr(corpus_module, "_BLOCK", 2)
+    path = tmp_path / "corpus.jsonl"
+    records = [_object(i) for i in range(1, 8)]
+    records[5]["created_at"] = "yesterday"
+    write_jsonl(path, records)
+    with pytest.raises(ValueError, match=r"line 6: record t6: created_at is not ISO 8601"):
+        load_corpus(path)
+    assert starts == [5]
 
 
 _written_text = st.text(
