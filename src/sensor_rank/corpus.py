@@ -244,18 +244,15 @@ _BLOCK = 1024
 def _read_block(block: list[str], seen: set[str]) -> tuple[list, ...] | None:
     """The columns of a block of corpus lines decoded as one JSON array, their ids
     added to seen; None when some line is not a record or repeats an id."""
-    lines = block
     # No JSON string holds a raw line break. So when each line starts with "{"
     # and the array holds one flat object per line, each object is one line's,
     # with at most whitespace after it.
     if not all(map(str.startswith, block, repeat("{"))):
-        lines = [line.lstrip(" \t") for line in block if line.strip()]
-        if not all(map(str.startswith, lines, repeat("{"))):
-            return None
+        return None
     try:
-        text = ",".join(lines)
+        text = ",".join(block)
         objs = json.loads(f"[{text}]")
-        if len(objs) != len(lines):
+        if len(objs) != len(block):
             return None
         columns = _block_columns(objs, "\\u" in text)
     except (ValueError, RecursionError):  # not JSON, an integer too long, or a bad record
@@ -290,23 +287,11 @@ def _read_lines(
     return _block_columns(objs, "\\u" in "".join(block))
 
 
-def _first(values: list, ok) -> int:
-    """The position of the first of values that is not ok."""
-    return next(i for i, value in enumerate(values) if not ok(value))
-
-
-def _is_iso(stamp: str) -> bool:
-    try:
-        return datetime.fromisoformat(stamp.replace("Z", "+00:00")) is not None
-    except ValueError:
-        return False
-
-
 def _block_columns(objs: list, escaped: bool) -> tuple[list, ...]:
     """The six columns of decoded corpus records, ids not checked for repeats;
     escaped: the records' lines hold a \\u. The rules are checked in turn, each
     over every record; the first rule some record breaks is a ValueError worded
-    for the first such record, so a one-record list gets that record's first fault."""
+    from the first record, so its text names the fault of a one-record list."""
     if not set(map(type, objs)) <= {dict}:
         raise ValueError("expected a JSON object")
     required = []
@@ -316,38 +301,33 @@ def _block_columns(objs: list, escaped: bool) -> tuple[list, ...]:
         except KeyError:
             raise ValueError(f"missing field {key!r}") from None
         if not set(map(type, values)).issubset(types):
-            value = values[_first(values, lambda v: type(v) in types)]
             kind = " or ".join(_TYPE_NAMES[t] for t in types)
-            raise ValueError(f"field {key!r} must be {kind}, got {value!r}")
+            raise ValueError(f"field {key!r} must be {kind}, got {values[0]!r}")
         required.append(values)
     if not _FIELDS.issuperset(chain.from_iterable(objs)):
-        obj = objs[_first(objs, _FIELDS.issuperset)]
-        raise ValueError(f"unknown field(s) {sorted(set(obj) - _FIELDS)}")
+        raise ValueError(f"unknown field(s) {sorted(set(objs[0]) - _FIELDS)}")
     labels = list(map(dict.get, objs, repeat("label")))
     y = list(map(_CLASS_ID.get, labels)) if set(map(type, labels)) <= {str, NoneType} else [None]
     if None in y:
-        label = labels[_first(labels, lambda v: v is None or type(v) is str and v in _CLASS_ID)]
-        raise ValueError(f"unknown label {label!r}")
+        raise ValueError(f"unknown label {labels[0]!r}")
     ids, users = list(map(str, required[0])), list(map(str, required[1]))
     texts, created_at = required[2:]
     if not all(map(str.strip, ids)):
         raise ValueError("record id must be non-empty")
     if not all(map(str.strip, users)):
-        raise ValueError(f"record {ids[_first(users, str.strip)]}: user must be non-empty")
+        raise ValueError(f"record {ids[0]}: user must be non-empty")
     try:
         for stamp in set(created_at):
             datetime.fromisoformat(stamp.replace("Z", "+00:00"))
     except ValueError:
-        i = _first(created_at, _is_iso)
         raise ValueError(
-            f"record {ids[i]}: created_at is not ISO 8601: {created_at[i]!r}"
+            f"record {ids[0]}: created_at is not ISO 8601: {created_at[0]!r}"
         ) from None
     totals = list(map(dict.get, objs, repeat("user_total_tweets")))
     counts = set(totals) - {None} if set(map(type, totals)) <= {int, NoneType} else {-1}
     if counts and not 0 <= min(counts) <= max(counts) < 2**63:
-        i = _first(totals, lambda n: n is None or type(n) is int and 0 <= n < 2**63)
         raise ValueError(
-            f"record {ids[i]}: user_total_tweets must be an int64 >= 0, got {totals[i]!r}"
+            f"record {ids[0]}: user_total_tweets must be an int64 >= 0, got {totals[0]!r}"
         )
     if escaped and _SURROGATE.search("".join(chain(ids, users, texts))):
         for row in zip(ids, users, texts):

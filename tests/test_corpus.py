@@ -336,19 +336,6 @@ def _object(i):
     return {"id": f"t{i}", "user": "ana", "text": "zika", "created_at": "2016-09-01T00:00:00Z"}
 
 
-def test_blank_lines_and_padded_objects_are_read_in_bulk(tmp_path, monkeypatch):
-    def unread(*args):
-        raise AssertionError("a block was read line by line")
-
-    monkeypatch.setattr(corpus_module, "_read_lines", unread)
-    path = tmp_path / "corpus.jsonl"
-    one, two, three = (json.dumps(_object(i)) for i in (1, 2, 3))
-    path.write_text(f"\n {one}\n\t{two} \t\n \n{three}\n\n", encoding="utf-8")
-    for block in (corpus_module._BLOCK, 2):
-        monkeypatch.setattr(corpus_module, "_BLOCK", block)
-        assert load_corpus(path).ids == ("t1", "t2", "t3")
-
-
 def test_only_the_failing_block_is_read_line_by_line(tmp_path, monkeypatch):
     read_lines, starts = corpus_module._read_lines, []
 
@@ -365,6 +352,18 @@ def test_only_the_failing_block_is_read_line_by_line(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=r"line 6: record t6: created_at is not ISO 8601"):
         load_corpus(path)
     assert starts == [5]
+
+
+def test_bytes_that_are_not_utf8_fail_before_an_earlier_record_fault(tmp_path):
+    # the file is decoded as it is read, before any line of its block is checked
+    records = [_object(i) for i in range(1, 4)]
+    records[0]["created_at"] = "yesterday"
+    lines = [json.dumps(record).encode() for record in records]
+    lines[2] = lines[2].replace(b"zika", b"zika\xff")
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=r"corpus\.jsonl: line 3: not valid UTF-8"):
+        load_corpus(path)
 
 
 _written_text = st.text(
