@@ -1,7 +1,8 @@
 """Three-class relevance model: Multinomial Naive Bayes, rebalancing, ranking, evaluation.
 
 The Random Forest learner lives in `forest`; `predict_many`, `cross_validate`,
-and the model file I/O here accept either kind.
+and the model file I/O here accept either kind, and each kind writes and reads
+its own parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import LABEL_ORDER, Corpus, Label, has_shape, read_json, require_all_classes
-from .forest import RfModel, TreeNode, _columns, predict_proba, train_rf
+from .forest import RfModel, _columns, predict_proba, train_rf
 from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
 __all__ = [
@@ -102,13 +103,30 @@ class MnnbModel:
     """Multinomial Naive Bayes with Lidstone smoothing.
 
     Arrays are aligned to LABEL_ORDER on their class axis: class_log_prior has
-    shape (3,), term_log_prob has shape (3, vocab_size).
+    shape (3,), term_log_prob has shape (3, vocabulary size).
     """
 
     class_log_prior: np.ndarray
     term_log_prob: np.ndarray
     alpha: float
-    vocab_size: int
+
+    def params(self) -> dict:
+        """The model file's parameters."""
+        return {"alpha": self.alpha, "class_log_prior": self.class_log_prior.tolist(),
+                "term_log_prob": self.term_log_prob.tolist()}
+
+    @classmethod
+    def from_params(cls, params: dict, n_terms: int) -> "MnnbModel":
+        """The model that params() wrote, over n_terms vocabulary terms. A malformed
+        value raises KeyError, TypeError or ValueError."""
+        prior, log_prob, alpha = (params[k] for k in ("class_log_prior", "term_log_prob", "alpha"))
+        if not has_shape(prior, (float, float, float)):
+            raise ValueError("'class_log_prior' must be 3 finite reals")
+        if not has_shape(log_prob, ((float,) * n_terms,) * 3):
+            raise ValueError(f"'term_log_prob' must be 3 lists of {n_terms} finite reals")
+        if not has_shape(alpha, float) or alpha <= 0:
+            raise ValueError(f"'alpha' must be a finite real > 0, got {alpha!r}")
+        return cls(np.array(prior, dtype=float), np.array(log_prob, dtype=float), float(alpha))
 
 
 @dataclass(frozen=True)
@@ -171,7 +189,7 @@ def train_mnnb(data: LabeledDataset, alpha: float = 1.0) -> MnnbModel:
     class_log_prior = np.log(data.class_counts() / len(data))
     totals = counts.sum(axis=1, keepdims=True)
     term_log_prob = np.log((counts + alpha) / (totals + alpha * v_size))
-    return MnnbModel(class_log_prior, term_log_prob, alpha, v_size)
+    return MnnbModel(class_log_prior, term_log_prob, alpha)
 
 
 def predict_many(model: MnnbModel | RfModel, X: CountMatrix) -> np.ndarray:
@@ -184,7 +202,7 @@ def predict_many(model: MnnbModel | RfModel, X: CountMatrix) -> np.ndarray:
     if isinstance(model, MnnbModel):
         n = len(X)
         docs = X.row_ids()
-        keep = X.indices < model.vocab_size
+        keep = X.indices < model.term_log_prob.shape[1]
         tids = X.indices[keep]
         log_post = np.tile(model.class_log_prior, (n, 1))
         contrib = X.data[keep][:, None] * model.term_log_prob[:, tids].T
@@ -475,36 +493,8 @@ def _to_json(obj: object, parts: list[str], fmt_real) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _tree_to_obj(node) -> dict:
-    if node.dist is not None:
-        return {"leaf": node.dist.tolist()}
-    return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _tree_to_obj(node.left),
-        "right": _tree_to_obj(node.right),
-    }
-
-
-def _tree_from_obj(obj: dict, n_features: int) -> TreeNode:
-    """A tree from its file form: a leaf holds 3 finite reals, an internal node
-    a feature id below n_features and a finite threshold."""
-    if "leaf" in obj:
-        leaf = obj["leaf"]
-        if not has_shape(leaf, (float, float, float)):
-            raise ValueError(f"tree leaf must be 3 finite reals, got {leaf!r}")
-        return TreeNode(dist=np.array(leaf, dtype=float))
-    feature, threshold = obj["feature"], obj["threshold"]
-    if not has_shape(feature, int) or not 0 <= feature < n_features:
-        raise ValueError(f"tree feature must be an integer in [0, {n_features}), got {feature!r}")
-    if not has_shape(threshold, float):
-        raise ValueError(f"tree threshold must be a finite real, got {threshold!r}")
-    return TreeNode(
-        feature=feature,
-        threshold=float(threshold),
-        left=_tree_from_obj(obj["left"], n_features),
-        right=_tree_from_obj(obj["right"], n_features),
-    )
+# each kind's name in the model file, and the class that writes and reads its parameters
+_KINDS = {"mnnb": MnnbModel, "rf": RfModel}
 
 
 def save_model(
@@ -514,31 +504,20 @@ def save_model(
     path: str | Path,
 ) -> None:
     """Write a self-contained model file: vocabulary, table pin, parameters."""
+    kind = next((k for k, cls in _KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise TypeError(f"unsupported model type: {type(model).__name__}")
     doc: dict[str, object] = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "kind": "mnnb" if isinstance(model, MnnbModel) else "rf",
+        "kind": kind,
         "n_max": vocab.n_max,
         "table_hash": table_hash,
         "label_order": [label.value for label in LABEL_ORDER],
         "vocabulary": vocab.terms_in_id_order(),
     }
     try:
-        if isinstance(model, MnnbModel):
-            doc["params"] = {
-                "alpha": model.alpha,
-                "class_log_prior": model.class_log_prior.tolist(),
-                "term_log_prob": model.term_log_prob.tolist(),
-            }
-        elif isinstance(model, RfModel):
-            doc["params"] = {
-                "n_trees": model.n_trees,
-                "feature_subsample": model.feature_subsample,
-                "seed": model.seed,
-                "trees": [_tree_to_obj(t) for t in model.trees],
-            }
-        else:
-            raise TypeError(f"unsupported model type: {type(model).__name__}")
+        doc["params"] = model.params()
         text = dumps_json(doc) + "\n"
     except RecursionError:
         raise ValueError(f"{path}: a tree is too deep to write") from None
@@ -569,46 +548,10 @@ def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
     if len(vocab) != len(terms):
         raise ValueError(f"{path}: 'vocabulary' repeats a term")
     kind = doc.get("kind")
-    if kind not in ("mnnb", "rf"):
+    if not has_shape(kind, str) or kind not in _KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
-    model: MnnbModel | RfModel
     try:
-        if kind == "mnnb":
-            prior, log_prob, alpha = (
-                params[key] for key in ("class_log_prior", "term_log_prob", "alpha")
-            )
-            if not has_shape(prior, [float]):
-                raise ValueError("'class_log_prior' must be a list of finite reals")
-            if not has_shape(log_prob, [[float]]):
-                raise ValueError("'term_log_prob' must be a list of lists of finite reals")
-            if not has_shape(alpha, float) or alpha <= 0:
-                raise ValueError(f"'alpha' must be a finite real > 0, got {alpha!r}")
-            model = MnnbModel(
-                class_log_prior=np.array(prior, dtype=float),
-                term_log_prob=np.array(log_prob, dtype=float),
-                alpha=float(alpha),
-                vocab_size=len(terms),
-            )
-        else:
-            trees = params["trees"]
-            if not trees:
-                raise ValueError("'trees' is empty")
-            header = {key: params[key] for key in ("n_trees", "feature_subsample", "seed")}
-            for key, value in header.items():
-                if not has_shape(value, int):
-                    raise ValueError(f"{key!r} must be an integer, got {value!r}")
-            if header["n_trees"] != len(trees):
-                raise ValueError(f"'n_trees' is {header['n_trees']}, but {len(trees)} trees follow")
-            model = RfModel(
-                trees=tuple(_tree_from_obj(t, len(terms)) for t in trees), **header
-            )
+        model = _KINDS[kind].from_params(params, len(terms))
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed model parameters: {exc!r}") from None
-    if isinstance(model, MnnbModel) and (
-        model.class_log_prior.shape != (3,) or model.term_log_prob.shape != (3, len(terms))
-    ):
-        raise ValueError(
-            f"{path}: MNNB parameters have shapes {model.class_log_prior.shape} and "
-            f"{model.term_log_prob.shape}, expected (3,) and (3, {len(terms)})"
-        )
     return model, vocab, doc["table_hash"]

@@ -172,10 +172,6 @@ def _config(cls, settings: Settings):
     return cls(**{k: v for k, v in named.items() if k in fields})
 
 
-def _fmt4(x: float) -> str:
-    return f"{x:.4f}"
-
-
 def _tally(counts) -> str:
     """Per-class counts in LABEL_ORDER, as "relevant=3 news=1 noise=0"."""
     return " ".join(f"{label.value.lower()}={n}" for label, n in zip(LABEL_ORDER, counts))
@@ -253,7 +249,7 @@ def cmd_eval(settings: Settings) -> int:
         },
         "confusion": [[int(x) for x in row] for row in report.confusion],
     }
-    (out / "eval.json").write_text(dumps_json(doc, _fmt4) + "\n", encoding="utf-8")
+    (out / "eval.json").write_text(dumps_json(doc, "{:.4f}".format) + "\n", encoding="utf-8")
     tsv = [
         f"accuracy\t{report.accuracy:.4f}",
         f"weighted_f\t{report.weighted_f:.4f}",

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .corpus import require_all_classes
+from .corpus import has_shape, require_all_classes
 from .text import CountMatrix
 
 if TYPE_CHECKING:
@@ -36,14 +36,58 @@ class TreeNode:
     dist: np.ndarray | None = None
 
 
+def _tree_to_obj(node: TreeNode) -> dict:
+    if node.dist is not None:
+        return {"leaf": node.dist.tolist()}
+    return {"feature": int(node.feature), "threshold": float(node.threshold),
+            "left": _tree_to_obj(node.left), "right": _tree_to_obj(node.right)}
+
+
+def _tree_from_obj(obj: dict, n_features: int) -> TreeNode:
+    """A tree from its file form: a leaf holds 3 finite reals, an internal node
+    a feature id below n_features and a finite threshold."""
+    if "leaf" in obj:
+        leaf = obj["leaf"]
+        if not has_shape(leaf, (float, float, float)):
+            raise ValueError(f"tree leaf must be 3 finite reals, got {leaf!r}")
+        return TreeNode(dist=np.array(leaf, dtype=float))
+    feature, threshold = obj["feature"], obj["threshold"]
+    if not has_shape(feature, int) or not 0 <= feature < n_features:
+        raise ValueError(f"tree feature must be an integer in [0, {n_features}), got {feature!r}")
+    if not has_shape(threshold, float):
+        raise ValueError(f"tree threshold must be a finite real, got {threshold!r}")
+    return TreeNode(feature, float(threshold), _tree_from_obj(obj["left"], n_features),
+                    _tree_from_obj(obj["right"], n_features))
+
+
 @dataclass(frozen=True)
 class RfModel:
     """Bagged trees; class axes follow LABEL_ORDER."""
 
     trees: tuple[TreeNode, ...]
-    n_trees: int
     feature_subsample: int
     seed: int
+
+    def params(self) -> dict:
+        """The model file's parameters: a header, then each tree as nested objects."""
+        return {"n_trees": len(self.trees), "feature_subsample": self.feature_subsample,
+                "seed": self.seed, "trees": [_tree_to_obj(t) for t in self.trees]}
+
+    @classmethod
+    def from_params(cls, params: dict, n_features: int) -> "RfModel":
+        """The forest that params() wrote, each feature below n_features. A malformed
+        value raises KeyError, TypeError, ValueError or RecursionError."""
+        trees = params["trees"]
+        if not trees:
+            raise ValueError("'trees' is empty")
+        header = {key: params[key] for key in ("n_trees", "feature_subsample", "seed")}
+        for key, value in header.items():
+            if not has_shape(value, int):
+                raise ValueError(f"{key!r} must be an integer, got {value!r}")
+        if header["n_trees"] != len(trees):
+            raise ValueError(f"'n_trees' is {header['n_trees']}, but {len(trees)} trees follow")
+        trees = tuple(_tree_from_obj(t, n_features) for t in trees)
+        return cls(trees, header["feature_subsample"], header["seed"])
 
 
 def _columns(X: CountMatrix) -> CountMatrix:
@@ -176,7 +220,7 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
         rng = np.random.default_rng([seed, t])
         boot = rng.integers(0, n, size=n)
         trees.append(_grow_tree(columns, data.y, boot, m, rng))
-    return RfModel(tuple(trees), n_trees, m, seed)
+    return RfModel(tuple(trees), m, seed)
 
 
 def predict_proba(model: RfModel, X: CountMatrix) -> np.ndarray:

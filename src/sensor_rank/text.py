@@ -138,7 +138,10 @@ class ReplacementTable:
                 if len(row) != 2:
                     raise ValueError(f"{path}: line {lineno}: expected 'from,to', got {line!r}")
                 entries[row[0]] = row[1]
-        return cls(entries)
+        try:
+            return cls(entries)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def table_hash(self) -> str:
         """Stable content hash used to pin preprocessing to a trained model."""

@@ -140,7 +140,7 @@ def chain_forest(depth: int, width: int) -> RfModel:
         node.right = TreeNode()
         node = node.right
     node.dist = np.array([0.0, 1.0, 0.0])
-    return RfModel((root,), n_trees=1, feature_subsample=1, seed=0)
+    return RfModel((root,), feature_subsample=1, seed=0)
 
 
 def oracle_transition(candidates: UserStats, graph: FollowerGraph) -> TransitionMatrix:

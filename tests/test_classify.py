@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensor_rank import classify
+from sensor_rank import classify, forest
 from sensor_rank.classify import (
     LabeledDataset,
     TrainingConfig,
@@ -731,7 +732,7 @@ def test_model_roundtrip_rf(tmp_path):
     path = tmp_path / "model.json"
     save_model(model, data.vocab, "h", path)
     loaded, _, _ = load_model(path)
-    assert loaded.n_trees == 4
+    assert len(loaded.trees) == 4
     for query in rows_of(data.matrix):
         assert np.array_equal(predict(loaded, query), predict(model, query))
 
@@ -742,6 +743,34 @@ def test_save_model_refuses_a_tree_too_deep_to_write(tmp_path):
         save_model(chain_forest(1500, 5), make_vocab(5), "h", path)
     assert str(exc.value).startswith(f"{path}: ")
     assert not path.exists()
+
+
+def test_traced_classify_and_forest_names_stay_readable():
+    """perfbench/tracer.py wraps these names, counts len(smote(...)) and the size of
+    the file save_model writes to its fourth argument, path, and counts a trained
+    forest's nodes by walking each tree through .dist, .left and .right."""
+    for module, names in [
+        (classify, ["dataset_from_corpus", "train_mnnb", "predict_many", "smote", "save_model",
+                    "load_model"]),
+        (forest, ["train_rf"]),
+    ]:
+        for name in names:
+            fn = getattr(module, name)
+            assert name in module.__all__
+            assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+    assert list(inspect.signature(save_model).parameters)[3] == "path"
+    assert len(smote(matrix([{0: 1.0}, {1: 2.0}, {0: 1.0, 1: 1.0}]), 200, 1, 0)) == 6
+    model = train_rf(random_data(np.random.default_rng(5), 30, 6), n_trees=3, seed=1)
+    nodes, leaves, stack = 0, 0, list(model.trees)
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node.dist is None:
+            stack.extend((node.left, node.right))
+        else:
+            leaves += 1
+            assert node.dist.shape == (3,)
+    assert nodes == 2 * leaves - len(model.trees) > len(model.trees)
 
 
 def test_load_model_rejects_foreign_files(tmp_path):

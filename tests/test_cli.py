@@ -416,6 +416,24 @@ def test_keywords_zero_expansion_keeps_only_seeds(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(merged)
 
 
+@pytest.mark.parametrize("rows, fault", [
+    ("zika,zikavirus\na\x00b,x\n", "replacement key is not a valid token: 'a\\x00b'"),
+    ("vc,q\nq,vc\n", "replacement cycle involving 'vc'"),
+])
+def test_keywords_names_the_table_whose_rows_break_a_rule(tmp_path, capsys, rows, fault):
+    corpus = tmp_path / "kw.jsonl"
+    corpus.write_text(json.dumps({"id": "t1", "user": "a", "text": "zika surto",
+                                  "created_at": "2016-09-01T00:00:00Z"}) + "\n", encoding="utf-8")
+    table, cfg = tmp_path / "table.csv", tmp_path / "cfg.json"
+    table.write_text(rows, encoding="utf-8")
+    cfg.write_text(json.dumps({"table": str(table)}), encoding="utf-8")
+    out = tmp_path / "kw"
+    assert main(["keywords", "--config", str(cfg), "--corpus", str(corpus),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {table}: {fault}\n"
+    assert not out.exists()
+
+
 def child_env(**overrides):
     """Environment for a `python -m sensor_rank.cli` child that imports the package tested here."""
     path = [str(Path(sensor_rank.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -482,13 +482,14 @@ def _edge_line(t):
 
 _junk_line = st.lists(st.sampled_from(["a", "u1", ",", " ", "\ufeff"]), max_size=6).map("".join)
 # mostly two distinct users, so that many texts load
-_line = st.one_of(
+_graph_line = st.one_of(
     *[_edge.filter(lambda t: t[1] != t[3]).map(_edge_line)] * 3, _edge.map(_edge_line), _junk_line
 )
 # graph CSV text: an optional byte-order mark, then lines ending in \n, \r, \r\n or nothing
 graph_text = st.tuples(
     st.sampled_from(["", "\ufeff"]),
-    st.lists(st.tuples(_line, st.sampled_from(["\n", "\n", "\n", "\r", "\r\n", ""])), max_size=8),
+    st.lists(st.tuples(_graph_line, st.sampled_from(["\n", "\n", "\n", "\r", "\r\n", ""])),
+             max_size=8),
 ).map(lambda t: t[0] + "".join(line + end for line, end in t[1]))
 
 

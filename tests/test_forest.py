@@ -137,7 +137,7 @@ def test_handbuilt_tree_routing():
         left=TreeNode(dist=np.array([1.0, 0.0, 0.0])),
         right=TreeNode(dist=np.array([0.0, 0.0, 1.0])),
     )
-    model = RfModel(trees=(tree,), n_trees=1, feature_subsample=1, seed=0)
+    model = RfModel(trees=(tree,), feature_subsample=1, seed=0)
     assert predict(model, {0: 1.0}) is R
     assert predict(model, {0: 2.0}) is Z
     # absent feature counts as 0.0, which routes left
