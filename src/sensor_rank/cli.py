@@ -237,36 +237,20 @@ def cmd_eval(settings: Settings) -> int:
     data = _dataset(settings, _table(settings))
     report = cross_validate(data, folds, tcfg, seed)
     out = _out_dir(settings)
-    doc = {
-        "accuracy": report.accuracy,
-        "weighted_f": report.weighted_f,
-        "rmse": report.rmse,
-        "per_class": {
-            label.value: {
-                "precision": p, "recall": r, "f1": f,
-            }
-            for label, (p, r, f) in report.per_class.items()
-        },
-        "confusion": [[int(x) for x in row] for row in report.confusion],
-    }
-    (out / "eval.json").write_text(dumps_json(doc, "{:.4f}".format) + "\n", encoding="utf-8")
-    tsv = [
-        f"accuracy\t{report.accuracy:.4f}",
-        f"weighted_f\t{report.weighted_f:.4f}",
-        f"rmse\t{report.rmse:.4f}",
-    ]
-    for label, (p, r, f) in report.per_class.items():
-        tsv.append(f"precision_{label.value}\t{p:.4f}")
-        tsv.append(f"recall_{label.value}\t{r:.4f}")
-        tsv.append(f"f1_{label.value}\t{f:.4f}")
-    for i, label in enumerate(report.per_class):
-        row = "\t".join(str(int(x)) for x in report.confusion[i])
-        tsv.append(f"confusion_{label.value}\t{row}")
+    fmt = "{:.4f}".format
+    scores = {"accuracy": report.accuracy, "weighted_f": report.weighted_f, "rmse": report.rmse}
+    per_class = {label.value: dict(zip(("precision", "recall", "f1"), prf))
+                 for label, prf in report.per_class.items()}
+    confusion = [[int(x) for x in row] for row in report.confusion]
+    doc = {**scores, "per_class": per_class, "confusion": confusion}
+    (out / "eval.json").write_text(dumps_json(doc, fmt) + "\n", encoding="utf-8")
+    tsv = [f"{name}\t{fmt(x)}" for name, x in scores.items()]
+    tsv += [f"{name}_{label}\t{fmt(x)}"
+            for label, prf in per_class.items() for name, x in prf.items()]
+    tsv += ["\t".join([f"confusion_{label}", *map(str, row)])
+            for label, row in zip(per_class, confusion)]
     (out / "eval.tsv").write_text("\n".join(tsv) + "\n", encoding="utf-8")
-    print(
-        f"accuracy={report.accuracy:.4f} "
-        f"weighted_f={report.weighted_f:.4f} rmse={report.rmse:.4f}"
-    )
+    print(" ".join(f"{name}={fmt(x)}" for name, x in scores.items()))
     return 0
 
 

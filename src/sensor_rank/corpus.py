@@ -70,18 +70,31 @@ def open_utf8(path: str | Path, encoding: str = "utf-8") -> Iterator[TextIO]:
         raise
 
 
+def read_text(path: str | Path, encoding: str = "utf-8-sig") -> str:
+    """The text of a UTF-8 file, decoded once by open_utf8; by default a leading
+    byte-order mark is skipped."""
+    with open_utf8(path, encoding) as fh:
+        return fh.read()
+
+
+def stripped_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each non-blank line of text, its lines
+    ended by \\n as read_text ends them."""
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if line := line.strip():
+            yield lineno, line
+
+
 def read_json(path: str | Path) -> object:
     """The one JSON document in a UTF-8 file; malformed or too deeply nested
     JSON is a ValueError naming the file."""
-    with open_utf8(path) as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError:
-            raise  # open_utf8 names the line
-        except ValueError as exc:  # malformed, or an integer too long to convert
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    text = read_text(path, "utf-8")  # a byte-order mark is invalid JSON
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer too long to convert
+        raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def has_shape(value: object, shape) -> bool:
@@ -353,63 +366,42 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
 def load_follower_graph(path: str | Path) -> FollowerGraph:
     """Read `follower_id,friend_id` CSV; duplicate edges collapse silently.
 
-    A leading byte-order mark is skipped. A line that is not two ids, repeats
-    one id, or holds U+FEFF fails with its line number. The text is split in
-    one pass when every line is exactly `id,id`; only a file that is not is
-    read again one line at a time, which words its first error or reads a
-    valid file in another form (blank lines, ids padded with whitespace).
+    The file is decoded once, a leading byte-order mark skipped. When every
+    line is exactly `id,id`, the text is split in one call. Otherwise the same
+    text is walked line by line, which reads a valid file in another form
+    (blank lines, ids padded with whitespace) or fails at the first line that
+    is not two ids, repeats one id, or holds U+FEFF, with its line number.
     """
-    flat = _edge_ids(path)
-    if flat is not None:
-        try:
-            return FollowerGraph._from_flat(flat)
-        except ValueError:  # an empty, padded or U+FEFF-holding id, or a self-follow
-            pass
-    return _load_follower_graph_by_line(path)
-
-
-_TWO_COMMAS = re.compile(",[^\n]*,")
-
-
-def _edge_ids(path: str | Path) -> list[str] | None:
-    """The ids of a graph file in file order when each of its lines holds one
-    comma, else None."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
+    text = read_text(path)
     if text and not text.endswith("\n"):
         text += "\n"
     # as many commas as lines, and never two on one line
-    if text.count(",") != text.count("\n") or _TWO_COMMAS.search(text):
-        return None
-    flat = text.replace("\n", ",").split(",")
-    flat.pop()  # the empty string after the last line end
-    return flat
+    if text.count(",") == text.count("\n") and not _TWO_COMMAS.search(text):
+        flat = text.replace("\n", ",").split(",")
+        flat.pop()  # the empty string after the last line end
+        del text  # interning runs a few percent faster with the text freed
+        try:
+            return FollowerGraph._from_flat(flat)
+        except ValueError:  # an empty, padded or U+FEFF-holding id, or a self-follow
+            # each line held one comma, so the lines are the pairs in flat
+            text = "".join(f"{a},{b}\n" for a, b in zip(flat[::2], flat[1::2]))
+    flat = []
+    for lineno, line in stripped_lines(text):
+        parts = line.split(",")
+        follower, friend = parts[0].strip(), parts[-1].strip()
+        if len(parts) != 2 or not follower or not friend:
+            raise ValueError(
+                f"{path}: line {lineno}: expected 'follower_id,friend_id', got {line!r}"
+            )
+        if follower == friend:
+            raise ValueError(f"{path}: line {lineno}: self-follow edge {follower!r}")
+        if "\ufeff" in line:
+            raise ValueError(f"{path}: line {lineno}: user id contains U+FEFF: {line!r}")
+        flat += follower, friend
+    return FollowerGraph._from_flat(flat)
 
 
-def _load_follower_graph_by_line(path: str | Path) -> FollowerGraph:
-    """load_follower_graph reading one line at a time; the first bad line fails
-    with its line number."""
-    pairs: list[tuple[str, str]] = []
-    with open_utf8(path, "utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            follower, friend = parts[0].strip(), parts[-1].strip()
-            if len(parts) != 2 or not follower or not friend:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'follower_id,friend_id', got {line!r}"
-                )
-            if follower == friend:
-                raise ValueError(f"{path}: line {lineno}: self-follow edge {follower!r}")
-            if "\ufeff" in line:
-                raise ValueError(f"{path}: line {lineno}: user id contains U+FEFF: {line!r}")
-            pairs.append((follower, friend))
-    return FollowerGraph.from_pairs(pairs)
+_TWO_COMMAS = re.compile(",[^\n]*,")
 
 
 def write_follower_graph(graph: FollowerGraph, path: str | Path) -> None:
@@ -422,5 +414,4 @@ def write_follower_graph(graph: FollowerGraph, path: str | Path) -> None:
 
 def load_exclusions(path: str | Path) -> frozenset[str]:
     """One user name per line; blank lines and a leading byte-order mark ignored."""
-    with open_utf8(path, "utf-8-sig") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    return frozenset(line for _, line in stripped_lines(read_text(path)))

@@ -337,20 +337,18 @@ def ranking_report(
 _TSV_HEADER = "\t".join(RankRow._fields)
 
 
+def _fmt_cell(value) -> str:
+    """A report cell as both report files write it: a real to 4 decimals, else str."""
+    return f"{value:.4f}" if isinstance(value, float) else str(value)
+
+
 def report_to_tsv(report: RankingReport) -> str:
-    lines = [_TSV_HEADER]
-    for row in report.rows:
-        lines.append(
-            f"{row.user_id}\t{row.relevant_count}\t{row.harvest_count}"
-            f"\t{row.total_count}\t{row.tr_score:.4f}\t{row.tr_rank}"
-            f"\t{row.topic_focus:.4f}\t{row.tf_rank}"
-            f"\t{row.overall_focus:.4f}\t{row.of_rank}"
-        )
+    lines = [_TSV_HEADER, *("\t".join(map(_fmt_cell, row)) for row in report.rows)]
     return "\n".join(lines) + "\n"
 
 
 def report_to_json(report: RankingReport) -> str:
-    return dumps_json([row._asdict() for row in report.rows], "{:.4f}".format) + "\n"
+    return dumps_json([row._asdict() for row in report.rows], _fmt_cell) + "\n"
 
 
 def write_report(report: RankingReport, out_dir: str | Path) -> list[Path]:

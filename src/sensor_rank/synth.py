@@ -7,6 +7,7 @@ influencers (known leaders for ranking-recovery tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -127,6 +128,8 @@ class SynthConfig:
         all_terms = [t for vocab in self.class_vocabularies for t in vocab]
         if len(set(all_terms)) != len(all_terms):
             raise ValueError("class vocabularies must be pairwise disjoint")
+        if not all(0 <= share < math.inf for share in self.class_mix):
+            raise ValueError(f"class_mix shares must be finite and >= 0, got {self.class_mix}")
         if len(self.class_mix) != 3 or abs(sum(self.class_mix) - 1.0) > 1e-9:
             raise ValueError(f"class_mix must sum to 1, got {self.class_mix}")
         if self.class_mix[0] <= 0:

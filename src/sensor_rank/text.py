@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import open_utf8
+from .corpus import read_text, stripped_lines
 
 log = logging.getLogger(__name__)
 
@@ -129,15 +129,11 @@ class ReplacementTable:
     def from_csv(cls, path: str | Path) -> "ReplacementTable":
         """Load a `from,to` CSV, skipping a leading byte-order mark; <DROP> deletes the token."""
         entries: dict[str, str] = {}
-        with open_utf8(path, "utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = next(csv.reader([line]))
-                if len(row) != 2:
-                    raise ValueError(f"{path}: line {lineno}: expected 'from,to', got {line!r}")
-                entries[row[0]] = row[1]
+        for lineno, line in stripped_lines(read_text(path)):
+            row = next(csv.reader([line]))
+            if len(row) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected 'from,to', got {line!r}")
+            entries[row[0]] = row[1]
         try:
             return cls(entries)
         except ValueError as exc:
@@ -445,5 +441,4 @@ def tfidf_rank(
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """One term per line, canonicalized like tokens; a leading byte-order mark is skipped."""
-    with open_utf8(path, "utf-8-sig") as fh:
-        return frozenset(_canonical_token(line) for line in fh if line.strip())
+    return frozenset(_canonical_token(line) for _, line in stripped_lines(read_text(path)))

@@ -1,10 +1,12 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,14 +18,15 @@ from hypothesis import strategies as st
 
 import sensor_rank
 from sensor_rank import cli, corpus as corpus_module
-from sensor_rank.classify import load_model
+from sensor_rank.classify import TrainingConfig, load_model
 from sensor_rank.cli import main
-from sensor_rank.corpus import load_corpus
+from sensor_rank.corpus import FollowerGraph, load_corpus
 from sensor_rank.keywords import SEED_KEYWORDS
+from sensor_rank.rank import RankConfig
 from sensor_rank.synth import BUCKET_ORDER
 
 from oracles import chain_forest, oracle_load_corpus, records_of
-from test_corpus import corpus_text, graph_text
+from test_corpus import corpus_text, graph_text, stripped_line_pairs
 
 SYNTH = {
     "seed": 11,
@@ -83,17 +86,19 @@ def _columns(corpus):
 
 
 def test_written_files_are_read_in_bulk(pipeline, monkeypatch):
-    """The files synth and classify write load without the per-line readers, in
-    blocks of any size, into what oracle_load_corpus and the per-line graph reader give."""
+    """The files synth and classify write load without walking their lines, in
+    blocks of any size, into what oracle_load_corpus and the hand-read graph give."""
     corpora = [pipeline["corpus"], pipeline["classified"]]
     want = [oracle_load_corpus(path) for path in corpora]
-    want_graph = corpus_module._load_follower_graph_by_line(pipeline["graph"])
+    pairs, bad_line = stripped_line_pairs(pipeline["graph"].read_text(encoding="utf-8"))
+    assert bad_line is None
+    want_graph = FollowerGraph.from_pairs(pairs)
 
-    def unread(path, *args):
-        raise AssertionError(f"{path} was read line by line")
+    def unread(*args):
+        raise AssertionError("a written file was read line by line")
 
     monkeypatch.setattr(corpus_module, "_read_lines", unread)
-    monkeypatch.setattr(corpus_module, "_load_follower_graph_by_line", unread)
+    monkeypatch.setattr(corpus_module, "stripped_lines", unread)
     for block in (corpus_module._BLOCK, 100):
         monkeypatch.setattr(corpus_module, "_BLOCK", block)
         assert [_columns(load_corpus(path)) for path in corpora] == want
@@ -145,6 +150,18 @@ def test_synth_rejects_a_tweet_budget_beyond_the_bound(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: tweet budget too large: ")
     assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_synth_rejects_a_negative_class_share(tmp_path, capsys):
+    # the shares sum to 1; before the check, synth wrote News and Relevant only
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({**SYNTH, "class_mix": [0.5, 0.6, -0.1], "n_users": 400,
+                               "edge_density": 0}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: class_mix shares must be finite and >= 0, got (0.5, 0.6, -0.1)\n")
     assert not out.exists()
 
 
@@ -313,6 +330,21 @@ def test_missing_file_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_help_text_defaults_match_the_config_defaults():
+    """Each key backed by a TrainingConfig or RankConfig field (`trees` sets n_trees)
+    states the field's default in its help, as "(default X)" or, for None, "(default: off)"."""
+    defaults = {field.name: field.default
+                for cls in (TrainingConfig, RankConfig) for field in dataclasses.fields(cls)}
+    stated = {}
+    for key in cli._KEYS.values():
+        name = "n_trees" if key.name == "trees" else key.name
+        if name in defaults:
+            text = re.search(r"\(default:? ([^)]+)\)", key.help)
+            assert text, key.help
+            stated[name] = None if text[1] == "off" else key.type(text[1])
+    assert stated == defaults
+
+
 def test_argparse_rejects_bad_values(capsys):
     with pytest.raises(SystemExit):
         main(["train", "--ngrams", "5"])
@@ -333,6 +365,84 @@ def test_eval_command(pipeline, tmp_path, capsys):
     tsv = (out / "eval.tsv").read_text(encoding="utf-8").splitlines()
     assert tsv[0].startswith("accuracy\t")
     assert len([line for line in tsv if line.startswith("confusion_")]) == 3
+
+
+# eval's outputs on the pipeline corpus and on one synthesized with noise_rate 0.3
+_PINNED_EVAL = {
+    0.0: (
+        "accuracy=1.0000 weighted_f=1.0000 rmse=0.0000\n",
+        (
+            '{"accuracy":1.0000,"weighted_f":1.0000,"rmse":0.0000,'
+            '"per_class":{"Relevant":{"precision":1.0000,"recall":1.0000,"f1":1.0000},'
+            '"News":{"precision":1.0000,"recall":1.0000,"f1":1.0000},'
+            '"Noise":{"precision":1.0000,"recall":1.0000,"f1":1.0000}},'
+            '"confusion":[[225,0,0],[0,953,0],[0,0,682]]}\n'
+        ),
+        (
+            "accuracy\t1.0000\n"
+            "weighted_f\t1.0000\n"
+            "rmse\t0.0000\n"
+            "precision_Relevant\t1.0000\n"
+            "recall_Relevant\t1.0000\n"
+            "f1_Relevant\t1.0000\n"
+            "precision_News\t1.0000\n"
+            "recall_News\t1.0000\n"
+            "f1_News\t1.0000\n"
+            "precision_Noise\t1.0000\n"
+            "recall_Noise\t1.0000\n"
+            "f1_Noise\t1.0000\n"
+            "confusion_Relevant\t225\t0\t0\n"
+            "confusion_News\t0\t953\t0\n"
+            "confusion_Noise\t0\t0\t682\n"
+        ),
+    ),
+    0.3: (
+        "accuracy=0.9156 weighted_f=0.9151 rmse=0.2072\n",
+        (
+            '{"accuracy":0.9156,"weighted_f":0.9151,"rmse":0.2072,'
+            '"per_class":{"Relevant":{"precision":0.9015,"recall":0.8133,"f1":0.8551},'
+            '"News":{"precision":0.9220,"recall":0.9423,"f1":0.9320},'
+            '"Noise":{"precision":0.9107,"recall":0.9120,"f1":0.9114}},'
+            '"confusion":[[183,22,20],[14,898,41],[6,54,622]]}\n'
+        ),
+        (
+            "accuracy\t0.9156\n"
+            "weighted_f\t0.9151\n"
+            "rmse\t0.2072\n"
+            "precision_Relevant\t0.9015\n"
+            "recall_Relevant\t0.8133\n"
+            "f1_Relevant\t0.8551\n"
+            "precision_News\t0.9220\n"
+            "recall_News\t0.9423\n"
+            "f1_News\t0.9320\n"
+            "precision_Noise\t0.9107\n"
+            "recall_Noise\t0.9120\n"
+            "f1_Noise\t0.9114\n"
+            "confusion_Relevant\t183\t22\t20\n"
+            "confusion_News\t14\t898\t41\n"
+            "confusion_Noise\t6\t54\t622\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("noise_rate", sorted(_PINNED_EVAL))
+def test_eval_outputs_are_pinned(pipeline, tmp_path, capsys, noise_rate):
+    """The stdout line, eval.json and eval.tsv, byte for byte."""
+    corpus = pipeline["corpus"]
+    if noise_rate:
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({**SYNTH, "noise_rate": noise_rate}), encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        corpus = tmp_path / "data" / "corpus.jsonl"
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["eval", "--corpus", str(corpus), "--out", str(out),
+                 "--folds", "2", *TRAIN_FLAGS]) == 0
+    stdout, eval_json, eval_tsv = _PINNED_EVAL[noise_rate]
+    assert capsys.readouterr().out == stdout
+    assert (out / "eval.json").read_bytes() == eval_json.encode()
+    assert (out / "eval.tsv").read_bytes() == eval_tsv.encode()
 
 
 def test_keywords_command(tmp_path, capsys):
@@ -572,6 +682,7 @@ small_json = json_values(-1, 0, 1, 3, 10, 40, 60)
 
 @settings(max_examples=100, deadline=None)
 @example(config={"class_mix": [10**400, 0.5, 0.5]})
+@example(config={"class_mix": [0.5, 0.6, -0.1], "n_users": 400, "edge_density": 0})
 @example(config={"planted_influencers": [["sentinela001", 10**20, 20]]})
 @example(config={"planted_influencers": [["sentinela001", 2**62, 20]],
                  "tail_histogram": {"1": 10, "3": 30, "20+": 1}, "n_users": 100, "seed": 1})

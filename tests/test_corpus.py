@@ -451,6 +451,33 @@ def test_load_follower_graph_bad_line(tmp_path):
         load_follower_graph(path)
 
 
+@pytest.mark.parametrize("data, error", [
+    (b"a,b\n\nb,c\n", None), (b"a,b\n b,c \n", None),
+    (b"a,b\njust-one\n", "line 2: expected 'follower_id,friend_id'"),
+    (b"a,b\nc,c\n", "line 2: self-follow edge 'c'"),
+    (b"a,b\nc,d\xff\n", "line 2: not valid UTF-8"),
+])
+def test_graph_file_the_split_cannot_read_is_opened_once(tmp_path, monkeypatch, data, error):
+    """Blank lines, padded ids and bad lines are walked in the text decoded for the
+    one-call split: the file is opened once (a non-UTF-8 file's bytes are read
+    again only to number its bad line)."""
+    opened = []
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(corpus_module, "open", counted, raising=False)
+    path = tmp_path / "graph.csv"
+    path.write_bytes(data)
+    if error is None:
+        assert graph_pairs(load_follower_graph(path)) == [("a", "b"), ("b", "c")]
+    else:
+        with pytest.raises(ValueError, match=f"graph.csv: {error}"):
+            load_follower_graph(path)
+    assert len(opened) == 1
+
+
 def test_load_follower_graph_skips_byte_order_mark(tmp_path):
     path = tmp_path / "graph.csv"
     path.write_text("a,b\nb,c\n", encoding="utf-8-sig")

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,9 @@ def stats_by_user(corpus, gold):
 def test_config_validation():
     with pytest.raises(ValueError, match="class_mix"):
         SynthConfig(seed=1, class_mix=(0.5, 0.5, 0.5))
+    for mix in [(0.5, 0.6, -0.1), (0.5, math.nan, 0.5), (math.inf, 0.5, -math.inf)]:
+        with pytest.raises(ValueError, match=r"class_mix shares must be finite and >= 0"):
+            SynthConfig(seed=1, class_mix=mix)
     with pytest.raises(ValueError, match="disjoint"):
         SynthConfig(seed=1, class_vocabularies=(("a",), ("a",), ("b",)))
     with pytest.raises(ValueError, match="bucket"):
