@@ -7,16 +7,16 @@ its own parameters.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import LABEL_ORDER, Corpus, Label, has_shape, read_json, require_all_classes
+from .corpus import (
+    LABEL_ORDER, Corpus, Label, dumps_json, has_shape, read_json, require_all_classes,
+)
 from .forest import RfModel, _columns, predict_proba, train_rf
 from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
 
@@ -36,7 +36,6 @@ __all__ = [
     "cross_validate",
     "save_model",
     "load_model",
-    "dumps_json",
     "MODEL_FORMAT",
     "MODEL_VERSION",
 ]
@@ -135,7 +134,8 @@ class TrainingConfig:
 
     smote_percent=0 disables over-sampling; spread_ratio=None disables
     majority sub-sampling. Defaults reproduce the best reported combination:
-    a 100-tree forest over 1..3-grams with the Relevant class doubled.
+    a 100-tree forest over 1..3-grams with the Relevant class doubled, scored
+    over 10 cross-validation folds.
     """
 
     classifier: str = "rf"
@@ -144,6 +144,8 @@ class TrainingConfig:
     smote_percent: int = 100
     smote_k: int = 5
     spread_ratio: float | None = None
+    ngrams: int = 3
+    folds: int = 10
 
     def __post_init__(self) -> None:
         if self.classifier not in ("mnnb", "rf"):
@@ -161,6 +163,10 @@ class TrainingConfig:
             raise ValueError(
                 f"spread_ratio must be finite and >= 1, got {self.spread_ratio}"
             )
+        if self.ngrams not in (1, 2, 3):
+            raise ValueError(f"ngrams must be 1, 2 or 3, got {self.ngrams}")
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, got {self.folds}")
 
 
 @dataclass(frozen=True)
@@ -440,58 +446,6 @@ def cross_validate(
 
 
 # --- model file I/O ---------------------------------------------------------
-
-def _fmt_real(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite real {x!r}")
-    return format(float(x), ".17g")
-
-
-def dumps_json(obj: object, fmt_real=_fmt_real) -> str:
-    """json.dumps equivalent with explicit control over float formatting.
-
-    The stdlib serializer offers no way to fix the number of digits, which
-    the on-disk formats need for byte-stable output.
-    """
-    parts: list[str] = []
-    _to_json(obj, parts, fmt_real)
-    return "".join(parts)
-
-
-def _to_json(obj: object, parts: list[str], fmt_real) -> None:
-    if isinstance(obj, bool) or obj is None:
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(fmt_real(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(encode_basestring(obj))
-    elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            parts.append("[" + ",".join(map(fmt_real, obj)) + "]")
-            return
-        if kinds == {str}:
-            parts.append("[" + ",".join(map(encode_basestring, obj)) + "]")
-            return
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _to_json(item, parts, fmt_real)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(encode_basestring(str(key)) + ":")
-            _to_json(value, parts, fmt_real)
-        parts.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
 
 # each kind's name in the model file, and the class that writes and reads its parameters
 _KINDS = {"mnnb": MnnbModel, "rf": RfModel}

@@ -3,6 +3,11 @@
 Every command is a thin composition of module operations. Given identical
 inputs, config, and seed, outputs are byte-identical; all diagnostics go to
 stderr (SENSOR_RANK_LOG selects the level), data goes to files or stdout.
+
+Each command imports in its body only the modules it runs, so a run's start-up
+loads no other: beyond `corpus`, `rank` and `report` load `rank`, `synth` loads
+`synth`, `train`, `eval` and `classify` load `text`, `classify` and `forest`,
+and `keywords` loads `text` and `keywords`.
 """
 
 from __future__ import annotations
@@ -14,24 +19,13 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .classify import (
-    LabeledDataset,
-    TrainingConfig,
-    cross_validate,
-    dataset_from_corpus,
-    dumps_json,
-    load_model,
-    predict_many,
-    rebalance,
-    save_model,
-    train_model,
-)
 from .corpus import (
     LABEL_ORDER,
+    dumps_json,
     load_corpus,
     load_exclusions,
     load_follower_graph,
@@ -39,21 +33,10 @@ from .corpus import (
     write_corpus,
     write_follower_graph,
 )
-from .keywords import SEED_KEYWORDS, expansion_candidates
-from .rank import (
-    RankConfig,
-    REPORT_METRICS,
-    build_transition,
-    candidate_filter,
-    compute_user_stats,
-    connected_components,
-    ranking_report,
-    report_to_tsv,
-    twitterrank,
-    write_report,
-)
-from .synth import SynthConfig, generate
-from .text import ReplacementTable, _canonical_token, count_ngrams, load_stopwords
+
+if TYPE_CHECKING:
+    from .classify import LabeledDataset
+    from .text import ReplacementTable
 
 log = logging.getLogger("sensor_rank")
 
@@ -144,11 +127,15 @@ class Settings:
 
 
 def _table(settings: Settings) -> ReplacementTable:
+    from .text import ReplacementTable
+
     path = settings.get("table")
     return ReplacementTable.from_csv(path) if path else ReplacementTable.default()
 
 
 def _stopwords(settings: Settings) -> frozenset[str]:
+    from .text import load_stopwords
+
     path = settings.get("stopwords")
     return load_stopwords(path) if path else frozenset()
 
@@ -165,8 +152,8 @@ def _out_dir(settings: Settings) -> Path:
 
 
 def _config(cls, settings: Settings):
-    """A TrainingConfig or RankConfig from the settings named like its fields (`trees`
-    sets n_trees); the fields left unset keep the defaults cls states."""
+    """A config dataclass from the settings named like its fields (`trees` sets
+    n_trees); the fields left unset keep the defaults cls states."""
     fields = {field.name for field in dataclasses.fields(cls)}
     named = {"n_trees" if k == "trees" else k: v for k, v in settings.values.items()}
     return cls(**{k: v for k, v in named.items() if k in fields})
@@ -177,26 +164,31 @@ def _tally(counts) -> str:
     return " ".join(f"{label.value.lower()}={n}" for label, n in zip(LABEL_ORDER, counts))
 
 
-def _dataset(settings: Settings, table: ReplacementTable) -> LabeledDataset:
-    """The labeled records of --corpus, counted at the --ngrams order (default 3)."""
+def _dataset(settings: Settings, table: ReplacementTable, n_max: int) -> LabeledDataset:
+    """The labeled records of --corpus, counted as n-grams up to order n_max."""
+    from .classify import dataset_from_corpus
+
     corpus = load_corpus(settings.require("corpus")).labeled()
     if len(corpus) == 0:
         raise ValueError("corpus contains no labeled records")
-    return dataset_from_corpus(corpus, table, settings.get("ngrams", 3))
+    return dataset_from_corpus(corpus, table, n_max)
 
 
 def cmd_keywords(settings: Settings) -> int:
+    from .keywords import SEED_KEYWORDS, KeywordsConfig, expansion_candidates
+    from .text import _canonical_token
+
+    kcfg = _config(KeywordsConfig, settings)
     table = _table(settings)
     stopwords = _stopwords(settings)
     corpus = load_corpus(settings.require("corpus"))
     # printed and written as the tokens expansion_candidates blocks
     seeds = [_canonical_token(s) for s in settings.get("seeds", SEED_KEYWORDS)]
-    top_n = settings.get("k", 10)
-    expansion = expansion_candidates(seeds, corpus, stopwords, table, top_n)
+    expansion = expansion_candidates(seeds, corpus, stopwords, table, kcfg)
     merged = seeds + [term for term, _ in expansion]
     lines = [f"seed keywords ({len(seeds)}):"]
     lines += [f"  {s}" for s in seeds]
-    lines.append(f"expansion candidates (top {top_n}):")
+    lines.append(f"expansion candidates (top {kcfg.k}):")
     lines += [f"  {term}\t{score:.4f}" for term, score in expansion]
     lines.append(f"merged keywords ({len(merged)}):")
     lines += [f"  {term}" for term in merged]
@@ -211,11 +203,13 @@ def cmd_keywords(settings: Settings) -> int:
 
 
 def cmd_train(settings: Settings) -> int:
+    from .classify import TrainingConfig, rebalance, save_model, train_model
+
     model_path = settings.require("model")
     table = _table(settings)
     tcfg = _config(TrainingConfig, settings)
     seed = settings.require("seed")
-    data = _dataset(settings, table)
+    data = _dataset(settings, table, tcfg.ngrams)
     train = rebalance(data, tcfg, [seed])
     log.info(
         "train: %d terms; classes %s before rebalance, %s after",
@@ -231,11 +225,12 @@ def cmd_train(settings: Settings) -> int:
 
 
 def cmd_eval(settings: Settings) -> int:
+    from .classify import TrainingConfig, cross_validate
+
     tcfg = _config(TrainingConfig, settings)
     seed = settings.require("seed")
-    folds = settings.get("folds", 10)
-    data = _dataset(settings, _table(settings))
-    report = cross_validate(data, folds, tcfg, seed)
+    data = _dataset(settings, _table(settings), tcfg.ngrams)
+    report = cross_validate(data, tcfg.folds, tcfg, seed)
     out = _out_dir(settings)
     fmt = "{:.4f}".format
     scores = {"accuracy": report.accuracy, "weighted_f": report.weighted_f, "rmse": report.rmse}
@@ -255,6 +250,9 @@ def cmd_eval(settings: Settings) -> int:
 
 
 def cmd_classify(settings: Settings) -> int:
+    from .classify import load_model, predict_many
+    from .text import count_ngrams
+
     corpus = load_corpus(settings.require("corpus"))
     table = _table(settings)
     model_path = settings.require("model")
@@ -279,6 +277,10 @@ def cmd_classify(settings: Settings) -> int:
 
 
 def _rank_pipeline(settings: Settings):
+    from .rank import (
+        RankConfig, build_transition, candidate_filter, compute_user_stats, twitterrank,
+    )
+
     corpus = load_corpus(settings.require("corpus"))
     graph = load_follower_graph(settings.require("graph"))
     rcfg = _config(RankConfig, settings)
@@ -289,6 +291,8 @@ def _rank_pipeline(settings: Settings):
 
 
 def cmd_rank(settings: Settings) -> int:
+    from .rank import REPORT_METRICS, connected_components, ranking_report, write_report
+
     matrix, rcfg, candidates, rank_vector = _rank_pipeline(settings)
     out = _out_dir(settings)
     for metric in REPORT_METRICS:
@@ -312,6 +316,8 @@ def cmd_rank(settings: Settings) -> int:
 
 
 def cmd_report(settings: Settings) -> int:
+    from .rank import ranking_report, report_to_tsv
+
     metric = settings.get("metric", "tr")
     _, rcfg, candidates, rank_vector = _rank_pipeline(settings)
     report = ranking_report(candidates, rank_vector, rcfg, metric)
@@ -320,6 +326,8 @@ def cmd_report(settings: Settings) -> int:
 
 
 def cmd_synth(settings: Settings) -> int:
+    from .synth import SynthConfig, generate
+
     seed = settings.get("seed")
     if settings.config_path:
         config = SynthConfig.from_json(settings.config_path)

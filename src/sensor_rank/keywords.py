@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus import Corpus
@@ -11,6 +12,7 @@ __all__ = [
     "SEED_KEYWORDS",
     "EXPANSION_KEYWORDS",
     "DEFAULT_KEYWORDS",
+    "KeywordsConfig",
     "expansion_candidates",
 ]
 
@@ -44,22 +46,31 @@ EXPANSION_KEYWORDS: tuple[str, ...] = (
 DEFAULT_KEYWORDS: tuple[str, ...] = SEED_KEYWORDS + EXPANSION_KEYWORDS
 
 
+@dataclass(frozen=True)
+class KeywordsConfig:
+    """Settings of the keyword expansion: k is how many terms join the seeds."""
+
+    k: int = 10
+
+    def __post_init__(self) -> None:
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
+
+
 def expansion_candidates(
     seed: Iterable[str],
     corpus: Corpus,
     stopwords: Iterable[str] = (),
     table: ReplacementTable | None = None,
-    top_n: int = 10,
+    config: KeywordsConfig = KeywordsConfig(),
 ) -> list[tuple[str, float]]:
-    """The corpus's top_n unigrams by TF-IDF, with their scores, seeds excluded.
+    """The corpus's top config.k unigrams by TF-IDF, with their scores, seeds excluded.
 
     The corpus is expected to be a harvest made with the seed terms. Seeds and
     stopwords, canonicalized like tokens, never enter; terms come in
     descending score order.
     """
-    if top_n < 0:
-        raise ValueError(f"top_n must be >= 0, got {top_n}")
     blocked = {_canonical_token(str(s)) for s in seed}
     vocab, counts = count_ngrams(corpus.texts, table, n_max=1)
-    return [pair for pair in tfidf_rank(counts, vocab, stopwords) if pair[0] not in blocked][:top_n]
-
+    ranked = tfidf_rank(counts, vocab, stopwords)
+    return [pair for pair in ranked if pair[0] not in blocked][:config.k]

@@ -16,8 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .classify import dumps_json
-from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label
+from .corpus import LABEL_ORDER, Corpus, FollowerGraph, Label, dumps_json
 
 __all__ = [
     "UserStats",

@@ -169,6 +169,11 @@ class SynthConfig:
         return cls(**raw)
 
 
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """The ASCII digit codes of nonnegative integers zero-padded to width, a row each."""
+    return values[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")
+
+
 def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Label]]:
     """Emit (corpus, graph, gold labels) fully determined by the config.
 
@@ -272,14 +277,23 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
     extra[:n_inf] = 0
     totals = harvest + extra
 
+    # ids t0000000, t0000001, ... and stamps step seconds apart from 2016-09-01, written
+    # as one row of ASCII codes per tweet and decoded for all tweets in one call
     step = max(1, (120 * 86400) // max(n_tweets, 1))
-    stamps = np.datetime64("2016-09-01T00:00:00") + np.arange(n_tweets) * np.timedelta64(step, "s")
-    ids = tuple(f"t{i:07d}" for i in range(n_tweets))
+    day, second = np.divmod(np.arange(n_tweets) * step, 86400)
+    dates = np.datetime_as_string(np.datetime64("2016-09-01") + np.arange(day.max(initial=0) + 1))
+    rows = np.tile(np.frombuffer(b"t0000000 yyyy-mm-ddThh:mm:ssZ ", np.uint8), (n_tweets, 1))
+    rows[:, 1:8] = _digits(np.arange(n_tweets), 7)
+    rows[:, 9:19] = np.frombuffer("".join(dates).encode(), np.uint8).reshape(-1, 10)[day]
+    hms = (second // 3600 * 100 + second // 60 % 60) * 100 + second % 60
+    rows[:, [20, 21, 23, 24, 26, 27]] = _digits(hms, 6)
+    fields = rows.tobytes().decode("ascii").split(" ")  # id, stamp, id, stamp, ..., ""
+    ids = tuple(fields[:-1:2])
     corpus = Corpus(
         ids,
         tuple(map(all_users.__getitem__, tweet_users.tolist())),
         tuple(texts),
-        tuple(t + "Z" for t in np.datetime_as_string(stamps).tolist()),
+        tuple(fields[1::2]),
         tweet_classes.astype(np.int64),
         totals[tweet_users].astype(np.int64),
     )

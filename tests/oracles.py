@@ -351,7 +351,7 @@ def oracle_smote(
 
 
 def oracle_dumps_json(obj: object) -> str:
-    """`classify.dumps_json` one element at a time, every value through one
+    """`corpus.dumps_json` one element at a time, every value through one
     recursive writer: reals as 17 significant digits, non-finite reals rejected."""
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)

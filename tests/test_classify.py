@@ -13,7 +13,6 @@ from sensor_rank.classify import (
     TrainingConfig,
     cross_validate,
     dataset_from_corpus,
-    dumps_json,
     evaluate,
     load_model,
     predict_many,
@@ -22,7 +21,7 @@ from sensor_rank.classify import (
     subsample_spread,
     train_mnnb,
 )
-from sensor_rank.corpus import LABEL_ORDER, Label
+from sensor_rank.corpus import LABEL_ORDER, Label, dumps_json
 from sensor_rank.forest import _columns, train_rf
 from sensor_rank.text import Vocabulary
 
@@ -651,6 +650,9 @@ def test_cross_validate_deterministic():
 def test_training_config_validation():
     with pytest.raises(ValueError, match="classifier"):
         TrainingConfig(classifier="svm")
+    for field, value in [("ngrams", 0), ("ngrams", 4), ("folds", 1)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainingConfig(**{field: value})
 
 
 @pytest.mark.parametrize("field, value", [

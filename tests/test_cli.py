@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sensor_rank
-from sensor_rank import cli, corpus as corpus_module
+from sensor_rank import classify, cli, corpus as corpus_module
 from sensor_rank.classify import TrainingConfig, load_model
 from sensor_rank.cli import main
 from sensor_rank.corpus import FollowerGraph, load_corpus
-from sensor_rank.keywords import SEED_KEYWORDS
+from sensor_rank.keywords import SEED_KEYWORDS, KeywordsConfig
 from sensor_rank.rank import RankConfig
 from sensor_rank.synth import BUCKET_ORDER
 
@@ -331,18 +331,20 @@ def test_missing_file_is_reported(tmp_path, capsys):
 
 
 def test_help_text_defaults_match_the_config_defaults():
-    """Each key backed by a TrainingConfig or RankConfig field (`trees` sets n_trees)
-    states the field's default in its help, as "(default X)" or, for None, "(default: off)"."""
-    defaults = {field.name: field.default
-                for cls in (TrainingConfig, RankConfig) for field in dataclasses.fields(cls)}
+    """Each key backed by a TrainingConfig, RankConfig or KeywordsConfig field (`trees`
+    sets n_trees) states the field's default in its help, as "(default X)" or, for None,
+    "(default: off)", and each default a help text states is backed by a field."""
     stated = {}
     for key in cli._KEYS.values():
-        name = "n_trees" if key.name == "trees" else key.name
-        if name in defaults:
-            text = re.search(r"\(default:? ([^)]+)\)", key.help)
-            assert text, key.help
+        text = re.search(r"\(default:? ([^)]+)\)", key.help)
+        if text:
+            name = "n_trees" if key.name == "trees" else key.name
             stated[name] = None if text[1] == "off" else key.type(text[1])
-    assert stated == defaults
+    fields = [field for cls in (TrainingConfig, RankConfig, KeywordsConfig)
+              for field in dataclasses.fields(cls)]
+    assert [(field.name, stated.get(field.name)) for field in fields] == [
+        (field.name, field.default) for field in fields]
+    assert set(stated) == {field.name for field in fields}
 
 
 def test_argparse_rejects_bad_values(capsys):
@@ -517,6 +519,15 @@ def test_keywords_blocks_seeds_and_stopwords_as_tokens(tmp_path, capsys, key):
     assert (out / "keywords.txt").read_text(encoding="utf-8").split("\n") == [*seeds, "comum", ""]
 
 
+def test_keywords_refuses_a_negative_k_before_any_input_is_read(pipeline, capsys, monkeypatch):
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_corpus", unread)
+    assert main(["keywords", "--corpus", str(pipeline["corpus"]), "--k", "-1"]) == 2
+    assert capsys.readouterr().err == "error: k must be >= 0, got -1\n"
+
+
 def test_keywords_zero_expansion_keeps_only_seeds(tmp_path, capsys):
     corpus = tmp_path / "kw.jsonl"
     corpus.write_text(json.dumps({"id": "t1", "user": "a", "text": "zika surto",
@@ -565,6 +576,51 @@ def test_console_module_smoke(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("seed keywords (8):")
     assert "INFO" in proc.stderr  # info level unlocked by SENSOR_RANK_LOG
+
+
+# Run in a fresh interpreter: cli.main(argv) with arguments, a bare `import sensor_rank`
+# without; prints the exit code and the package's loaded submodules as JSON.
+_LOADED_MODULES = """
+import json, sys
+if sys.argv[1:]:
+    from sensor_rank.cli import main
+    code = main(sys.argv[1:])
+else:
+    import sensor_rank
+    code = 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sensor_rank."))]))
+"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (None, []),
+    ("synth", ["cli", "corpus", "synth"]),
+    ("train", ["classify", "cli", "corpus", "forest", "text"]),
+    ("eval", ["classify", "cli", "corpus", "forest", "text"]),
+    ("classify", ["classify", "cli", "corpus", "forest", "text"]),
+    ("rank", ["cli", "corpus", "rank"]),
+    ("report", ["cli", "corpus", "rank"]),
+    ("keywords", ["cli", "corpus", "keywords", "text"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(pipeline, tmp_path, command, loaded):
+    corpus = ["--corpus", str(pipeline["corpus"])]
+    rank = ["--corpus", str(pipeline["classified"]), "--graph", str(pipeline["graph"])]
+    argv = {
+        None: [],
+        "synth": ["--config", str(pipeline["synth_cfg"]), "--out", str(tmp_path)],
+        "train": [*corpus, "--model", str(tmp_path / "m.json"), *TRAIN_FLAGS],
+        "eval": [*corpus, "--out", str(tmp_path), "--folds", "2", *TRAIN_FLAGS],
+        "classify": [*corpus, "--model", str(pipeline["model"]), "--out", str(tmp_path)],
+        "rank": [*rank, "--out", str(tmp_path)],
+        "report": rank,
+        "keywords": corpus,
+    }[command]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *([command] if command else []),
+                           *argv], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert modules == [f"sensor_rank.{name}" for name in loaded]
 
 
 def test_info_logs_leave_stdout_and_files_unchanged(pipeline, tmp_path, capsys, caplog):
@@ -844,6 +900,7 @@ def test_train_rejects_bad_alpha_and_spread_ratio(pipeline, tmp_path, capsys, fl
     (["--smote-k", "0"], "smote_k must be >= 1, got 0"),
     (["--trees", "0"], "n_trees must be >= 1, got 0"),
     (["--trees", "-3", "--classifier", "mnnb"], "n_trees must be >= 1, got -3"),
+    (["--folds", "1"], "folds must be >= 2, got 1"),
 ])
 def test_bad_smote_and_tree_counts_are_refused_before_any_input_is_read(
         pipeline, tmp_path, capsys, monkeypatch, command, flags, message):
@@ -1093,7 +1150,7 @@ def test_input_exits_agree_in_a_child_process(pipeline, name, text, code):
 
 
 def test_train_reports_a_tree_too_deep_to_write(pipeline, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "train_model", lambda *args: chain_forest(1500, 5))
+    monkeypatch.setattr(classify, "train_model", lambda *args: chain_forest(1500, 5))
     model = tmp_path / "m.json"
     code = main(["train", "--corpus", str(pipeline["corpus"]), "--model", str(model),
                  *TRAIN_FLAGS])

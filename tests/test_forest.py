@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensor_rank.classify import LabeledDataset, dumps_json, predict_many, smote
-from sensor_rank.corpus import LABEL_ORDER, Label
+from sensor_rank.classify import LabeledDataset, predict_many, smote
+from sensor_rank.corpus import LABEL_ORDER, Label, dumps_json
 from sensor_rank.forest import RfModel, TreeNode, _columns, _grow_tree, predict_proba, train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
