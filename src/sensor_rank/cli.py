@@ -356,7 +356,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser, with flags on the subparser of command alone: a run parses one
+    command's flags, and the top-level help lists no flags."""
     parser = argparse.ArgumentParser(
         prog="sensor-rank",
         description="Classify topic-relevant posts and rank candidate social sensors.",
@@ -364,6 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         sp.add_argument("--config", help="JSON config file; flags override it")
         for key in _KEYS.values():
             if key.flag:
@@ -396,7 +400,11 @@ def _setup_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first positional argument as the command, and only options
+    # come before it; so the command is the first command name in argv, unless
+    # argparse refuses argv before it reads any command's flags
+    args = _build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     try:
         settings = Settings(args, use_config_file=args.command != "synth")
         return _COMMANDS[args.command][0](settings)

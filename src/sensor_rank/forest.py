@@ -6,13 +6,25 @@ in a fixed depth-first order, so a seed fully determines the forest.
 
 Growth and prediction read the count matrix's nonzeros only; no step builds a
 rows x vocabulary array.
+
+`train_rf` grows its trees on one process per core it may run on (see
+`_jobs`): it forks the others once the column copy is built, so they inherit
+it and nothing is pickled into them. Each process grows every jobs-th tree
+and hands it back as flat preorder arrays, which pickle at any depth, and the
+parent links them into `TreeNode`s in tree order, its own trees included. So
+the model is the same for any process count. The children call no BLAS
+routine, so the idle BLAS threads a forked parent holds are never used.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NoReturn
 
 import numpy as np
 
@@ -23,6 +35,8 @@ if TYPE_CHECKING:
     from .classify import LabeledDataset
 
 __all__ = ["TreeNode", "RfModel", "train_rf", "predict_proba"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -163,20 +177,26 @@ def _split(
 
 def _grow_tree(
     columns: CountMatrix, y: np.ndarray, boot: np.ndarray, m: int, rng: np.random.Generator
-) -> TreeNode:
-    """One tree over the transposed design matrix (see _columns) and a bootstrap.
+) -> tuple[np.ndarray, ...]:
+    """One tree over the transposed design matrix (see _columns) and a bootstrap,
+    as the flat preorder arrays that _link reads.
 
     Each row carries its node's label (-1 outside the bootstrap) and counts as
     often as the bootstrap drew it. A split relabels the rows _split returns.
+    Nodes are grown depth first, left child first, so they come in preorder.
     """
     n_features = len(columns)
     mult = np.bincount(boot, minlength=len(y))
     labels = np.where(mult > 0, 0, -1)
-    root = TreeNode()
-    stack = [(root, 0, np.bincount(y, weights=mult, minlength=3))]
+    nodes, right = [], []  # (feature, threshold, leaf) of each node; its right child
+    # (the node whose right child this is, or -1; label; class counts)
+    stack = [(-1, 0, np.bincount(y, weights=mult, minlength=3))]
     new = 0
     while stack:
-        node, label, counts = stack.pop()
+        parent, label, counts = stack.pop()
+        if parent >= 0:
+            right[parent] = len(nodes)
+        right.append(-1)
         nn = counts.sum()
         split = None
         if nn >= 2 and counts.max() < nn:
@@ -187,16 +207,105 @@ def _grow_tree(
             # integer sums, so the kept side's counts are exact
             moved = np.bincount(y[rows], weights=mult[rows], minlength=3)
         if split is None or not 0 < moved.sum() < nn:
-            node.dist = counts / nn
+            nodes.append((-1, 0.0, counts / nn))
             continue
         new += 1
         labels[rows] = new
-        node.feature, node.threshold = split
-        node.left, node.right = TreeNode(), TreeNode()
+        nodes.append((*split, np.zeros(3)))
         sides = (label, counts - moved), (new, moved)  # kept, relabeled
-        left, right = sides if node.threshold >= 0 else sides[::-1]
-        stack += [(node.right, *right), (node.left, *left)]
-    return root
+        to_left, to_right = sides if split[1] >= 0 else sides[::-1]
+        stack += [(len(nodes) - 1, *to_right), (-1, *to_left)]
+    feature, threshold, leaf = zip(*nodes)
+    return np.array(feature), np.array(threshold), np.array(right), np.array(leaf)
+
+
+def _link(tree: tuple[np.ndarray, ...]) -> tuple[TreeNode, int]:
+    """The TreeNodes of a flat tree from _grow_tree, and its deepest leaf's depth.
+
+    Node i is a leaf where feature[i] is -1, with the distribution leaf[i];
+    otherwise its children are node i + 1 (left) and node right[i] (right).
+    """
+    feature, threshold, right = (a.tolist() for a in tree[:3])
+    leaf = tree[3]
+    nodes, height = [None] * len(feature), [0] * len(feature)
+    for i in reversed(range(len(feature))):  # children before parents
+        if feature[i] < 0:
+            nodes[i] = TreeNode(dist=leaf[i])
+        else:
+            left, r = i + 1, right[i]
+            nodes[i] = TreeNode(feature[i], threshold[i], nodes[left], nodes[r])
+            height[i] = 1 + max(height[left], height[r])
+    return nodes[0], height[0]
+
+
+def _jobs(n_trees: int) -> int:
+    """The processes that grow a forest of n_trees: one per core this process may
+    run on (so `taskset` limits them), at most one per tree; 1 without os.fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_trees)
+
+
+def _child(work: Callable[[int], object], j: int, write: int) -> NoReturn:
+    """In a forked child: send (True, work(j)) or (False, its exception) through
+    the pipe, then leave through os._exit, so no atexit handler runs and no
+    stdio buffer inherited from the parent is flushed."""
+    code = 1
+    try:
+        try:
+            result = (True, work(j))
+        except Exception as exc:  # handed to the parent, which raises it again
+            result = (False, exc)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(data: bytes, status: int) -> object:
+    """A child's result from its pipe's bytes and its wait status."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:  # a child that exits 0 has written its whole result
+        how = (f"exited with status {code}" if code > 0
+               else f"was killed by {signal.Signals(-code).name}")
+        raise ValueError(f"a tree-growing process {how} before sending its trees")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
+def _in_processes(work: Callable[[int], object], jobs: int) -> list:
+    """[work(0), ..., work(jobs - 1)]: work(0) runs here and every other call in
+    a forked child, which sends its result back through a pipe as one pickle.
+
+    A child's exception is raised again here, and a child that ends without a
+    result becomes a ValueError naming how it ended. If this process fails
+    first, it kills and reaps every child still running.
+    """
+    children = {}  # pid -> the read end of its pipe, until the child is reaped
+    try:
+        for j in range(1, jobs):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(work, j, write)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        results = [work(0)]
+        for pid, pipe in list(children.items()):
+            data = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            results.append(_received(data, status))
+        return results
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
@@ -204,7 +313,9 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
 
     At every node, ceil(sqrt(vocab_size)) candidate features are sampled; the
     best (feature, threshold) pair by impurity decrease wins, with ties going
-    to the lowest feature id and then the lowest threshold.
+    to the lowest feature id and then the lowest threshold. Tree t draws from
+    default_rng([seed, t]) alone, so the processes that grow the trees (see
+    _jobs) do not change the forest.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -215,12 +326,25 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     n_features = len(data.vocab)
     columns = _columns(data.matrix)
     m = min(n_features, math.ceil(math.sqrt(n_features)))
-    trees = []
-    for t in range(n_trees):
-        rng = np.random.default_rng([seed, t])
-        boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(columns, data.y, boot, m, rng))
-    return RfModel(tuple(trees), m, seed)
+    jobs = _jobs(n_trees)
+
+    def grow(j: int) -> list:
+        """Trees j, j + jobs, j + 2 jobs, ... as flat arrays."""
+        trees = []
+        for t in range(j, n_trees, jobs):
+            rng = np.random.default_rng([seed, t])
+            boot = rng.integers(0, n, size=n)
+            trees.append(_grow_tree(columns, data.y, boot, m, rng))
+        return trees
+
+    shares = _in_processes(grow, jobs)
+    flat = [shares[t % jobs][t // jobs] for t in range(n_trees)]
+    trees, depths = zip(*map(_link, flat))
+    log.info(
+        "train_rf: %d trees, %d nodes, deepest leaf at depth %d; %d processes",
+        n_trees, sum(len(tree[0]) for tree in flat), max(depths), jobs,
+    )
+    return RfModel(trees, m, seed)
 
 
 def predict_proba(model: RfModel, X: CountMatrix) -> np.ndarray:

@@ -10,6 +10,7 @@ n-grams as strings, so tests can read what count_ngrams counts.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from sensor_rank.classify import EvalReport
+from sensor_rank.cli import _COMMANDS, _KEYS
 from sensor_rank.corpus import LABEL_ORDER, Corpus, FollowerGraph, Label
 from sensor_rank.forest import RfModel, TreeNode
 from sensor_rank.rank import RankingReport, RankRow, TransitionMatrix, UserStats
@@ -600,3 +602,22 @@ def oracle_load_corpus(path) -> dict[str, list]:
             -1 if r.user_total_tweets is None else r.user_total_tweets for r in records
         ],
     }
+
+
+def oracle_parser() -> argparse.ArgumentParser:
+    """The command line's parser built whole: every flag on every command."""
+    parser = argparse.ArgumentParser(
+        prog="sensor-rank",
+        description="Classify topic-relevant posts and rank candidate social sensors.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", help="JSON config file; flags override it")
+        for key in _KEYS.values():
+            if key.flag:
+                sp.add_argument(
+                    "--" + key.name.replace("_", "-"), type=key.type, choices=key.choices,
+                    help=key.help,
+                )
+    return parser

@@ -18,14 +18,16 @@ from hypothesis import strategies as st
 
 import sensor_rank
 from sensor_rank import classify, cli, corpus as corpus_module
+from sensor_rank import forest as forest_module
 from sensor_rank.classify import TrainingConfig, load_model
 from sensor_rank.cli import main
 from sensor_rank.corpus import FollowerGraph, load_corpus
+from sensor_rank.text import ReplacementTable, count_ngrams
 from sensor_rank.keywords import SEED_KEYWORDS, KeywordsConfig
 from sensor_rank.rank import RankConfig
 from sensor_rank.synth import BUCKET_ORDER
 
-from oracles import chain_forest, oracle_load_corpus, records_of
+from oracles import chain_forest, oracle_load_corpus, oracle_parser, records_of
 from test_corpus import corpus_text, graph_text, stripped_line_pairs
 
 SYNTH = {
@@ -345,6 +347,27 @@ def test_help_text_defaults_match_the_config_defaults():
     assert [(field.name, stated.get(field.name)) for field in fields] == [
         (field.name, field.default) for field in fields]
     assert set(stated) == {field.name for field in fields}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([name, "--help"] for name in cli._COMMANDS), ["rank", "-h"],
+    ["train", "--ngrams", "5"], ["train", "--bogus", "1"], [], ["train", "--corpus"],
+    ["--bogus", "train", "--seed", "1"], ["bogus", "train"], ["--", "train", "--seed", "x"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_help_and_argparse_errors_match_the_whole_parser(capsys, monkeypatch, argv):
+    """--help of the top level and of each command, and argparse's error text, byte
+    for byte as a parser that adds every flag to every command prints them."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as want:
+        oracle_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    assert expected.out or expected.err
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert got.value.code == want.value.code
+    assert capsys.readouterr() == expected
+    if argv[1:] == ["--help"]:
+        assert "--trees TREES" in expected.out
 
 
 def test_argparse_rejects_bad_values(capsys):
@@ -1147,6 +1170,95 @@ def test_input_exits_agree_in_a_child_process(pipeline, name, text, code):
     assert here[0] == code
     child = run_input([sys.executable, "-m", "sensor_rank.cli"], pipeline, name, text)
     assert child == here
+
+
+# perfbench's rf_trigram inputs: about 2k tweets for the README-default learner
+RF_TRIGRAM = {
+    "seed": 4,
+    "n_users": 500,
+    "noise_rate": 0.2,
+    "class_mix": [0.4, 0.35, 0.25],
+    "tail_histogram": {"1": 300, "2": 75, "3": 50, "4": 15, "5-9": 10, "10-19": 0, "20+": 1},
+    "planted_influencers": [["sentinela001", 50, 30]],
+}
+
+
+def at_most_processes(monkeypatch, jobs):
+    monkeypatch.setattr(forest_module, "_jobs", lambda n_trees: min(jobs, n_trees))
+
+
+@pytest.mark.parametrize("inputs", ["pipeline", "rf_trigram"])
+def test_train_writes_and_predicts_the_same_on_1_and_2_processes(
+    pipeline, tmp_path, monkeypatch, inputs
+):
+    corpus = pipeline["corpus"]
+    flags = ["--classifier", "rf", "--trees", "5", "--seed", "3"]
+    if inputs == "rf_trigram":
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps(RF_TRIGRAM), encoding="utf-8")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        corpus = tmp_path / "data" / "corpus.jsonl"
+        flags = ["--classifier", "rf", "--ngrams", "3", "--smote-percent", "100",
+                 "--trees", "4", "--seed", "4"]
+    trained = []
+    train_rf = classify.train_rf
+    monkeypatch.setattr(classify, "train_rf",
+                        lambda *args: trained.append(train_rf(*args)) or trained[-1])
+    runs = []
+    for jobs in (1, 2):
+        at_most_processes(monkeypatch, jobs)
+        model = tmp_path / f"model{jobs}.json"
+        assert main(["train", "--corpus", str(corpus), "--model", str(model), *flags]) == 0
+        _, vocab, _ = load_model(model)
+        texts = load_corpus(corpus).texts
+        _, counts = count_ngrams(texts, ReplacementTable.default(), vocab=vocab)
+        runs.append((model.read_bytes(), forest_module.predict_proba(trained[-1], counts).tobytes()))
+    assert runs[0] == runs[1]
+
+
+def test_eval_writes_the_same_on_1_and_2_processes(pipeline, tmp_path, capsys, monkeypatch):
+    runs = []
+    for jobs in (1, 2):
+        at_most_processes(monkeypatch, jobs)
+        out = tmp_path / str(jobs)
+        assert main(["eval", "--corpus", str(pipeline["corpus"]), "--out", str(out),
+                     "--folds", "3", "--classifier", "rf", "--trees", "4", "--seed", "3"]) == 0
+        runs.append((capsys.readouterr().out, (out / "eval.json").read_bytes(),
+                     (out / "eval.tsv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+# train with 2 processes, the child's trees grown by a _grow_tree that fails
+FAILING_CHILD = """
+import os, signal, sys
+from sensor_rank import cli, forest
+parent, grow = os.getpid(), forest._grow_tree
+def grow_or_fail(*args):
+    if os.getpid() != parent:
+        {fault}
+    return grow(*args)
+forest._grow_tree = grow_or_fail
+forest._jobs = lambda n_trees: min(2, n_trees)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("raise ValueError('no tree today')", "no tree today"),
+    ("os._exit(3)", "a tree-growing process exited with status 3 before sending its trees"),
+    ("os.kill(os.getpid(), signal.SIGKILL)",
+     "a tree-growing process was killed by SIGKILL before sending its trees"),
+], ids=["raises", "exits", "killed"])
+def test_train_reports_a_failing_child(pipeline, tmp_path, fault, message):
+    model = tmp_path / "model.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_CHILD.format(fault=fault), "train",
+         "--corpus", str(pipeline["corpus"]), "--model", str(model), "--classifier", "rf",
+         "--ngrams", "1", "--smote-percent", "0", "--trees", "2", "--seed", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (2, f"error: {message}\n")
+    assert not model.exists()
 
 
 def test_train_reports_a_tree_too_deep_to_write(pipeline, tmp_path, capsys, monkeypatch):

@@ -1,3 +1,7 @@
+import logging
+import os
+import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensor_rank.classify import LabeledDataset, predict_many, smote
+from sensor_rank import forest
+from sensor_rank.classify import LabeledDataset, predict_many, save_model, smote
 from sensor_rank.corpus import LABEL_ORDER, Label, dumps_json
-from sensor_rank.forest import RfModel, TreeNode, _columns, _grow_tree, predict_proba, train_rf
+from sensor_rank.forest import (
+    RfModel, TreeNode, _columns, _grow_tree, _link, predict_proba, train_rf,
+)
 from sensor_rank.text import CountMatrix, Vocabulary
 
 from oracles import (
@@ -150,7 +157,7 @@ def test_rf_single_class_purity_short_circuit(tmp_path):
     # bypass the all-classes gate to probe the growth routine directly
     rng = np.random.default_rng(0)
     y = np.array([0, 0, 0])
-    root = _grow_tree(_columns(data.matrix), y, boot=np.array([0, 1, 2]), m=1, rng=rng)
+    root, _ = _link(_grow_tree(_columns(data.matrix), y, boot=np.array([0, 1, 2]), m=1, rng=rng))
     assert root.dist is not None
     np.testing.assert_allclose(root.dist, [1.0, 0.0, 0.0])
 
@@ -164,7 +171,7 @@ def tree_tuple(node):
 
 def assert_same_tree(matrix, y, boot, m, seed):
     """The sparse grower and the dense oracle build the identical tree from one seed."""
-    sparse = _grow_tree(_columns(matrix), y, boot, m, np.random.default_rng(seed))
+    sparse, _ = _link(_grow_tree(_columns(matrix), y, boot, m, np.random.default_rng(seed)))
     dense = oracle_grow_tree(toarray(matrix), y, boot, m, np.random.default_rng(seed))
     assert tree_tuple(sparse) == tree_tuple(dense)
 
@@ -341,3 +348,60 @@ def test_predict_many_routes_a_1500_level_chain():
     # the last row passes every test on its own columns and leaves at the
     # first past-width feature from level 1200 on: level 1202
     assert got[-1].tolist() == (np.array([1.0, 1202.0, 1.0]) / 1204).tolist()
+
+
+def zika_chain(groups, copies=14):
+    """The "zika"×i corpus as counts: for each i up to groups, copies rows counting i
+    and labelled Relevant and News by turns, then 3 Noise rows counting groups + 1.
+    Its one feature always splits, so its trees peel off about one count per level."""
+    rows = [{0: float(i)} for i in range(1, groups + 1) for _ in range(copies)]
+    labels = [(R, N)[i % 2] for i in range(1, groups + 1) for _ in range(copies)]
+    return make_data(rows + [{0: float(groups + 1)}] * 3, labels + [Z] * 3, 1)
+
+
+def node_depths(root):
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield depth
+        if node.dist is None:
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+
+
+def test_trees_past_500_levels_come_back_from_a_child(monkeypatch, caplog, tmp_path):
+    data = zika_chain(700)
+    files = []
+    for jobs in (1, 2):
+        monkeypatch.setattr(forest, "_jobs", lambda n_trees, jobs=jobs: min(jobs, n_trees))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="sensor_rank"):
+            model = train_rf(data, n_trees=2, seed=1)
+        depths = [d for tree in model.trees for d in node_depths(tree)]
+        assert caplog.messages == [f"train_rf: 2 trees, {len(depths)} nodes, deepest leaf "
+                                   f"at depth {max(depths)}; {jobs} processes"]
+        save_model(model, data.vocab, "h", tmp_path / f"{jobs}.json")
+        files.append((tmp_path / f"{jobs}.json").read_bytes())
+    assert files[0] == files[1]
+    # tree 1 grew in the child, too deep to have come back as nested TreeNodes
+    assert max(node_depths(model.trees[1])) > 500
+    with pytest.raises(RecursionError):
+        pickle.dumps(model.trees[1])
+
+
+def test_a_failure_here_kills_and_reaps_the_children(monkeypatch):
+    parent, grow = os.getpid(), forest._grow_tree
+
+    def grow_or_fail(*args):
+        if os.getpid() == parent:
+            raise ValueError("no tree here")
+        time.sleep(30)  # still growing when this process fails
+        return grow(*args)
+
+    monkeypatch.setattr(forest, "_grow_tree", grow_or_fail)
+    monkeypatch.setattr(forest, "_jobs", lambda n_trees: min(2, n_trees))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="no tree here"):
+        train_rf(separable_data(np.random.default_rng(1)), n_trees=4, seed=1)
+    assert time.monotonic() - start < 10  # the child was killed, not waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
