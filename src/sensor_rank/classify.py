@@ -7,6 +7,7 @@ its own parameters.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,11 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (
-    LABEL_ORDER, Corpus, Label, dumps_json, has_shape, read_json, require_all_classes,
-)
-from .forest import RfModel, _columns, predict_proba, train_rf
-from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams
+from .corpus import LABEL_ORDER, Corpus, Label, has_shape, read_json, require_all_classes
+from .forest import RfModel, predict_proba, train_rf
+from .text import CountMatrix, ReplacementTable, Vocabulary, count_ngrams, spans
 
 __all__ = [
     "LabeledDataset",
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "sensor-rank-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # minority rows per block of SMOTE's neighbor search, and pairs per block of its synthesis
 _SMOTE_BLOCK = 256
@@ -245,8 +244,8 @@ def smote(minority: CountMatrix, percent: int, k: int, seed: int) -> CountMatrix
     n = len(minority)
     # only the columns the minority uses, as distinct ascending nonzero cells
     used, local = np.unique(minority.indices, return_inverse=True)
-    by_column = _columns(CountMatrix(minority.indptr, local, minority.data, len(used)))
-    X = _columns(by_column)
+    by_column = CountMatrix(minority.indptr, local, minority.data, len(used)).columns()
+    X = by_column.columns()
     if not (X.data == np.floor(X.data)).all():
         raise ValueError("smote takes integer counts")
     # frequent columns go dense; the rest carry few products each
@@ -320,8 +319,7 @@ def _nearest_exact(X: CountMatrix, by_column: CountMatrix, k: int, dense: np.nda
         first, last = np.searchsorted(rare_rows, [lo, hi])
         c = rare_cols[first:last]
         reach = col_len[c]
-        start = np.cumsum(reach) - reach
-        at = np.repeat(col_lo[c] - start, reach) + np.arange(reach.sum())
+        at = spans(col_lo[c], reach)
         np.add.at(
             key,
             (np.repeat(rare_rows[first:last] - lo, reach), by_column.indices[at]),
@@ -420,12 +418,9 @@ def train_model(data: LabeledDataset, config: TrainingConfig, seed: int) -> Mnnb
     return train_rf(data, config.n_trees, seed)
 
 
-def cross_validate(
-    data: LabeledDataset, folds: int, config: TrainingConfig, seed: int
-) -> EvalReport:
-    """Stratified k-fold evaluation; rebalancing never touches held-out folds."""
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
+def cross_validate(data: LabeledDataset, config: TrainingConfig, seed: int) -> EvalReport:
+    """Stratified config.folds-fold evaluation; rebalancing never touches held-out folds."""
+    folds = config.folds
     for label, count in zip(LABEL_ORDER, data.class_counts()):
         if count < folds:
             raise ValueError(
@@ -461,7 +456,7 @@ def save_model(
     kind = next((k for k, cls in _KINDS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise TypeError(f"unsupported model type: {type(model).__name__}")
-    doc: dict[str, object] = {
+    doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "kind": kind,
@@ -469,13 +464,11 @@ def save_model(
         "table_hash": table_hash,
         "label_order": [label.value for label in LABEL_ORDER],
         "vocabulary": vocab.terms_in_id_order(),
+        "params": model.params(),
     }
-    try:
-        doc["params"] = model.params()
-        text = dumps_json(doc) + "\n"
-    except RecursionError:
-        raise ValueError(f"{path}: a tree is too deep to write") from None
-    Path(path).write_text(text, encoding="utf-8")
+    # reals as repr: the shortest text that reads back as the same float
+    text = json.dumps(doc, ensure_ascii=False, allow_nan=False, separators=(",", ":"))
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
@@ -506,6 +499,6 @@ def load_model(path: str | Path) -> tuple[MnnbModel | RfModel, Vocabulary, str]:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
     try:
         model = _KINDS[kind].from_params(params, len(terms))
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model parameters: {exc!r}") from None
     return model, vocab, doc["table_hash"]

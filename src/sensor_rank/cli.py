@@ -230,7 +230,7 @@ def cmd_eval(settings: Settings) -> int:
     tcfg = _config(TrainingConfig, settings)
     seed = settings.require("seed")
     data = _dataset(settings, _table(settings), tcfg.ngrams)
-    report = cross_validate(data, tcfg.folds, tcfg, seed)
+    report = cross_validate(data, tcfg, seed)
     out = _out_dir(settings)
     fmt = "{:.4f}".format
     scores = {"accuracy": report.accuracy, "weighted_f": report.weighted_f, "rmse": report.rmse}

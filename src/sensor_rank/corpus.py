@@ -13,7 +13,7 @@ from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import NoneType
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -98,56 +98,24 @@ def read_json(path: str | Path) -> object:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _fmt_real(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite real {x!r}")
-    return format(float(x), ".17g")
-
-
-def dumps_json(obj: object, fmt_real=_fmt_real) -> str:
-    """json.dumps equivalent with explicit control over float formatting.
-
-    The stdlib serializer offers no way to fix the number of digits, which
-    the on-disk formats need for byte-stable output.
-    """
-    parts: list[str] = []
-    _to_json(obj, parts, fmt_real)
-    return "".join(parts)
-
-
-def _to_json(obj: object, parts: list[str], fmt_real) -> None:
-    if isinstance(obj, bool) or obj is None:
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(fmt_real(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(encode_basestring(obj))
-    elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if kinds == {float}:
-            parts.append("[" + ",".join(map(fmt_real, obj)) + "]")
-            return
-        if kinds == {str}:
-            parts.append("[" + ",".join(map(encode_basestring, obj)) + "]")
-            return
-        parts.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                parts.append(",")
-            _to_json(item, parts, fmt_real)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(encode_basestring(str(key)) + ":")
-            _to_json(value, parts, fmt_real)
-        parts.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def dumps_json(obj: object, fmt_real: Callable[[float], str]) -> str:
+    """Compact JSON of dicts, lists, strings, integers and finite reals, each real
+    written by fmt_real: json.dumps cannot fix the digits of the report files."""
+    kind = type(obj)
+    if kind is int:
+        return str(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize non-finite real {obj!r}")
+        return fmt_real(obj)
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is list:
+        return "[" + ",".join(dumps_json(item, fmt_real) for item in obj) + "]"
+    if kind is dict:
+        return "{" + ",".join(encode_basestring(key) + ":" + dumps_json(value, fmt_real)
+                              for key, value in obj.items()) + "}"
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def has_shape(value: object, shape) -> bool:

@@ -12,7 +12,8 @@ rows x vocabulary array.
 it and nothing is pickled into them. Each process grows every jobs-th tree
 and hands it back as flat preorder arrays, which pickle at any depth, and the
 parent links them into `TreeNode`s in tree order, its own trees included. So
-the model is the same for any process count. The children call no BLAS
+the model is the same for any process count. The model file holds each tree
+as the same lists, so `_link` reads both. The children call no BLAS
 routine, so the idle BLAS threads a forked parent holds are never used.
 """
 
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, NoReturn
 import numpy as np
 
 from .corpus import has_shape, require_all_classes
-from .text import CountMatrix
+from .text import CountMatrix, spans
 
 if TYPE_CHECKING:
     from .classify import LabeledDataset
@@ -50,30 +51,6 @@ class TreeNode:
     dist: np.ndarray | None = None
 
 
-def _tree_to_obj(node: TreeNode) -> dict:
-    if node.dist is not None:
-        return {"leaf": node.dist.tolist()}
-    return {"feature": int(node.feature), "threshold": float(node.threshold),
-            "left": _tree_to_obj(node.left), "right": _tree_to_obj(node.right)}
-
-
-def _tree_from_obj(obj: dict, n_features: int) -> TreeNode:
-    """A tree from its file form: a leaf holds 3 finite reals, an internal node
-    a feature id below n_features and a finite threshold."""
-    if "leaf" in obj:
-        leaf = obj["leaf"]
-        if not has_shape(leaf, (float, float, float)):
-            raise ValueError(f"tree leaf must be 3 finite reals, got {leaf!r}")
-        return TreeNode(dist=np.array(leaf, dtype=float))
-    feature, threshold = obj["feature"], obj["threshold"]
-    if not has_shape(feature, int) or not 0 <= feature < n_features:
-        raise ValueError(f"tree feature must be an integer in [0, {n_features}), got {feature!r}")
-    if not has_shape(threshold, float):
-        raise ValueError(f"tree threshold must be a finite real, got {threshold!r}")
-    return TreeNode(feature, float(threshold), _tree_from_obj(obj["left"], n_features),
-                    _tree_from_obj(obj["right"], n_features))
-
-
 @dataclass(frozen=True)
 class RfModel:
     """Bagged trees; class axes follow LABEL_ORDER."""
@@ -83,40 +60,69 @@ class RfModel:
     seed: int
 
     def params(self) -> dict:
-        """The model file's parameters: a header, then each tree as nested objects."""
+        """The model file's parameters: a header, then each tree as the lists _link reads."""
         return {"n_trees": len(self.trees), "feature_subsample": self.feature_subsample,
-                "seed": self.seed, "trees": [_tree_to_obj(t) for t in self.trees]}
+                "seed": self.seed, "trees": list(map(_flat, self.trees))}
 
     @classmethod
     def from_params(cls, params: dict, n_features: int) -> "RfModel":
         """The forest that params() wrote, each feature below n_features. A malformed
-        value raises KeyError, TypeError, ValueError or RecursionError."""
+        value raises KeyError, TypeError or ValueError."""
         trees = params["trees"]
-        if not trees:
-            raise ValueError("'trees' is empty")
+        if type(trees) is not list or not trees:
+            raise ValueError("'trees' must be a non-empty list")
         header = {key: params[key] for key in ("n_trees", "feature_subsample", "seed")}
         for key, value in header.items():
             if not has_shape(value, int):
                 raise ValueError(f"{key!r} must be an integer, got {value!r}")
         if header["n_trees"] != len(trees):
             raise ValueError(f"'n_trees' is {header['n_trees']}, but {len(trees)} trees follow")
-        trees = tuple(_tree_from_obj(t, n_features) for t in trees)
+        trees = tuple(_read_tree(tree, n_features) for tree in trees)
         return cls(trees, header["feature_subsample"], header["seed"])
 
 
-def _columns(X: CountMatrix) -> CountMatrix:
-    """X transposed: row c lists the rows with a nonzero in column c, ascending.
+# the lists of a tree in the model file, each with its JSON shape and its wording in errors
+_TREE_LISTS = {"feature": ([int], "integers"), "threshold": ([float], "finite reals"),
+               "right": ([int], "integers"), "leaf": ([(float,) * 3], "rows of 3 finite reals")}
 
-    Where a row lists a column twice, its later entry counts.
-    """
-    order = np.argsort(X.indices, kind="stable")
-    cols = X.indices[order]
-    rows = X.row_ids()[order]
-    vals = X.data[order]
-    keep = np.append((cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1]), True) & (vals != 0)
-    ptr = np.zeros(X.n_cols + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols[keep], minlength=X.n_cols), out=ptr[1:])
-    return CountMatrix(ptr, rows[keep], vals[keep], len(X))
+
+def _flat(root: TreeNode) -> dict:
+    """A tree's file form: the lists feature (-1 at a leaf), threshold and right
+    (-1 at a leaf), one entry per node in preorder, and leaf, one row per leaf."""
+    tree = {key: [] for key in _TREE_LISTS}
+    feature, threshold, right, leaf = tree.values()
+    stack = [(root, -1)]  # (node, the node whose right child it is, or -1)
+    while stack:
+        node, parent = stack.pop()
+        if parent >= 0:
+            right[parent] = len(feature)
+        right.append(-1)
+        if node.dist is not None:
+            feature.append(-1)
+            threshold.append(0.0)
+            leaf.append(node.dist.tolist())
+        else:
+            feature.append(int(node.feature))
+            threshold.append(float(node.threshold))
+            stack += [(node.right, len(feature) - 1), (node.left, -1)]
+    return tree
+
+
+def _read_tree(tree: object, n_features: int) -> TreeNode:
+    """The tree _flat wrote, each feature below n_features."""
+    if type(tree) is not dict:
+        raise ValueError(f"a tree must be an object, got {type(tree).__name__}")
+    for key, (shape, kind) in _TREE_LISTS.items():
+        if not has_shape(tree[key], shape):
+            raise ValueError(f"a tree's {key!r} must be a list of {kind}")
+    feature, threshold, right, leaf = (tree[key] for key in _TREE_LISTS)
+    if not len(feature) == len(threshold) == len(right):
+        raise ValueError(f"a tree lists {len(feature)} features, {len(threshold)} thresholds "
+                         f"and {len(right)} right children")
+    if feature and not -1 <= min(feature) <= max(feature) < n_features:
+        raise ValueError(f"a tree's features must lie in [-1, {n_features}), "
+                         f"got {min(feature)}..{max(feature)}")
+    return _link(feature, list(map(float, threshold)), right, np.array(leaf, dtype=float))[0]
 
 
 def _best_split(
@@ -132,8 +138,7 @@ def _best_split(
     """
     m = len(feats)
     lo, length = columns.indptr[feats], columns.indptr[feats + 1] - columns.indptr[feats]
-    # position of every entry of the m columns in columns' arrays
-    at = np.repeat(lo - (np.cumsum(length) - length), length) + np.arange(length.sum())
+    at = spans(lo, length)  # every entry of the m columns
     slot = np.repeat(np.arange(m), length)
     rows = columns.indices[at]
     inside = labels[rows] == label
@@ -178,8 +183,8 @@ def _split(
 def _grow_tree(
     columns: CountMatrix, y: np.ndarray, boot: np.ndarray, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, ...]:
-    """One tree over the transposed design matrix (see _columns) and a bootstrap,
-    as the flat preorder arrays that _link reads.
+    """One tree over the transposed design matrix (see CountMatrix.columns) and a
+    bootstrap, as the flat preorder arrays that _link reads.
 
     Each row carries its node's label (-1 outside the bootstrap) and counts as
     often as the bootstrap drew it. A split relabels the rows _split returns.
@@ -188,7 +193,7 @@ def _grow_tree(
     n_features = len(columns)
     mult = np.bincount(boot, minlength=len(y))
     labels = np.where(mult > 0, 0, -1)
-    nodes, right = [], []  # (feature, threshold, leaf) of each node; its right child
+    nodes, right, leaf = [], [], []  # (feature, threshold) of each node; its right child
     # (the node whose right child this is, or -1; label; class counts)
     stack = [(-1, 0, np.bincount(y, weights=mult, minlength=3))]
     new = 0
@@ -207,34 +212,50 @@ def _grow_tree(
             # integer sums, so the kept side's counts are exact
             moved = np.bincount(y[rows], weights=mult[rows], minlength=3)
         if split is None or not 0 < moved.sum() < nn:
-            nodes.append((-1, 0.0, counts / nn))
+            nodes.append((-1, 0.0))
+            leaf.append(counts / nn)
             continue
         new += 1
         labels[rows] = new
-        nodes.append((*split, np.zeros(3)))
+        nodes.append(split)
         sides = (label, counts - moved), (new, moved)  # kept, relabeled
         to_left, to_right = sides if split[1] >= 0 else sides[::-1]
         stack += [(len(nodes) - 1, *to_right), (-1, *to_left)]
-    feature, threshold, leaf = zip(*nodes)
+    feature, threshold = zip(*nodes)
     return np.array(feature), np.array(threshold), np.array(right), np.array(leaf)
 
 
-def _link(tree: tuple[np.ndarray, ...]) -> tuple[TreeNode, int]:
-    """The TreeNodes of a flat tree from _grow_tree, and its deepest leaf's depth.
+def _link(feature: list, threshold: list, right: list, leaf: np.ndarray) -> tuple[TreeNode, int]:
+    """The TreeNodes of a flat preorder tree, and its deepest leaf's depth.
 
-    Node i is a leaf where feature[i] is -1, with the distribution leaf[i];
-    otherwise its children are node i + 1 (left) and node right[i] (right).
+    Node i is a leaf where feature[i] is -1: it takes the next row of leaf, and
+    right[i] is -1. Otherwise its children are node i + 1 and node right[i],
+    the node where the left child's subtree ends. A ValueError rejects lists
+    that are not one such tree over all their nodes and leaf rows.
     """
-    feature, threshold, right = (a.tolist() for a in tree[:3])
-    leaf = tree[3]
-    nodes, height = [None] * len(feature), [0] * len(feature)
-    for i in reversed(range(len(feature))):  # children before parents
-        if feature[i] < 0:
-            nodes[i] = TreeNode(dist=leaf[i])
+    n, leaves = len(feature), feature.count(-1)
+    if not n:
+        raise ValueError("a tree has no nodes")
+    if leaves != len(leaf):
+        raise ValueError(f"a tree has {leaves} leaves but {len(leaf)} leaf rows")
+    nodes, height = [None] * n, [0] * n
+    end = [0] * n + [n]  # the node after each node's subtree; node n is past the tree
+    for i in reversed(range(n)):  # children before parents
+        if feature[i] == -1:
+            r, end[i] = -1, i + 1
+            leaves -= 1
+            nodes[i] = TreeNode(dist=leaf[leaves])
         else:
-            left, r = i + 1, right[i]
-            nodes[i] = TreeNode(feature[i], threshold[i], nodes[left], nodes[r])
-            height[i] = 1 + max(height[left], height[r])
+            r = end[i + 1]
+            if r == n:
+                raise ValueError(f"split node {i} lacks a child")
+            end[i] = end[r]
+            nodes[i] = TreeNode(feature[i], threshold[i], nodes[i + 1], nodes[r])
+            height[i] = 1 + max(height[i + 1], height[r])
+        if right[i] != r:
+            raise ValueError(f"node {i}'s right child must be {r}, got {right[i]}")
+    if end[0] != n:
+        raise ValueError(f"node 0's subtree holds {end[0]} of the tree's {n} nodes")
     return nodes[0], height[0]
 
 
@@ -324,7 +345,7 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     require_all_classes(data.y)
     n = len(data)
     n_features = len(data.vocab)
-    columns = _columns(data.matrix)
+    columns = data.matrix.columns()
     m = min(n_features, math.ceil(math.sqrt(n_features)))
     jobs = _jobs(n_trees)
 
@@ -339,7 +360,7 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
 
     shares = _in_processes(grow, jobs)
     flat = [shares[t % jobs][t // jobs] for t in range(n_trees)]
-    trees, depths = zip(*map(_link, flat))
+    trees, depths = zip(*(_link(*(a.tolist() for a in tree[:3]), tree[3]) for tree in flat))
     log.info(
         "train_rf: %d trees, %d nodes, deepest leaf at depth %d; %d processes",
         n_trees, sum(len(tree[0]) for tree in flat), max(depths), jobs,
@@ -357,7 +378,7 @@ def predict_proba(model: RfModel, X: CountMatrix) -> np.ndarray:
     """
     n = len(X)
     # one extra, empty column stands for every feature at or past X's width
-    columns = _columns(CountMatrix(X.indptr, X.indices, X.data, X.n_cols + 1))
+    columns = CountMatrix(X.indptr, X.indices, X.data, X.n_cols + 1).columns()
     acc = np.zeros((n, 3))
     for root in model.trees:
         labels = np.zeros(n, dtype=np.int64)

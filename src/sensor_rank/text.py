@@ -221,9 +221,7 @@ class _Chunks(dict):
         ptr, flat = np.frombuffer(self.ptr, dtype=np.int64), np.frombuffer(self.flat, dtype=np.int64)
         start = ptr[ids]
         lengths = ptr[ids + 1] - start
-        # position of each chunk's first token in the block's token array
-        offsets = np.cumsum(lengths) - lengths
-        tok = flat[np.repeat(start - offsets, lengths) + np.arange(lengths.sum())]
+        tok = flat[spans(start, lengths)]
         row = np.repeat(np.arange(len(texts)), list(map(len, split)))
         return tok, np.repeat(row, lengths)
 
@@ -262,6 +260,11 @@ class Vocabulary:
         return sorted(self.term_to_id, key=self.term_to_id.__getitem__)
 
 
+def spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The positions start[i], ..., start[i] + length[i] - 1 of every span i, in span order."""
+    return np.repeat(start - (np.cumsum(length) - length), length) + np.arange(length.sum())
+
+
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
     """Sparse rows of term counts in CSR form.
@@ -295,9 +298,20 @@ class CountMatrix:
         lengths = self.indptr[idx + 1] - self.indptr[idx]
         indptr = np.zeros(len(idx) + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
-        # position of every kept entry in the source arrays
-        take = np.repeat(self.indptr[idx] - indptr[:-1], lengths) + np.arange(indptr[-1])
+        take = spans(self.indptr[idx], lengths)
         return CountMatrix(indptr, self.indices[take], self.data[take], self.n_cols)
+
+    def columns(self) -> "CountMatrix":
+        """This matrix transposed: row c lists the rows with a nonzero in column c,
+        ascending. Where a row lists a column twice, its later entry counts."""
+        order = np.argsort(self.indices, kind="stable")
+        cols = self.indices[order]
+        rows = self.row_ids()[order]
+        vals = self.data[order]
+        keep = np.append((cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1]), True) & (vals != 0)
+        ptr = np.zeros(self.n_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols[keep], minlength=self.n_cols), out=ptr[1:])
+        return CountMatrix(ptr, rows[keep], vals[keep], len(self))
 
     def concat(self, other: "CountMatrix") -> "CountMatrix":
         """This matrix's rows followed by other's."""

@@ -352,24 +352,23 @@ def oracle_smote(
     return out
 
 
-def oracle_dumps_json(obj: object) -> str:
+def oracle_dumps_json(obj: object, fmt_real) -> str:
     """`corpus.dumps_json` one element at a time, every value through one
-    recursive writer: reals as 17 significant digits, non-finite reals rejected."""
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    recursive writer: reals through fmt_real, non-finite reals rejected, and
+    only dicts, lists, strings, integers and reals accepted."""
+    if type(obj) is int:
+        return str(obj)
+    if type(obj) is float:
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize non-finite real {obj!r}")
-        return format(float(obj), ".17g")
-    if isinstance(obj, str):
+        return fmt_real(obj)
+    if type(obj) is str:
         return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(oracle_dumps_json(item) for item in obj) + "]"
-    if isinstance(obj, dict):
+    if type(obj) is list:
+        return "[" + ",".join(oracle_dumps_json(item, fmt_real) for item in obj) + "]"
+    if type(obj) is dict:
         return "{" + ",".join(
-            json.dumps(str(key), ensure_ascii=False) + ":" + oracle_dumps_json(value)
+            json.dumps(key, ensure_ascii=False) + ":" + oracle_dumps_json(value, fmt_real)
             for key, value in obj.items()
         ) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

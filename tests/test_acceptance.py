@@ -268,14 +268,12 @@ def test_09_cross_validation_floors_on_separable_corpus():
 
     mnnb = cross_validate(
         dataset_from_corpus(corpus, table, n_max=1),
-        10,
-        TrainingConfig(classifier="mnnb", smote_percent=0),
+        TrainingConfig(classifier="mnnb", smote_percent=0, folds=10),
         seed=7,
     )
     rf = cross_validate(
         dataset_from_corpus(corpus, table, n_max=3),
-        10,
-        TrainingConfig(classifier="rf", n_trees=100, smote_percent=100, smote_k=5),
+        TrainingConfig(classifier="rf", n_trees=100, smote_percent=100, smote_k=5, folds=10),
         seed=7,
     )
     ok = mnnb.accuracy >= 0.90 and rf.accuracy >= 0.85

@@ -22,7 +22,7 @@ from sensor_rank.classify import (
     train_mnnb,
 )
 from sensor_rank.corpus import LABEL_ORDER, Label, dumps_json
-from sensor_rank.forest import _columns, train_rf
+from sensor_rank.forest import train_rf
 from sensor_rank.text import Vocabulary
 
 from oracles import (
@@ -33,6 +33,7 @@ from oracles import (
     from_records,
     oracle_dumps_json,
     oracle_evaluate,
+    oracle_forest_proba,
     oracle_nb_posterior,
     oracle_smote,
 )
@@ -345,14 +346,14 @@ def test_exact_neighbors_do_not_depend_on_the_dense_sparse_split():
               for other in rows]
         want.append([j for _, j in sorted((d, j) for j, d in enumerate(d2) if j != i)[:k]])
     for dense in (every, ~every, split):
-        assert classify._nearest_exact(X, _columns(X), k, dense).tolist() == want
+        assert classify._nearest_exact(X, X.columns(), k, dense).tolist() == want
 
 
 def test_smote_many_identical_rows_pick_the_lowest_indices():
     rows = [{0: 1.0, 2: 2.0}] * 12 + [{0: 1.0, 2: 3.0}, {1: 5.0}] + [{0: 1.0, 2: 2.0}] * 3
     k = 4
     X = matrix(rows)
-    ids = classify._nearest_exact(X, _columns(X), k, np.zeros(X.n_cols, dtype=bool))
+    ids = classify._nearest_exact(X, X.columns(), k, np.zeros(X.n_cols, dtype=bool))
     same = [i for i, row in enumerate(rows) if row == rows[0]]
     for i in same:
         assert ids[i].tolist() == [j for j in same if j != i][:k]
@@ -385,7 +386,7 @@ def test_smote_uses_the_exact_search_up_to_2_to_the_24():
     rows = [{0: 4097.0}, {0: 4097.0, 1: 2.0}, {0: 4099.0}]
     rows += [{0: float(i), 1: 1.0} for i in range(8)]
     X = matrix(rows, 2)
-    assert classify._nearest_exact(X, _columns(X), 2, np.ones(2, dtype=bool))[0].tolist() == [1, 2]
+    assert classify._nearest_exact(X, X.columns(), 2, np.ones(2, dtype=bool))[0].tolist() == [1, 2]
     assert rows_of(smote(X, 300, 2, 2)) == oracle_smote(rows, 2, 300, 2, 2)
 
 
@@ -589,12 +590,11 @@ def test_evaluate_matches_per_row_oracle():
 
 def test_cross_validate_validation():
     data = toy_data()
-    config = TrainingConfig(classifier="mnnb", smote_percent=0)
     with pytest.raises(ValueError, match="folds"):
-        cross_validate(data, 1, config, 1)
+        cross_validate(data, TrainingConfig(classifier="mnnb", smote_percent=0, folds=1), 1)
     # News has a single document, so two folds cannot both contain one
     with pytest.raises(ValueError, match="News"):
-        cross_validate(data, 2, config, 1)
+        cross_validate(data, TrainingConfig(classifier="mnnb", smote_percent=0, folds=2), 1)
 
 
 def test_cross_validate_matches_symmetric_oracle():
@@ -605,8 +605,8 @@ def test_cross_validate_matches_symmetric_oracle():
     vectors = [doc[y] for y in (R, N, Z) for _ in range(3)]
     labels = [y for y in (R, N, Z) for _ in range(3)]
     data = make_data(vectors, labels, 3)
-    config = TrainingConfig(classifier="mnnb", smote_percent=0)
-    report = cross_validate(data, 3, config, seed=5)
+    config = TrainingConfig(classifier="mnnb", smote_percent=0, folds=3)
+    report = cross_validate(data, config, seed=5)
 
     train_vectors = []
     train_labels = []
@@ -630,8 +630,8 @@ def test_cross_validate_rebalancing_leaves_holdout_alone():
     rng = np.random.default_rng(31)
     data = random_data(rng, 36, 10)
     config = TrainingConfig(classifier="mnnb", smote_percent=100, smote_k=1,
-                            spread_ratio=3.0)
-    report = cross_validate(data, 3, config, seed=2)
+                            spread_ratio=3.0, folds=3)
+    report = cross_validate(data, config, seed=2)
     row_sums = report.confusion.sum(axis=1)
     assert row_sums.tolist() == data.class_counts().tolist()
 
@@ -639,9 +639,9 @@ def test_cross_validate_rebalancing_leaves_holdout_alone():
 def test_cross_validate_deterministic():
     rng = np.random.default_rng(37)
     data = random_data(rng, 30, 8)
-    config = TrainingConfig(classifier="rf", n_trees=5, smote_percent=100, smote_k=1)
-    a = cross_validate(data, 2, config, seed=9)
-    b = cross_validate(data, 2, config, seed=9)
+    config = TrainingConfig(classifier="rf", n_trees=5, smote_percent=100, smote_k=1, folds=2)
+    a = cross_validate(data, config, seed=9)
+    b = cross_validate(data, config, seed=9)
     assert a.accuracy == b.accuracy
     assert a.rmse == b.rmse
     assert np.array_equal(a.confusion, b.confusion)
@@ -664,52 +664,45 @@ def test_training_config_rejects_bad_alpha_and_spread_ratio(field, value):
         TrainingConfig(**{field: value})
 
 
+# how the eval file and the rank reports write their reals, and the shortest exact form
+REAL_FORMATS = ["{:.4f}".format, repr]
+
+
 def test_dumps_json_formatting():
-    doc = {"a": 1, "b": [True, None, "texto çã"], "c": 0.5}
-    assert dumps_json(doc) == '{"a":1,"b":[true,null,"texto çã"],"c":0.5}'
-    assert dumps_json(1 / 3) == "0.33333333333333331"
+    doc = {"a": 1, "b": [2, "texto çã"], "c": 0.5, "d": {"e": [[-3, 2.25]]}}
+    assert dumps_json(doc, "{:.4f}".format) == (
+        '{"a":1,"b":[2,"texto çã"],"c":0.5000,"d":{"e":[[-3,2.2500]]}}'
+    )
+    assert dumps_json([1 / 3], repr) == "[0.3333333333333333]"
     with pytest.raises(ValueError, match="non-finite"):
-        dumps_json(float("nan"))
-    with pytest.raises(TypeError):
-        dumps_json({"x": object()})
+        dumps_json(float("nan"), repr)
+    # only what the eval file and the rank reports hold
+    for value in (object(), True, None, (1,), np.float64(0.5), np.int64(1)):
+        with pytest.raises(TypeError):
+            dumps_json({"x": value}, repr)
 
 
-json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**70), 2**70),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
-    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
-    st.text(),
-)
 json_documents = st.recursive(
-    json_scalars
-    | st.lists(st.floats(allow_nan=False, allow_infinity=False))
-    | st.lists(st.text()),
-    lambda children: st.lists(children)
-    | st.lists(children).map(tuple)
-    | st.dictionaries(st.text(), children),
+    st.integers(-(2**70), 2**70) | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
     max_leaves=40,
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(json_documents)
-def test_dumps_json_matches_recursive_writer(doc):
-    assert dumps_json(doc) == oracle_dumps_json(doc)
+@given(json_documents, st.sampled_from(REAL_FORMATS))
+def test_dumps_json_matches_recursive_writer(doc, fmt):
+    assert dumps_json(doc, fmt) == oracle_dumps_json(doc, fmt)
 
 
 @settings(max_examples=50, deadline=None)
 @given(json_documents, st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(),
-       st.booleans())
-def test_dumps_json_rejects_non_finite_reals(doc, bad, numpy_scalar, in_float_list):
-    bad = np.float64(bad) if numpy_scalar else bad
-    spliced = {"doc": doc, "bad": [0.5, bad] if in_float_list else bad}
+       st.sampled_from(REAL_FORMATS))
+def test_dumps_json_rejects_non_finite_reals(doc, bad, in_list, fmt):
+    spliced = {"doc": doc, "bad": [0.5, bad] if in_list else bad}
     for write in (dumps_json, oracle_dumps_json):
         with pytest.raises(ValueError, match="non-finite"):
-            write(spliced)
+            write(spliced, fmt)
 
 
 def test_model_roundtrip_mnnb(tmp_path):
@@ -721,7 +714,7 @@ def test_model_roundtrip_mnnb(tmp_path):
     assert table_hash == "abc123"
     assert vocab.terms_in_id_order() == data.vocab.terms_in_id_order()
     assert vocab.n_max == data.vocab.n_max
-    # 17 significant digits survive the float -> text -> float trip exactly
+    # reals written as repr read back as the same floats
     assert np.array_equal(loaded.class_log_prior, model.class_log_prior)
     assert np.array_equal(loaded.term_log_prob, model.term_log_prob)
     assert loaded.alpha == model.alpha
@@ -739,12 +732,16 @@ def test_model_roundtrip_rf(tmp_path):
         assert np.array_equal(predict(loaded, query), predict(model, query))
 
 
-def test_save_model_refuses_a_tree_too_deep_to_write(tmp_path):
-    path = tmp_path / "model.json"
-    with pytest.raises(ValueError, match="too deep") as exc:
-        save_model(chain_forest(1500, 5), make_vocab(5), "h", path)
-    assert str(exc.value).startswith(f"{path}: ")
-    assert not path.exists()
+def test_a_5000_level_chain_saves_loads_and_predicts(tmp_path):
+    # features 5 and 6 lie in the 7-term vocabulary but past the 5-column rows
+    model, path = chain_forest(5000, 5), tmp_path / "model.json"
+    save_model(model, make_vocab(7), "h", path)
+    loaded, _, _ = load_model(path)
+    assert loaded.params() == model.params()
+    rng = np.random.default_rng(22)
+    X = matrix([{int(c): float(rng.integers(1, 60)) for c in rng.choice(5, size=3, replace=False)}
+                for _ in range(40)] + [{c: 59.0 for c in range(5)}], 5)
+    assert np.array_equal(predict_many(loaded, X), oracle_forest_proba(model, X))
 
 
 def test_traced_classify_and_forest_names_stay_readable():
@@ -782,7 +779,7 @@ def test_load_model_rejects_foreign_files(tmp_path):
         load_model(path)
     data = toy_data()
     save_model(train_mnnb(data), data.vocab, "h", path)
-    doc = path.read_text(encoding="utf-8").replace('"version":1', '"version":2')
+    doc = path.read_text(encoding="utf-8").replace('"version":2', '"version":1')
     path.write_text(doc, encoding="utf-8")
-    with pytest.raises(ValueError, match="version"):
+    with pytest.raises(ValueError, match="unsupported model version 1$"):
         load_model(path)

@@ -947,15 +947,28 @@ def forest(*trees):
     })
 
 
-def split(feature=0, threshold=0.5, left=None, right=None):
-    return {"feature": feature, "threshold": threshold,
-            "left": left or {"leaf": [1, 0, 0]}, "right": right or {"leaf": [0.0, 0.0, 1.0]}}
+def split(**lists):
+    """One split on feature 0 at 0.5, a Relevant leaf left and a Noise leaf right, in
+    the model file's flat form; lists replaces some of its lists."""
+    return {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "right": [2, -1, -1],
+            "leaf": [[1, 0, 0], [0.0, 0.0, 1.0]], **lists}
+
+
+# split 0 at 0.5 | split 0 at 1.5 | its two leaves | the root's right leaf
+SPLIT_LEFT = {"feature": [0, 0, -1, -1, -1], "threshold": [0.5, 1.5, 0, 0, 0],
+              "leaf": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
 
 def test_classify_accepts_handwritten_forest(pipeline, tmp_path, capsys):
-    # integers are reals in a leaf or a threshold
+    # integers are reals in a leaf or a threshold; a tree may be one leaf
     doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
-    forest(split(threshold=0, right=split(feature=len(doc["vocabulary"]) - 1)))(doc)
+    last = len(doc["vocabulary"]) - 1
+    forest(
+        split(feature=[0, -1, last, -1, -1], threshold=[0, 0, 0.5, 0, 0], right=[2, -1, 4, -1, -1],
+              leaf=[[1, 0, 0], [1, 0, 0], [0.0, 0.0, 1.0]]),
+        split(feature=[-1], threshold=[7], right=[-1], leaf=[[0, 1, 0]]),
+        {**SPLIT_LEFT, "right": [4, 3, -1, -1, -1]},
+    )(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["classify", "--corpus", str(pipeline["corpus"]), "--model", str(model),
@@ -981,25 +994,51 @@ def test_classify_accepts_handwritten_forest(pipeline, tmp_path, capsys):
     lambda d: d["params"]["term_log_prob"].pop(),
     lambda d: d["params"].update(term_log_prob=None),
     lambda d: d.pop("table_hash"),
-    # forest nodes: a leaf is 3 finite reals; a split has a feature id in the
-    # vocabulary and a finite threshold
-    lambda d: forest({"leaf": [1.0]})(d),
-    lambda d: forest({"leaf": [1.0, 0.0, 0.0, 0.0]})(d),
-    lambda d: forest({"leaf": [10**400, 0, 0]})(d),
-    lambda d: forest({"leaf": [float("nan"), 0.0, 0.0]})(d),
-    lambda d: forest({"leaf": [float("inf"), 0.0, 0.0]})(d),
-    lambda d: forest({"leaf": [True, 0, 0]})(d),
-    lambda d: forest({"leaf": ["1", 0, 0]})(d),
-    lambda d: forest({"leaf": None})(d),
-    lambda d: forest(split(feature=-5))(d),
-    lambda d: forest(split(feature=len(d["vocabulary"])))(d),
-    lambda d: forest(split(feature=1.0))(d),
-    lambda d: forest(split(feature=True))(d),
-    lambda d: forest(split(threshold=float("nan")))(d),
-    lambda d: forest(split(threshold="0.5"))(d),
-    lambda d: forest(split(left={"leaf": [1.0]}))(d),
-    lambda d: forest(split(right=[1, 0, 0]))(d),
-    lambda d: forest({"feature": 0, "threshold": 0.5, "left": {"leaf": [1, 0, 0]}})(d),
+    # a tree is an object of four lists
+    lambda d: forest([[0, -1, -1]])(d),
+    lambda d: forest("tree")(d),
+    lambda d: forest(None)(d),
+    lambda d: forest({k: v for k, v in split().items() if k != "right"})(d),
+    lambda d: forest(split(feature="0"))(d),
+    lambda d: forest(split(leaf=None))(d),
+    # feature, threshold and right hold one entry per node
+    lambda d: forest(split(threshold=[0.5, 0.0]))(d),
+    lambda d: forest(split(right=[2, -1]))(d),
+    lambda d: forest(split(feature=[0, -1]))(d),
+    lambda d: forest(split(feature=[], threshold=[], right=[], leaf=[]))(d),
+    # a split's right child is where its left child's subtree ends, a leaf's is -1
+    lambda d: forest(split(right=[3, -1, -1]))(d),
+    lambda d: forest(split(right=[2**64, -1, -1]))(d),
+    lambda d: forest(split(right=[0, -1, -1]))(d),
+    lambda d: forest(split(right=[1, -1, -1]))(d),
+    lambda d: forest(split(right=[-1, -1, -1]))(d),
+    lambda d: forest(split(right=[2, -1, 0]))(d),
+    lambda d: forest({**SPLIT_LEFT, "right": [4, 4, -1, -1, -1]})(d),
+    lambda d: forest({**SPLIT_LEFT, "right": [3, 3, -1, -1, -1]})(d),
+    lambda d: forest({**SPLIT_LEFT, "right": [2, 3, -1, -1, -1]})(d),
+    lambda d: forest(split(feature=[0, -1, 0], leaf=[[1, 0, 0]]))(d),
+    lambda d: forest(split(feature=[-1, -1], threshold=[0, 0], right=[-1, -1]))(d),
+    # one leaf row of 3 finite reals per leaf
+    lambda d: forest(split(leaf=[[1, 0], [0, 0, 1]]))(d),
+    lambda d: forest(split(leaf=[[1, 0, 0, 0], [0, 0, 1]]))(d),
+    lambda d: forest(split(leaf=[[1, 0, 0]]))(d),
+    lambda d: forest(split(leaf=[[1, 0, 0], [0, 0, 1], [0, 1, 0]]))(d),
+    lambda d: forest(split(leaf=[[10**400, 0, 0], [0, 0, 1]]))(d),
+    lambda d: forest(split(leaf=[[float("nan"), 0, 0], [0, 0, 1]]))(d),
+    lambda d: forest(split(leaf=[[1, 0, 0], [0, 0, float("inf")]]))(d),
+    lambda d: forest(split(leaf=[["1", 0, 0], [0, 0, 1]]))(d),
+    # thresholds are finite reals, and features lie in [-1, vocabulary size)
+    lambda d: forest(split(threshold=[float("nan"), 0, 0]))(d),
+    lambda d: forest(split(threshold=[0.5, float("-inf"), 0]))(d),
+    lambda d: forest(split(threshold=["0.5", 0, 0]))(d),
+    lambda d: forest(split(feature=[len(d["vocabulary"]), -1, -1]))(d),
+    lambda d: forest(split(feature=[-2, -1, -1]))(d),
+    lambda d: forest(split(feature=[0.0, -1, -1]))(d),
+    # no list holds a bool
+    lambda d: forest(split(feature=[False, -1, -1]))(d),
+    lambda d: forest(split(threshold=[True, 0, 0]))(d),
+    lambda d: forest(split(right=[2, -1, True]))(d),
+    lambda d: forest(split(leaf=[[True, 0, 0], [0, 0, 1]]))(d),
     lambda d: forest()(d),
     # MNNB parameters are finite JSON reals, and alpha is > 0
     lambda d: d["params"]["class_log_prior"].__setitem__(0, float("nan")),
@@ -1024,6 +1063,7 @@ def test_classify_accepts_handwritten_forest(pipeline, tmp_path, capsys):
     lambda d: (forest(split())(d), d["params"].update(seed=0.5)),
     lambda d: (forest(split())(d), d["params"].update(seed="0")),
     lambda d: (forest(split())(d), d["params"].update(seed=False)),
+    lambda d: (forest(split())(d), d["params"].update(trees={"0": split()})),
 ])
 def test_classify_rejects_malformed_model(pipeline, tmp_path, capsys, edit):
     doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
@@ -1057,25 +1097,29 @@ def json_paths(obj, path=()):
 
 def mutate_model(data, doc) -> None:
     """Apply one drawn mutation to doc: drop a key or list item, give a value another
-    JSON value, or set a forest field to a value at the edge of its checks."""
-    n_terms = len(doc["vocabulary"])
-    targeted = {
-        "threshold": st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 10**400]),
-        "feature": st.sampled_from([-1, 0, n_terms - 1, n_terms, 2**64]),
-        "leaf": st.lists(st.sampled_from([0, 0.5, 1.0]), max_size=5),
-        "n_trees": st.integers(0, 4),
-    }
-    how = data.draw(st.sampled_from(["drop", "value", *targeted]
+    JSON value, or set a forest field, or an entry of one of a tree's lists, to a
+    value at the edge of its checks."""
+    forest_fields = ["threshold", "feature", "right", "leaf", "n_trees"]
+    how = data.draw(st.sampled_from(["drop", "value", *forest_fields]
                                     if doc["kind"] == "rf" else ["drop", "value"]))
     path = data.draw(st.sampled_from([p for p in json_paths(doc)
-                                      if how in ("drop", "value", p[-1])]))
+                                      if how in ("drop", "value", *p[-2:])]))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
+    key, n_terms = path[-1], len(doc["vocabulary"])
     if how == "drop":
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = data.draw(any_json if how == "value" else targeted[how])
+        del parent[key]
+        return
+    parent[key] = data.draw({
+        "value": any_json,
+        "threshold": st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 10**400]),
+        "feature": st.sampled_from([-2, -1, 0, n_terms - 1, n_terms, 2**64]),
+        # at entry key of a list of len(parent) nodes
+        "right": st.sampled_from([-1, 0, key, len(parent), 2**64]),
+        "leaf": st.lists(st.sampled_from([0, 0.5, 1.0]), max_size=5),
+        "n_trees": st.integers(0, 4),
+    }[how])
 
 
 def run_cli(argv_head, argv, files) -> tuple[int, str, bool]:
@@ -1116,8 +1160,8 @@ def test_classify_model_fuzz_exits_cleanly(pipeline, model_docs, kind, data):
 
 
 @pytest.mark.parametrize("kind, edit, code", [
-    pytest.param("rf", lambda d: d["params"]["trees"][0].update(threshold=math.nan), 2,
-                 id="nan-threshold"),
+    pytest.param("rf", lambda d: d["params"]["trees"][0]["threshold"].__setitem__(0, math.nan),
+                 2, id="nan-threshold"),
     pytest.param("mnnb", lambda d: d["params"]["term_log_prob"][0].pop(), 2, id="short-row"),
     pytest.param("rf", lambda d: None, 0, id="unchanged-forest"),
 ])
@@ -1261,16 +1305,14 @@ def test_train_reports_a_failing_child(pipeline, tmp_path, fault, message):
     assert not model.exists()
 
 
-def test_train_reports_a_tree_too_deep_to_write(pipeline, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(classify, "train_model", lambda *args: chain_forest(1500, 5))
+def test_train_and_classify_a_5000_level_chain(pipeline, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(classify, "train_model", lambda *args: chain_forest(5000, 5))
     model = tmp_path / "m.json"
-    code = main(["train", "--corpus", str(pipeline["corpus"]), "--model", str(model),
-                 *TRAIN_FLAGS])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {model}: a tree is too deep to write")
-    assert "Traceback" not in err
-    assert not model.exists()
+    assert main(["train", "--corpus", str(pipeline["corpus"]), "--model", str(model),
+                 *TRAIN_FLAGS]) == 0
+    assert main(["classify", "--corpus", str(pipeline["corpus"]), "--model", str(model),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("reader", ["model", "corpus", "config", "synth config"])

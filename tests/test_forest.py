@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 
 from sensor_rank import forest
 from sensor_rank.classify import LabeledDataset, predict_many, save_model, smote
-from sensor_rank.corpus import LABEL_ORDER, Label, dumps_json
-from sensor_rank.forest import (
-    RfModel, TreeNode, _columns, _grow_tree, _link, predict_proba, train_rf,
-)
+from sensor_rank.corpus import LABEL_ORDER, Label
+from sensor_rank.forest import RfModel, TreeNode, _grow_tree, _link, predict_proba, train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
 from oracles import (
@@ -90,30 +88,16 @@ def test_rf_deterministic_given_seed():
     a = train_rf(data, n_trees=8, seed=5)
     b = train_rf(data, n_trees=8, seed=5)
     c = train_rf(data, n_trees=8, seed=6)
-    serialize = lambda m: dumps_json(  # noqa: E731
-        [_tree_obj(t) for t in m.trees]
-    )
-    assert serialize(a) == serialize(b)
-    assert serialize(a) != serialize(c)
-
-
-def _tree_obj(node):
-    if node.dist is not None:
-        return {"leaf": [float(p) for p in node.dist]}
-    return {
-        "f": node.feature,
-        "t": float(node.threshold),
-        "l": _tree_obj(node.left),
-        "r": _tree_obj(node.right),
-    }
+    assert a.params() == b.params()
+    assert a.params()["trees"] != c.params()["trees"]
 
 
 def test_rf_bootstrap_produces_distinct_trees():
     rng = np.random.default_rng(8)
     data = separable_data(rng, per_class=12)
     model = train_rf(data, n_trees=4, seed=19)
-    shapes = {dumps_json(_tree_obj(t)) for t in model.trees}
-    assert len(shapes) > 1
+    trees = model.params()["trees"]
+    assert any(tree != trees[0] for tree in trees[1:])
 
 
 def test_rf_leaf_distributions_are_probabilities():
@@ -157,8 +141,11 @@ def test_rf_single_class_purity_short_circuit(tmp_path):
     # bypass the all-classes gate to probe the growth routine directly
     rng = np.random.default_rng(0)
     y = np.array([0, 0, 0])
-    root, _ = _link(_grow_tree(_columns(data.matrix), y, boot=np.array([0, 1, 2]), m=1, rng=rng))
-    assert root.dist is not None
+    feature, threshold, right, leaf = _grow_tree(
+        data.matrix.columns(), y, boot=np.array([0, 1, 2]), m=1, rng=rng
+    )
+    assert feature.tolist() == right.tolist() == [-1]
+    root, _ = _link(feature.tolist(), threshold.tolist(), right.tolist(), leaf)
     np.testing.assert_allclose(root.dist, [1.0, 0.0, 0.0])
 
 
@@ -171,7 +158,10 @@ def tree_tuple(node):
 
 def assert_same_tree(matrix, y, boot, m, seed):
     """The sparse grower and the dense oracle build the identical tree from one seed."""
-    sparse, _ = _link(_grow_tree(_columns(matrix), y, boot, m, np.random.default_rng(seed)))
+    feature, threshold, right, leaf = _grow_tree(
+        matrix.columns(), y, boot, m, np.random.default_rng(seed)
+    )
+    sparse, _ = _link(feature.tolist(), threshold.tolist(), right.tolist(), leaf)
     dense = oracle_grow_tree(toarray(matrix), y, boot, m, np.random.default_rng(seed))
     assert tree_tuple(sparse) == tree_tuple(dense)
 
