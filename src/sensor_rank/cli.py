@@ -238,7 +238,7 @@ def cmd_eval(settings: Settings) -> int:
                  for label, prf in report.per_class.items()}
     confusion = [[int(x) for x in row] for row in report.confusion]
     doc = {**scores, "per_class": per_class, "confusion": confusion}
-    (out / "eval.json").write_text(dumps_json(doc, fmt) + "\n", encoding="utf-8")
+    (out / "eval.json").write_text(dumps_json(doc) + "\n", encoding="utf-8")
     tsv = [f"{name}\t{fmt(x)}" for name, x in scores.items()]
     tsv += [f"{name}_{label}\t{fmt(x)}"
             for label, prf in per_class.items() for name, x in prf.items()]

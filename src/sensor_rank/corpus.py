@@ -13,7 +13,7 @@ from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import NoneType
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -98,22 +98,22 @@ def read_json(path: str | Path) -> object:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def dumps_json(obj: object, fmt_real: Callable[[float], str]) -> str:
+def dumps_json(obj: object) -> str:
     """Compact JSON of dicts, lists, strings, integers and finite reals, each real
-    written by fmt_real: json.dumps cannot fix the digits of the report files."""
+    to 4 decimals: json.dumps cannot fix the digits of the report files."""
     kind = type(obj)
     if kind is int:
         return str(obj)
     if kind is float:
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize non-finite real {obj!r}")
-        return fmt_real(obj)
+        return f"{obj:.4f}"
     if kind is str:
         return encode_basestring(obj)
     if kind is list:
-        return "[" + ",".join(dumps_json(item, fmt_real) for item in obj) + "]"
+        return "[" + ",".join(map(dumps_json, obj)) + "]"
     if kind is dict:
-        return "{" + ",".join(encode_basestring(key) + ":" + dumps_json(value, fmt_real)
+        return "{" + ",".join(encode_basestring(key) + ":" + dumps_json(value)
                               for key, value in obj.items()) + "}"
     raise TypeError(f"cannot serialize {kind.__name__}")
 
@@ -400,12 +400,10 @@ def load_follower_graph(path: str | Path) -> FollowerGraph:
     if text.count(",") == text.count("\n") and not _TWO_COMMAS.search(text):
         flat = text.replace("\n", ",").split(",")
         flat.pop()  # the empty string after the last line end
-        del text  # interning runs a few percent faster with the text freed
         try:
             return FollowerGraph._from_flat(flat)
         except ValueError:  # an empty, padded or U+FEFF-holding id, or a self-follow
-            # each line held one comma, so the lines are the pairs in flat
-            text = "".join(f"{a},{b}\n" for a, b in zip(flat[::2], flat[1::2]))
+            pass  # the walk below reads padded ids and names the line of any other
     flat = []
     for lineno, line in stripped_lines(text):
         parts = line.split(",")

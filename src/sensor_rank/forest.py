@@ -10,11 +10,11 @@ rows x vocabulary array.
 `train_rf` grows its trees on one process per core it may run on (see
 `_jobs`): it forks the others once the column copy is built, so they inherit
 it and nothing is pickled into them. Each process grows every jobs-th tree
-and hands it back as flat preorder arrays, which pickle at any depth, and the
-parent links them into `TreeNode`s in tree order, its own trees included. So
-the model is the same for any process count. The model file holds each tree
-as the same lists, so `_link` reads both. The children call no BLAS
-routine, so the idle BLAS threads a forked parent holds are never used.
+and hands it back as flat preorder lists, which pickle at any depth, and the
+parent keeps them in tree order, its own trees included. So the model is the
+same for any process count. Those lists are the model: the model file holds
+them as they are, and prediction routes rows by node index. The children call
+no BLAS routine, so the idle BLAS threads a forked parent holds are never used.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NoReturn
 
 import numpy as np
@@ -42,7 +43,7 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TreeNode:
-    """Internal node (feature/threshold/left/right) or leaf (dist set)."""
+    """Internal node (feature/threshold/left/right) or leaf (dist set) of RfModel.trees."""
 
     feature: int = -1
     threshold: float = 0.0
@@ -53,16 +54,41 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class RfModel:
-    """Bagged trees; class axes follow LABEL_ORDER."""
+    """Bagged trees; class axes follow LABEL_ORDER.
 
-    trees: tuple[TreeNode, ...]
+    Each tree is four lists in preorder, as growth and the model file give them:
+    feature (-1 at a leaf), threshold (0.0 at a leaf), right (node i's right
+    child, -1 at a leaf; its left child is node i + 1) and leaf, a (leaves, 3)
+    array of class distributions.
+    """
+
+    flat_trees: tuple[tuple[list, list, list, np.ndarray], ...]
     feature_subsample: int
     seed: int
 
+    @cached_property
+    def trees(self) -> tuple[TreeNode, ...]:
+        """Each tree's root as linked TreeNodes, built the first time it is read.
+        Training, saving, loading and prediction never read it; perfbench's
+        tracer and the tests' oracles walk it."""
+        roots = []
+        for feature, threshold, right, leaf in self.flat_trees:
+            nodes, leaves = [None] * len(feature), len(leaf)
+            for i in reversed(range(len(feature))):  # children before parents
+                if feature[i] == -1:
+                    leaves -= 1
+                    nodes[i] = TreeNode(dist=leaf[leaves])
+                else:
+                    nodes[i] = TreeNode(feature[i], threshold[i], nodes[i + 1], nodes[right[i]])
+            roots.append(nodes[0])
+        return tuple(roots)
+
     def params(self) -> dict:
-        """The model file's parameters: a header, then each tree as the lists _link reads."""
-        return {"n_trees": len(self.trees), "feature_subsample": self.feature_subsample,
-                "seed": self.seed, "trees": list(map(_flat, self.trees))}
+        """The model file's parameters: a header, then each tree's lists."""
+        trees = [{"feature": feature, "threshold": threshold, "right": right, "leaf": leaf.tolist()}
+                 for feature, threshold, right, leaf in self.flat_trees]
+        return {"n_trees": len(trees), "feature_subsample": self.feature_subsample,
+                "seed": self.seed, "trees": trees}
 
     @classmethod
     def from_params(cls, params: dict, n_features: int) -> "RfModel":
@@ -86,43 +112,45 @@ _TREE_LISTS = {"feature": ([int], "integers"), "threshold": ([float], "finite re
                "right": ([int], "integers"), "leaf": ([(float,) * 3], "rows of 3 finite reals")}
 
 
-def _flat(root: TreeNode) -> dict:
-    """A tree's file form: the lists feature (-1 at a leaf), threshold and right
-    (-1 at a leaf), one entry per node in preorder, and leaf, one row per leaf."""
-    tree = {key: [] for key in _TREE_LISTS}
-    feature, threshold, right, leaf = tree.values()
-    stack = [(root, -1)]  # (node, the node whose right child it is, or -1)
-    while stack:
-        node, parent = stack.pop()
-        if parent >= 0:
-            right[parent] = len(feature)
-        right.append(-1)
-        if node.dist is not None:
-            feature.append(-1)
-            threshold.append(0.0)
-            leaf.append(node.dist.tolist())
-        else:
-            feature.append(int(node.feature))
-            threshold.append(float(node.threshold))
-            stack += [(node.right, len(feature) - 1), (node.left, -1)]
-    return tree
+def _read_tree(tree: object, n_features: int) -> tuple[list, list, list, np.ndarray]:
+    """The lists of a tree that params() wrote, each feature below n_features.
 
-
-def _read_tree(tree: object, n_features: int) -> TreeNode:
-    """The tree _flat wrote, each feature below n_features."""
+    A ValueError rejects lists that are not one tree over all their nodes and
+    leaf rows: node i's right child must be the node where its left child's
+    subtree, which starts at node i + 1, ends.
+    """
     if type(tree) is not dict:
         raise ValueError(f"a tree must be an object, got {type(tree).__name__}")
     for key, (shape, kind) in _TREE_LISTS.items():
         if not has_shape(tree[key], shape):
             raise ValueError(f"a tree's {key!r} must be a list of {kind}")
     feature, threshold, right, leaf = (tree[key] for key in _TREE_LISTS)
-    if not len(feature) == len(threshold) == len(right):
-        raise ValueError(f"a tree lists {len(feature)} features, {len(threshold)} thresholds "
+    n, leaves = len(feature), feature.count(-1)
+    if not n == len(threshold) == len(right):
+        raise ValueError(f"a tree lists {n} features, {len(threshold)} thresholds "
                          f"and {len(right)} right children")
     if feature and not -1 <= min(feature) <= max(feature) < n_features:
         raise ValueError(f"a tree's features must lie in [-1, {n_features}), "
                          f"got {min(feature)}..{max(feature)}")
-    return _link(feature, list(map(float, threshold)), right, np.array(leaf, dtype=float))[0]
+    if not n:
+        raise ValueError("a tree has no nodes")
+    if leaves != len(leaf):
+        raise ValueError(f"a tree has {leaves} leaves but {len(leaf)} leaf rows")
+    end = [0] * n + [n]  # the node after each node's subtree; node n is past the tree
+    for i in reversed(range(n)):  # children before parents
+        if feature[i] == -1:
+            r, end[i] = -1, i + 1
+        else:
+            r = end[i + 1]
+            if r == n:
+                raise ValueError(f"split node {i} lacks a child")
+            end[i] = end[r]
+        if right[i] != r:
+            raise ValueError(f"node {i}'s right child must be {r}, got {right[i]}")
+    if end[0] != n:
+        raise ValueError(f"node 0's subtree holds {end[0]} of the tree's {n} nodes")
+    threshold = [0.0 if f == -1 else float(t) for f, t in zip(feature, threshold)]
+    return feature, threshold, right, np.array(leaf, dtype=float)
 
 
 def _best_split(
@@ -182,9 +210,9 @@ def _split(
 
 def _grow_tree(
     columns: CountMatrix, y: np.ndarray, boot: np.ndarray, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, ...]:
+) -> tuple[tuple[list, list, list, np.ndarray], int]:
     """One tree over the transposed design matrix (see CountMatrix.columns) and a
-    bootstrap, as the flat preorder arrays that _link reads.
+    bootstrap, as RfModel holds it, and the depth of its deepest leaf.
 
     Each row carries its node's label (-1 outside the bootstrap) and counts as
     often as the bootstrap drew it. A split relabels the rows _split returns.
@@ -194,11 +222,11 @@ def _grow_tree(
     mult = np.bincount(boot, minlength=len(y))
     labels = np.where(mult > 0, 0, -1)
     nodes, right, leaf = [], [], []  # (feature, threshold) of each node; its right child
-    # (the node whose right child this is, or -1; label; class counts)
-    stack = [(-1, 0, np.bincount(y, weights=mult, minlength=3))]
-    new = 0
+    # (the node whose right child this is, or -1; label; class counts; depth)
+    stack = [(-1, 0, np.bincount(y, weights=mult, minlength=3), 0)]
+    new = deepest = 0
     while stack:
-        parent, label, counts = stack.pop()
+        parent, label, counts, depth = stack.pop()
         if parent >= 0:
             right[parent] = len(nodes)
         right.append(-1)
@@ -214,49 +242,16 @@ def _grow_tree(
         if split is None or not 0 < moved.sum() < nn:
             nodes.append((-1, 0.0))
             leaf.append(counts / nn)
+            deepest = max(deepest, depth)
             continue
         new += 1
         labels[rows] = new
         nodes.append(split)
         sides = (label, counts - moved), (new, moved)  # kept, relabeled
         to_left, to_right = sides if split[1] >= 0 else sides[::-1]
-        stack += [(len(nodes) - 1, *to_right), (-1, *to_left)]
-    feature, threshold = zip(*nodes)
-    return np.array(feature), np.array(threshold), np.array(right), np.array(leaf)
-
-
-def _link(feature: list, threshold: list, right: list, leaf: np.ndarray) -> tuple[TreeNode, int]:
-    """The TreeNodes of a flat preorder tree, and its deepest leaf's depth.
-
-    Node i is a leaf where feature[i] is -1: it takes the next row of leaf, and
-    right[i] is -1. Otherwise its children are node i + 1 and node right[i],
-    the node where the left child's subtree ends. A ValueError rejects lists
-    that are not one such tree over all their nodes and leaf rows.
-    """
-    n, leaves = len(feature), feature.count(-1)
-    if not n:
-        raise ValueError("a tree has no nodes")
-    if leaves != len(leaf):
-        raise ValueError(f"a tree has {leaves} leaves but {len(leaf)} leaf rows")
-    nodes, height = [None] * n, [0] * n
-    end = [0] * n + [n]  # the node after each node's subtree; node n is past the tree
-    for i in reversed(range(n)):  # children before parents
-        if feature[i] == -1:
-            r, end[i] = -1, i + 1
-            leaves -= 1
-            nodes[i] = TreeNode(dist=leaf[leaves])
-        else:
-            r = end[i + 1]
-            if r == n:
-                raise ValueError(f"split node {i} lacks a child")
-            end[i] = end[r]
-            nodes[i] = TreeNode(feature[i], threshold[i], nodes[i + 1], nodes[r])
-            height[i] = 1 + max(height[i + 1], height[r])
-        if right[i] != r:
-            raise ValueError(f"node {i}'s right child must be {r}, got {right[i]}")
-    if end[0] != n:
-        raise ValueError(f"node 0's subtree holds {end[0]} of the tree's {n} nodes")
-    return nodes[0], height[0]
+        stack += [(len(nodes) - 1, *to_right, depth + 1), (-1, *to_left, depth + 1)]
+    feature, threshold = map(list, zip(*nodes))
+    return (feature, threshold, right, np.array(leaf)), deepest
 
 
 def _jobs(n_trees: int) -> int:
@@ -350,7 +345,7 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     jobs = _jobs(n_trees)
 
     def grow(j: int) -> list:
-        """Trees j, j + jobs, j + 2 jobs, ... as flat arrays."""
+        """Trees j, j + jobs, j + 2 jobs, ..., each with its deepest leaf's depth."""
         trees = []
         for t in range(j, n_trees, jobs):
             rng = np.random.default_rng([seed, t])
@@ -359,11 +354,10 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
         return trees
 
     shares = _in_processes(grow, jobs)
-    flat = [shares[t % jobs][t // jobs] for t in range(n_trees)]
-    trees, depths = zip(*(_link(*(a.tolist() for a in tree[:3]), tree[3]) for tree in flat))
+    trees, depths = zip(*(shares[t % jobs][t // jobs] for t in range(n_trees)))
     log.info(
         "train_rf: %d trees, %d nodes, deepest leaf at depth %d; %d processes",
-        n_trees, sum(len(tree[0]) for tree in flat), max(depths), jobs,
+        n_trees, sum(len(tree[0]) for tree in trees), max(depths), jobs,
     )
     return RfModel(trees, m, seed)
 
@@ -380,20 +374,26 @@ def predict_proba(model: RfModel, X: CountMatrix) -> np.ndarray:
     # one extra, empty column stands for every feature at or past X's width
     columns = CountMatrix(X.indptr, X.indices, X.data, X.n_cols + 1).columns()
     acc = np.zeros((n, 3))
-    for root in model.trees:
+    for feature, threshold, right, leaf in model.flat_trees:
         labels = np.zeros(n, dtype=np.int64)
-        dist_of = {}
-        stack = [(root, 0, n)]  # (node, its label, rows that carry it)
+        leaf_of = {}  # label -> the row of leaf its rows end in
+        # (node, the leaves before it in preorder, its label, rows that carry it)
+        stack = [(0, 0, 0, n)]
         new = 0
         while stack:
-            node, label, count = stack.pop()
-            if node.dist is not None:
-                dist_of[label] = node.dist
+            i, before, label, count = stack.pop()
+            f = feature[i]
+            if f == -1:
+                leaf_of[label] = before
             elif count:  # a subtree that no row reaches is skipped
                 new += 1
-                rows = _split(columns, labels, label, min(node.feature, X.n_cols), node.threshold)
+                t, r = threshold[i], right[i]
+                rows = _split(columns, labels, label, min(f, X.n_cols), t)
                 labels[rows] = new
-                kept, moved = (node.left, node.right) if node.threshold >= 0 else (node.right, node.left)
-                stack += [(kept, label, count - len(rows)), (moved, new, len(rows))]
-        acc += np.array([dist_of.get(label, np.zeros(3)) for label in range(new + 1)])[labels]
-    return acc / len(model.trees)
+                # the left subtree, nodes i + 1 to r - 1, holds (r - i) / 2 leaves
+                to_left, to_right = (i + 1, before), (r, before + (r - i) // 2)
+                kept, moved = (to_left, to_right) if t >= 0 else (to_right, to_left)
+                stack += [(*kept, label, count - len(rows)), (*moved, new, len(rows))]
+        # a label no leaf took is carried by no row
+        acc += leaf[np.array([leaf_of.get(label, 0) for label in range(new + 1)])][labels]
+    return acc / len(model.flat_trees)

@@ -337,7 +337,7 @@ _TSV_HEADER = "\t".join(RankRow._fields)
 
 
 def _fmt_cell(value) -> str:
-    """A report cell as both report files write it: a real to 4 decimals, else str."""
+    """A TSV report cell: a real to 4 decimals, as dumps_json writes it, else str."""
     return f"{value:.4f}" if isinstance(value, float) else str(value)
 
 
@@ -347,7 +347,7 @@ def report_to_tsv(report: RankingReport) -> str:
 
 
 def report_to_json(report: RankingReport) -> str:
-    return dumps_json([row._asdict() for row in report.rows], _fmt_cell) + "\n"
+    return dumps_json([row._asdict() for row in report.rows]) + "\n"
 
 
 def write_report(report: RankingReport, out_dir: str | Path) -> list[Path]:

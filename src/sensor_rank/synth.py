@@ -302,7 +302,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
     # follow edges among the ranking-eligible core, plus periphery noise, as
     # (follower, friend) positions in all_users. Ids compare as strings, so each
     # end moves to the first position of its id (an influencer's id may also be
-    # an organic user's).
+    # an organic user's), and an edge between two users of one id is dropped.
     first = dict(zip(reversed(all_users), range(n_all - 1, -1, -1)))
     canon = np.fromiter(map(first.__getitem__, all_users), np.int64, n_all)
     core = np.flatnonzero(rel >= 3)
@@ -328,6 +328,7 @@ def generate(config: SynthConfig) -> tuple[Corpus, FollowerGraph, dict[str, Labe
             parts.append(np.stack([a[rng.integers(0, len(a), size=n_extra)],
                                    b[rng.integers(0, len(b), size=n_extra)]], axis=1))
     pairs = canon[np.concatenate(parts)]
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     codes = np.sort(pairs[:, 0] * n_all + pairs[:, 1])
     follower, friend = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n_all)
 

@@ -132,17 +132,18 @@ def chain_forest(depth: int, width: int) -> RfModel:
     a feature past a width-column matrix, which reads 0. A row leaves to the
     left at node d when its value is at most d / 100, or d / 100 - 12 for a
     feature past the width: rows pass those until level 1200. Leaf d holds
-    [1, d, 1] / (d + 2), and the chain ends in the leaf [0, 1, 0].
+    [1, d, 1] / (d + 2), and the chain ends in the leaf [0, 1, 0]. In preorder,
+    node 2d is split d, node 2d + 1 its left leaf and node 2d + 2 its right child.
     """
-    root = node = TreeNode()
+    feature, threshold, right, leaf = [], [], [], []
     for d in range(depth):
-        node.feature = d % (width + 2)
-        node.threshold = d / 100 - (12 if node.feature >= width else 0)
-        node.left = TreeNode(dist=np.array([1.0, d, 1.0]) / (d + 2))
-        node.right = TreeNode()
-        node = node.right
-    node.dist = np.array([0.0, 1.0, 0.0])
-    return RfModel((root,), feature_subsample=1, seed=0)
+        f = d % (width + 2)
+        feature += [f, -1]
+        threshold += [d / 100 - (12 if f >= width else 0), 0.0]
+        right += [2 * d + 2, -1]
+        leaf.append(np.array([1.0, d, 1.0]) / (d + 2))
+    tree = (feature + [-1], threshold + [0.0], right + [-1], np.array(leaf + [[0.0, 1.0, 0.0]]))
+    return RfModel((tree,), feature_subsample=1, seed=0)
 
 
 def oracle_transition(candidates: UserStats, graph: FollowerGraph) -> TransitionMatrix:
@@ -352,23 +353,23 @@ def oracle_smote(
     return out
 
 
-def oracle_dumps_json(obj: object, fmt_real) -> str:
+def oracle_dumps_json(obj: object) -> str:
     """`corpus.dumps_json` one element at a time, every value through one
-    recursive writer: reals through fmt_real, non-finite reals rejected, and
+    recursive writer: reals to 4 decimals, non-finite reals rejected, and
     only dicts, lists, strings, integers and reals accepted."""
     if type(obj) is int:
         return str(obj)
     if type(obj) is float:
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize non-finite real {obj!r}")
-        return fmt_real(obj)
+        return "{:.4f}".format(obj)
     if type(obj) is str:
         return json.dumps(obj, ensure_ascii=False)
     if type(obj) is list:
-        return "[" + ",".join(oracle_dumps_json(item, fmt_real) for item in obj) + "]"
+        return "[" + ",".join(oracle_dumps_json(item) for item in obj) + "]"
     if type(obj) is dict:
         return "{" + ",".join(
-            json.dumps(key, ensure_ascii=False) + ":" + oracle_dumps_json(value, fmt_real)
+            json.dumps(key, ensure_ascii=False) + ":" + oracle_dumps_json(value)
             for key, value in obj.items()
         ) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -1272,6 +1272,21 @@ def test_eval_writes_the_same_on_1_and_2_processes(pipeline, tmp_path, capsys, m
     assert runs[0] == runs[1]
 
 
+def test_train_classify_and_eval_build_no_tree_nodes(pipeline, tmp_path, capsys, monkeypatch):
+    # a forest is its flat lists from growth to prediction; only RfModel.trees links nodes
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a TreeNode was built")
+
+    monkeypatch.setattr(forest_module, "TreeNode", no_nodes)
+    corpus, model = str(pipeline["corpus"]), str(tmp_path / "model.json")
+    flags = ["--classifier", "rf", "--trees", "4", "--seed", "3"]
+    assert main(["train", "--corpus", corpus, "--model", model, *flags]) == 0
+    assert main(["classify", "--corpus", corpus, "--model", model,
+                 "--out", str(tmp_path / "cls")]) == 0
+    assert main(["eval", "--corpus", corpus, "--out", str(tmp_path / "eval"), "--folds", "3",
+                 *flags]) == 0
+
+
 # train with 2 processes, the child's trees grown by a _grow_tree that fails
 FAILING_CHILD = """
 import os, signal, sys

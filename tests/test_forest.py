@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sensor_rank import forest
 from sensor_rank.classify import LabeledDataset, predict_many, save_model, smote
 from sensor_rank.corpus import LABEL_ORDER, Label
-from sensor_rank.forest import RfModel, TreeNode, _grow_tree, _link, predict_proba, train_rf
+from sensor_rank.forest import RfModel, _grow_tree, predict_proba, train_rf
 from sensor_rank.text import CountMatrix, Vocabulary
 
 from oracles import (
@@ -122,13 +122,8 @@ def test_rf_prediction_probabilities():
 
 def test_handbuilt_tree_routing():
     # one split on w0 at 1.5: low goes Relevant, high goes Noise
-    tree = TreeNode(
-        feature=0,
-        threshold=1.5,
-        left=TreeNode(dist=np.array([1.0, 0.0, 0.0])),
-        right=TreeNode(dist=np.array([0.0, 0.0, 1.0])),
-    )
-    model = RfModel(trees=(tree,), feature_subsample=1, seed=0)
+    tree = [0, -1, -1], [1.5, 0.0, 0.0], [2, -1, -1], np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    model = RfModel(flat_trees=(tree,), feature_subsample=1, seed=0)
     assert predict(model, {0: 1.0}) is R
     assert predict(model, {0: 2.0}) is Z
     # absent feature counts as 0.0, which routes left
@@ -141,12 +136,11 @@ def test_rf_single_class_purity_short_circuit(tmp_path):
     # bypass the all-classes gate to probe the growth routine directly
     rng = np.random.default_rng(0)
     y = np.array([0, 0, 0])
-    feature, threshold, right, leaf = _grow_tree(
+    (feature, threshold, right, leaf), depth = _grow_tree(
         data.matrix.columns(), y, boot=np.array([0, 1, 2]), m=1, rng=rng
     )
-    assert feature.tolist() == right.tolist() == [-1]
-    root, _ = _link(feature.tolist(), threshold.tolist(), right.tolist(), leaf)
-    np.testing.assert_allclose(root.dist, [1.0, 0.0, 0.0])
+    assert feature == right == [-1] and threshold == [0.0] and depth == 0
+    np.testing.assert_allclose(leaf, [[1.0, 0.0, 0.0]])
 
 
 def tree_tuple(node):
@@ -158,12 +152,11 @@ def tree_tuple(node):
 
 def assert_same_tree(matrix, y, boot, m, seed):
     """The sparse grower and the dense oracle build the identical tree from one seed."""
-    feature, threshold, right, leaf = _grow_tree(
-        matrix.columns(), y, boot, m, np.random.default_rng(seed)
-    )
-    sparse, _ = _link(feature.tolist(), threshold.tolist(), right.tolist(), leaf)
+    tree, depth = _grow_tree(matrix.columns(), y, boot, m, np.random.default_rng(seed))
+    sparse = RfModel((tree,), m, seed).trees[0]
     dense = oracle_grow_tree(toarray(matrix), y, boot, m, np.random.default_rng(seed))
     assert tree_tuple(sparse) == tree_tuple(dense)
+    assert depth == max(node_depths(dense))
 
 
 def random_rows(rng, n, v, density, values):

@@ -1,8 +1,15 @@
+import argparse
+import dataclasses
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import sensor_rank
+from sensor_rank import cli
+from sensor_rank.classify import TrainingConfig
+from sensor_rank.rank import RankConfig
 
 # The package's public names, in order; each is resolved from its module on first access.
 PUBLIC = [
@@ -56,3 +63,53 @@ def test_an_unknown_name_is_an_attribute_error():
         sensor_rank.no_such_name
     with pytest.raises(ImportError):
         exec("from sensor_rank import no_such_name", {})
+
+
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_after(heading: str) -> str:
+    """The README's text after a heading."""
+    return README.split(f"\n{heading}\n", 1)[1]
+
+
+def test_readme_library_example_runs_as_written():
+    block = re.search(r"```python\n(.*?)```", readme_after("## Library"), re.S).group(1)
+    namespace: dict = {}
+    exec(block, namespace)
+    assert namespace["top"].rows[0].user_id == "sentinela001"
+
+
+def flag_table() -> dict[str, str]:
+    """The README's flag table: each flag and its default column."""
+    table = readme_after("### Flags").split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(--[a-z-]+)` \| ([^|]+) \|", table, re.M)
+    return {flag: default.strip() for flag, default in rows}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_readme_flag_table_lists_the_parsers_flags(command):
+    parser = cli._build_parser(command)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [flag for action in sub.choices[command]._actions for flag in action.option_strings
+             if flag.startswith("--") and flag != "--help"]
+    assert flags == list(flag_table())
+
+
+def test_readme_flag_defaults_match_the_keys_and_configs():
+    fields = {field.name: field.default
+              for cls in (RankConfig, TrainingConfig) for field in dataclasses.fields(cls)}
+    for flag, default in flag_table().items():
+        key = cli._KEYS.get(flag[2:].replace("-", "_"))
+        if key is None:  # --config
+            assert default == "(none)"
+            continue
+        stated = re.search(r"\(default:? ([^)]+)\)", key.help)
+        assert default == (stated.group(1) if stated else "(none)"), flag
+        name = "n_trees" if key.name == "trees" else key.name
+        if default == "(none)":
+            assert name not in fields, flag
+        elif fields[name] is None:
+            assert default == "off", flag
+        else:
+            assert key.type(default) == fields[name], flag

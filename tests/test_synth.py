@@ -1,12 +1,14 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sensor_rank import cli
 from sensor_rank.corpus import (
-    FollowerGraph, Label, write_corpus, write_follower_graph,
+    FollowerGraph, Label, load_follower_graph, write_corpus, write_follower_graph,
 )
 from sensor_rank.rank import (
     RankConfig,
@@ -175,6 +177,18 @@ def test_generate_writes_pinned_bytes(tmp_path, name):
     digest = {p: hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()
               for p in ("corpus.jsonl", "graph.csv")}
     assert digest == {"corpus.jsonl": corpus_sha, "graph.csv": graph_sha}
+
+
+@pytest.mark.parametrize("seed", [23, 26, 44, 47])
+def test_synth_drops_core_edges_between_one_ids_two_users(tmp_path, seed):
+    # at these seeds the core draws an edge between the influencer u00002 and
+    # the organic user u00002, one user once ids are compared
+    config = {"seed": seed, "n_users": 300, "planted_influencers": [["u00002", 40, 30]],
+              "tail_histogram": {"3": 60, "20+": 1}, "edge_density": 0.05}
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["synth", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path)]) == 0
+    edges = load_follower_graph(tmp_path / "graph.csv").edges
+    assert len(edges) and (edges[:, 0] != edges[:, 1]).all()
 
 
 def test_generate_varies_with_seed():
