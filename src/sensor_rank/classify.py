@@ -96,7 +96,7 @@ def dataset_from_corpus(
     return LabeledDataset(matrix, corpus.y, vocab)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MnnbModel:
     """Multinomial Naive Bayes with Lidstone smoothing.
 
@@ -168,7 +168,7 @@ class TrainingConfig:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     """Aggregate quality figures; confusion rows are truth, columns prediction."""
 

@@ -8,13 +8,13 @@ Growth and prediction read the count matrix's nonzeros only; no step builds a
 rows x vocabulary array.
 
 `train_rf` grows its trees on one process per core it may run on (see
-`_jobs`): it forks the others once the column copy is built, so they inherit
-it and nothing is pickled into them. Each process grows every jobs-th tree
-and hands it back as flat preorder lists, which pickle at any depth, and the
-parent keeps them in tree order, its own trees included. So the model is the
-same for any process count. Those lists are the model: the model file holds
-them as they are, and prediction routes rows by node index. The children call
-no BLAS routine, so the idle BLAS threads a forked parent holds are never used.
+`_in_processes`), forked once the column copy is built, so they inherit it and
+nothing is pickled into them. Each process hands its trees back as flat
+preorder lists, which pickle at any depth, and they are kept in tree order, so
+the model is the same for any process count. Those lists are the model: the
+model file holds them as they are, and prediction routes rows by node index.
+The children call no BLAS routine, so the idle BLAS threads a forked parent
+holds are never used.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pickle
 import signal
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NoReturn
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class TreeNode:
     dist: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RfModel:
     """Bagged trees; class axes follow LABEL_ORDER.
 
@@ -262,61 +262,56 @@ def _jobs(n_trees: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_trees)
 
 
-def _child(work: Callable[[int], object], j: int, write: int) -> NoReturn:
-    """In a forked child: send (True, work(j)) or (False, its exception) through
-    the pipe, then leave through os._exit, so no atexit handler runs and no
-    stdio buffer inherited from the parent is flushed."""
-    code = 1
-    try:
-        try:
-            result = (True, work(j))
-        except Exception as exc:  # handed to the parent, which raises it again
-            result = (False, exc)
-        with os.fdopen(write, "wb") as pipe:
-            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
+def _in_processes(work: Callable[[int], object], n: int) -> list:
+    """[work(0), ..., work(n - 1)] over _jobs(n) processes: process j makes items
+    j, j + jobs and so on; this process is process 0 and the others are forked.
 
-
-def _received(data: bytes, status: int) -> object:
-    """A child's result from its pipe's bytes and its wait status."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:  # a child that exits 0 has written its whole result
-        how = (f"exited with status {code}" if code > 0
-               else f"was killed by {signal.Signals(-code).name}")
-        raise ValueError(f"a tree-growing process {how} before sending its trees")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
-
-
-def _in_processes(work: Callable[[int], object], jobs: int) -> list:
-    """[work(0), ..., work(jobs - 1)]: work(0) runs here and every other call in
-    a forked child, which sends its result back through a pipe as one pickle.
-
-    A child's exception is raised again here, and a child that ends without a
-    result becomes a ValueError naming how it ended. If this process fails
-    first, it kills and reaps every child still running.
+    A child sends its items, or its exception, back through a pipe as one pickle
+    and leaves through os._exit, so no atexit handler runs and no inherited stdio
+    buffer is flushed. Its exception is raised again here, and a child that ends
+    without its items becomes a ValueError naming how it ended. If this process
+    fails first, it kills and reaps every child still running.
     """
+    jobs = _jobs(n)
     children = {}  # pid -> the read end of its pipe, until the child is reaped
     try:
         for j in range(1, jobs):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
-                _child(work, j, write)
+                code = 1
+                try:
+                    try:
+                        result = (True, [work(i) for i in range(j, n, jobs)])
+                    except Exception as exc:  # handed to the parent, which raises it again
+                        result = (False, exc)
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
             os.close(write)
             children[pid] = os.fdopen(read, "rb")
-        results = [work(0)]
+        shares = [[work(i) for i in range(0, n, jobs)]]
         for pid, pipe in list(children.items()):
             data = pipe.read()
             pipe.close()
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
-            results.append(_received(data, status))
-        return results
+            if code != 0:  # a child that exits 0 has written its whole result
+                how = (f"exited with status {code}" if code > 0
+                       else f"was killed by {signal.Signals(-code).name}")
+                raise ValueError(f"a tree-growing process {how} before sending its trees")
+            ok, share = pickle.loads(data)
+            if not ok:
+                raise share
+            shares.append(share)
+        return [shares[i % jobs][i // jobs] for i in range(n)]
     finally:
         for pid, pipe in children.items():
             pipe.close()
@@ -331,7 +326,7 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     best (feature, threshold) pair by impurity decrease wins, with ties going
     to the lowest feature id and then the lowest threshold. Tree t draws from
     default_rng([seed, t]) alone, so the processes that grow the trees (see
-    _jobs) do not change the forest.
+    _in_processes) do not change the forest.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -342,22 +337,17 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     n_features = len(data.vocab)
     columns = data.matrix.columns()
     m = min(n_features, math.ceil(math.sqrt(n_features)))
-    jobs = _jobs(n_trees)
 
-    def grow(j: int) -> list:
-        """Trees j, j + jobs, j + 2 jobs, ..., each with its deepest leaf's depth."""
-        trees = []
-        for t in range(j, n_trees, jobs):
-            rng = np.random.default_rng([seed, t])
-            boot = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(columns, data.y, boot, m, rng))
-        return trees
+    def grow(t: int) -> tuple[tuple[list, list, list, np.ndarray], int]:
+        """Tree t and its deepest leaf's depth."""
+        rng = np.random.default_rng([seed, t])
+        boot = rng.integers(0, n, size=n)
+        return _grow_tree(columns, data.y, boot, m, rng)
 
-    shares = _in_processes(grow, jobs)
-    trees, depths = zip(*(shares[t % jobs][t // jobs] for t in range(n_trees)))
+    trees, depths = zip(*_in_processes(grow, n_trees))
     log.info(
         "train_rf: %d trees, %d nodes, deepest leaf at depth %d; %d processes",
-        n_trees, sum(len(tree[0]) for tree in trees), max(depths), jobs,
+        n_trees, sum(len(tree[0]) for tree in trees), max(depths), _jobs(n_trees),
     )
     return RfModel(trees, m, seed)
 

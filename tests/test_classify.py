@@ -726,6 +726,18 @@ def test_model_roundtrip_rf(tmp_path):
         assert np.array_equal(predict(loaded, query), predict(model, query))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: train_mnnb(toy_data()),
+    lambda: train_rf(random_data(np.random.default_rng(41), 20, 6), n_trees=2, seed=12),
+    lambda: evaluate(np.eye(3)[[0, 1, 2, 0]], np.array([0, 1, 2, 1])),
+], ids=["mnnb", "rf", "eval report"])
+def test_models_and_reports_compare_and_hash_by_identity(make):
+    # their array and dict fields have no plain truth value or hash
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2
+
+
 def test_a_5000_level_chain_saves_loads_and_predicts(tmp_path):
     # features 5 and 6 lie in the 7-term vocabulary but past the 5-column rows
     model, path = chain_forest(5000, 5), tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import errno
 import logging
 import os
 import pickle
@@ -386,5 +387,64 @@ def test_a_failure_here_kills_and_reaps_the_children(monkeypatch):
     with pytest.raises(ValueError, match="no tree here"):
         train_rf(separable_data(np.random.default_rng(1)), n_trees=4, seed=1)
     assert time.monotonic() - start < 10  # the child was killed, not waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def at_most_processes(monkeypatch, jobs):
+    monkeypatch.setattr(forest, "_jobs", lambda n: min(jobs, n))
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_in_processes_maps_in_order_with_every_jobs_th_item_per_process(monkeypatch, jobs):
+    at_most_processes(monkeypatch, jobs)
+    got = forest._in_processes(lambda i: (i, os.getpid()), 7)
+    assert [i for i, _ in got] == list(range(7))
+    pids = [pid for _, pid in got]
+    assert pids[0] == os.getpid()
+    assert all(pids[i] == pids[i % jobs] for i in range(7))
+    assert len(set(pids)) == jobs
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_in_processes_raises_a_childs_exception_here(monkeypatch):
+    at_most_processes(monkeypatch, 3)
+
+    def work(i):
+        if i == 2:  # made by the second child
+            raise KeyError("no item 2")
+        return i
+
+    with pytest.raises(KeyError, match="no item 2"):
+        forest._in_processes(work, 6)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_fork_closes_its_pipe_and_kills_the_children(monkeypatch):
+    at_most_processes(monkeypatch, 3)
+    parent, fork, forks = os.getpid(), os.fork, []
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    def work(i):
+        if os.getpid() != parent:
+            time.sleep(30)  # still working when the second fork fails
+        return i
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    with pytest.raises(OSError) as raised:
+        forest._in_processes(work, 3)
+    assert raised.value.errno == errno.EAGAIN
+    assert time.monotonic() - start < 10  # the first child was killed, not waited for
+    assert sorted(os.listdir("/proc/self/fd")) == fds
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
