@@ -77,7 +77,7 @@ _KEYS = {
         _Key("table", str, "replacement table CSV (from,to)", flag=False),
         _Key("stopwords", str, "stopword file, one term per line", flag=False),
         _Key("seeds", list, "seed keywords", flag=False),
-        _Key("metric", str, "report metric: tr, tf or of", flag=False),
+        _Key("metric", str, "report metric: tr, tf or of", ("tr", "tf", "of"), flag=False),
     )
 }
 
@@ -87,75 +87,58 @@ _KINDS = {int: (int, "an integer"), float: (float, "a real"), str: (str, "a stri
           list: ([str], "a list of strings")}
 
 
-class Settings:
-    """Config-file values overlaid with command-line flags; flags win.
-
-    The synth command interprets --config as a SynthConfig file instead, so
-    it constructs Settings with use_config_file=False.
-    """
-
-    def __init__(self, args: argparse.Namespace, use_config_file: bool = True):
-        self.config_path = args.config
-        values: dict = {}
-        if use_config_file and args.config:
-            shapes = {key.name: _KINDS[key.type] for key in _KEYS.values()}
-            values = read_config(args.config, shapes, null_unsets=True)
-            for name, value in values.items():
-                key = _KEYS[name]
-                if key.choices and value not in key.choices:
-                    raise ValueError(f"{args.config}: config key {name!r} must be one of "
-                                     f"{key.choices}, got {value!r}")
-                if key.type is float:
-                    values[name] = float(value)
-        for key in _KEYS.values():  # config-only keys have no attribute on args
-            flag = getattr(args, key.name, None)
-            if flag is not None:
-                values[key.name] = flag
-        if values.get("seed", 0) < 0:
-            raise ValueError(f"seed must be >= 0, got {values['seed']}")
-        self.values = values
-
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
-    def require(self, key: str):
-        value = self.values.get(key)
-        if value is None:
-            hint = "--" + key.replace("_", "-")
-            raise ValueError(f"{hint} is required for this command")
-        return value
+def _settings(args: argparse.Namespace) -> dict:
+    """Config-file values overlaid with command-line flags; flags win. synth reads
+    --config as a SynthConfig file instead, so its settings hold the path as "config"."""
+    if args.command == "synth":
+        settings = {"config": args.config}
+    elif args.config:
+        shapes = {key.name: _KINDS[key.type] for key in _KEYS.values()}
+        settings = read_config(args.config, shapes, null_unsets=True)
+        for name, value in settings.items():
+            key = _KEYS[name]
+            if key.choices and value not in key.choices:
+                raise ValueError(f"{args.config}: config key {name!r} must be one of "
+                                 f"{key.choices}, got {value!r}")
+            if key.type is float:
+                settings[name] = float(value)
+    else:
+        settings = {}
+    for key in _KEYS.values():  # config-only keys have no attribute on args
+        flag = getattr(args, key.name, None)
+        if flag is not None:
+            settings[key.name] = flag
+    if settings.get("seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {settings['seed']}")
+    return settings
 
 
-def _table(settings: Settings) -> ReplacementTable:
+def _require(settings: dict, key: str):
+    value = settings.get(key)
+    if value is None:
+        raise ValueError(f"--{key.replace('_', '-')} is required for this command")
+    return value
+
+
+def _table(settings: dict) -> ReplacementTable:
     from .text import ReplacementTable
 
     path = settings.get("table")
     return ReplacementTable.from_csv(path) if path else ReplacementTable.default()
 
 
-def _stopwords(settings: Settings) -> frozenset[str]:
-    from .text import load_stopwords
-
-    path = settings.get("stopwords")
-    return load_stopwords(path) if path else frozenset()
-
-def _exclusions(settings: Settings) -> frozenset[str]:
-    path = settings.get("exclusions")
-    return load_exclusions(path) if path else frozenset()
-
-
-def _out_dir(settings: Settings) -> Path:
+def _out_dir(settings: dict) -> Path:
     """Create --out; commands call it once nothing is left to refuse."""
-    out = Path(settings.require("out"))
+    out = Path(_require(settings, "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _config(cls, settings: Settings):
+def _config(cls, settings: dict):
     """A config dataclass from the settings named like its fields (`trees` sets
     n_trees); the fields left unset keep the defaults cls states."""
     fields = {field.name for field in dataclasses.fields(cls)}
-    named = {"n_trees" if k == "trees" else k: v for k, v in settings.values.items()}
+    named = {"n_trees" if k == "trees" else k: v for k, v in settings.items()}
     return cls(**{k: v for k, v in named.items() if k in fields})
 
 
@@ -164,24 +147,25 @@ def _tally(counts) -> str:
     return " ".join(f"{label.value.lower()}={n}" for label, n in zip(LABEL_ORDER, counts))
 
 
-def _dataset(settings: Settings, table: ReplacementTable, n_max: int) -> LabeledDataset:
+def _dataset(settings: dict, table: ReplacementTable, n_max: int) -> LabeledDataset:
     """The labeled records of --corpus, counted as n-grams up to order n_max."""
     from .classify import dataset_from_corpus
 
-    corpus = load_corpus(settings.require("corpus")).labeled()
+    corpus = load_corpus(_require(settings, "corpus")).labeled()
     if len(corpus) == 0:
         raise ValueError("corpus contains no labeled records")
     return dataset_from_corpus(corpus, table, n_max)
 
 
-def cmd_keywords(settings: Settings) -> int:
+def cmd_keywords(settings: dict) -> int:
     from .keywords import SEED_KEYWORDS, KeywordsConfig, expansion_candidates
-    from .text import _canonical_token
+    from .text import _canonical_token, load_stopwords
 
     kcfg = _config(KeywordsConfig, settings)
     table = _table(settings)
-    stopwords = _stopwords(settings)
-    corpus = load_corpus(settings.require("corpus"))
+    path = settings.get("stopwords")
+    stopwords = load_stopwords(path) if path else frozenset()
+    corpus = load_corpus(_require(settings, "corpus"))
     # printed and written as the tokens expansion_candidates blocks
     seeds = [_canonical_token(s) for s in settings.get("seeds", SEED_KEYWORDS)]
     expansion = expansion_candidates(seeds, corpus, stopwords, table, kcfg)
@@ -202,13 +186,13 @@ def cmd_keywords(settings: Settings) -> int:
     return 0
 
 
-def cmd_train(settings: Settings) -> int:
+def cmd_train(settings: dict) -> int:
     from .classify import TrainingConfig, rebalance, save_model, train_model
 
-    model_path = settings.require("model")
+    model_path = _require(settings, "model")
     table = _table(settings)
     tcfg = _config(TrainingConfig, settings)
-    seed = settings.require("seed")
+    seed = _require(settings, "seed")
     data = _dataset(settings, table, tcfg.ngrams)
     train = rebalance(data, tcfg, [seed])
     log.info(
@@ -224,11 +208,11 @@ def cmd_train(settings: Settings) -> int:
     return 0
 
 
-def cmd_eval(settings: Settings) -> int:
+def cmd_eval(settings: dict) -> int:
     from .classify import TrainingConfig, cross_validate
 
     tcfg = _config(TrainingConfig, settings)
-    seed = settings.require("seed")
+    seed = _require(settings, "seed")
     data = _dataset(settings, _table(settings), tcfg.ngrams)
     report = cross_validate(data, tcfg, seed)
     out = _out_dir(settings)
@@ -249,13 +233,13 @@ def cmd_eval(settings: Settings) -> int:
     return 0
 
 
-def cmd_classify(settings: Settings) -> int:
+def cmd_classify(settings: dict) -> int:
     from .classify import load_model, predict_many
     from .text import count_ngrams
 
-    corpus = load_corpus(settings.require("corpus"))
+    corpus = load_corpus(_require(settings, "corpus"))
     table = _table(settings)
-    model_path = settings.require("model")
+    model_path = _require(settings, "model")
     model, vocab, saved_hash = load_model(model_path)
     if saved_hash != table.table_hash():
         raise ValueError(
@@ -276,21 +260,22 @@ def cmd_classify(settings: Settings) -> int:
     return 0
 
 
-def _rank_pipeline(settings: Settings):
+def _rank_pipeline(settings: dict):
     from .rank import (
         RankConfig, build_transition, candidate_filter, compute_user_stats, twitterrank,
     )
 
-    corpus = load_corpus(settings.require("corpus"))
-    graph = load_follower_graph(settings.require("graph"))
     rcfg = _config(RankConfig, settings)
+    corpus = load_corpus(_require(settings, "corpus"))
+    graph = load_follower_graph(_require(settings, "graph"))
     stats = compute_user_stats(corpus)
-    candidates = candidate_filter(stats, rcfg, _exclusions(settings))
+    path = settings.get("exclusions")
+    candidates = candidate_filter(stats, rcfg, load_exclusions(path) if path else frozenset())
     matrix = build_transition(candidates, graph)
     return matrix, rcfg, candidates, twitterrank(matrix, candidates, rcfg)
 
 
-def cmd_rank(settings: Settings) -> int:
+def cmd_rank(settings: dict) -> int:
     from .rank import REPORT_METRICS, connected_components, ranking_report, write_report
 
     matrix, rcfg, candidates, rank_vector = _rank_pipeline(settings)
@@ -300,10 +285,7 @@ def cmd_rank(settings: Settings) -> int:
         for path in write_report(report, out):
             log.info("wrote %s", path)
     components, friend_pairs = connected_components(matrix)
-    comp_doc = {
-        "components": components,
-        "friend_pairs": [list(p) for p in friend_pairs],
-    }
+    comp_doc = {"components": components, "friend_pairs": friend_pairs}
     (out / "components.json").write_text(
         json.dumps(comp_doc, ensure_ascii=False) + "\n", encoding="utf-8"
     )
@@ -315,7 +297,7 @@ def cmd_rank(settings: Settings) -> int:
     return 0
 
 
-def cmd_report(settings: Settings) -> int:
+def cmd_report(settings: dict) -> int:
     from .rank import ranking_report, report_to_tsv
 
     metric = settings.get("metric", "tr")
@@ -325,12 +307,12 @@ def cmd_report(settings: Settings) -> int:
     return 0
 
 
-def cmd_synth(settings: Settings) -> int:
+def cmd_synth(settings: dict) -> int:
     from .synth import SynthConfig, generate
 
     seed = settings.get("seed")
-    if settings.config_path:
-        config = SynthConfig.from_json(settings.config_path)
+    if settings["config"]:
+        config = SynthConfig.from_json(settings["config"])
         if seed is not None:
             config = dataclasses.replace(config, seed=seed)
     elif seed is None:
@@ -406,8 +388,7 @@ def main(argv: list[str] | None = None) -> int:
     # argparse refuses argv before it reads any command's flags
     args = _build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     try:
-        settings = Settings(args, use_config_file=args.command != "synth")
-        return _COMMANDS[args.command][0](settings)
+        return _COMMANDS[args.command][0](_settings(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

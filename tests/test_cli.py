@@ -940,6 +940,32 @@ def test_bad_smote_and_tree_counts_are_refused_before_any_input_is_read(
     assert not out.exists() and not model.exists()
 
 
+@pytest.mark.parametrize("command", ["rank", "report"])
+@pytest.mark.parametrize("flags, config, message", [
+    (["--gamma", "2"], {}, "gamma must be in (0,1), got 2.0"),
+    (["--min-relevant", "0"], {}, "min_relevant must be >= 1, got 0"),
+    (["--k", "0"], {}, "k must be >= 1, got 0"),
+    ([], {"metric": "xx"},
+     "{cfg}: config key 'metric' must be one of ('tr', 'tf', 'of'), got 'xx'"),
+], ids=["gamma", "min_relevant", "k", "metric"])
+def test_bad_rank_settings_are_refused_before_any_input_is_read(
+        pipeline, tmp_path, capsys, command, flags, config, message):
+    out, cfg = tmp_path / "o", tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    code = main([command, "--corpus", str(tmp_path / "missing.jsonl"),
+                 "--graph", str(pipeline["graph"]), "--config", str(cfg),
+                 *(["--out", str(out)] if command == "rank" else []), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
+def test_the_metric_key_offers_the_report_metrics():
+    from sensor_rank.rank import REPORT_METRICS
+
+    assert cli._KEYS["metric"].choices == REPORT_METRICS
+
+
 def forest(*trees):
     """An edit that makes the model a forest of the given trees over its vocabulary."""
     return lambda d: d.update(kind="rf", params={
