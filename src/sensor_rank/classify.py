@@ -7,6 +7,7 @@ its own parameters.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -94,6 +95,27 @@ def dataset_from_corpus(
     corpus = corpus.labeled()
     vocab, matrix = count_ngrams(corpus.texts, table, n_max, vocab)
     return LabeledDataset(matrix, corpus.y, vocab)
+
+
+def dataset_from_parts(parts: Sequence[LabeledDataset]) -> LabeledDataset:
+    """One dataset of the parts' rows in order, where dataset_from_corpus built each
+    part over its own vocabulary. Terms take ids in order of first appearance over
+    the parts in turn, so the parts of one corpus in file order join into
+    dataset_from_corpus of the whole."""
+    if len(parts) == 1:
+        return parts[0]
+    term_to_id: dict[str, int] = {}
+    ids = []  # each part's term ids in term_to_id
+    for part in parts:
+        terms = part.vocab.terms_in_id_order()
+        ids.append(np.array([term_to_id.setdefault(t, len(term_to_id)) for t in terms],
+                            dtype=np.int64))
+    matrix = functools.reduce(CountMatrix.concat, [
+        CountMatrix(p.matrix.indptr, i[p.matrix.indices], p.matrix.data, len(term_to_id))
+        for p, i in zip(parts, ids)
+    ])
+    y = np.concatenate([part.y for part in parts])
+    return LabeledDataset(matrix, y, Vocabulary(term_to_id, parts[0].vocab.n_max))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,11 +25,14 @@ import numpy as np
 
 from .corpus import (
     LABEL_ORDER,
+    Corpus,
     dumps_json,
     load_corpus,
     load_exclusions,
     load_follower_graph,
+    map_corpus,
     read_config,
+    record_lines,
     write_corpus,
     write_follower_graph,
 )
@@ -148,13 +151,17 @@ def _tally(counts) -> str:
 
 
 def _dataset(settings: dict, table: ReplacementTable, n_max: int) -> LabeledDataset:
-    """The labeled records of --corpus, counted as n-grams up to order n_max."""
-    from .classify import dataset_from_corpus
+    """The labeled records of --corpus, counted as n-grams up to order n_max, a part
+    at a time (see map_corpus)."""
+    from .classify import dataset_from_corpus, dataset_from_parts
 
-    corpus = load_corpus(_require(settings, "corpus")).labeled()
-    if len(corpus) == 0:
+    def count(part: Corpus) -> LabeledDataset | None:
+        return dataset_from_corpus(part, table, n_max) if (part.y >= 0).any() else None
+
+    parts = [p for p in map_corpus(_require(settings, "corpus"), count) if p is not None]
+    if not parts:
         raise ValueError("corpus contains no labeled records")
-    return dataset_from_corpus(corpus, table, n_max)
+    return dataset_from_parts(parts)
 
 
 def cmd_keywords(settings: dict) -> int:
@@ -237,26 +244,39 @@ def cmd_classify(settings: dict) -> int:
     from .classify import load_model, predict_many
     from .text import count_ngrams
 
-    corpus = load_corpus(_require(settings, "corpus"))
-    table = _table(settings)
-    model_path = _require(settings, "model")
-    model, vocab, saved_hash = load_model(model_path)
-    if saved_hash != table.table_hash():
-        raise ValueError(
-            f"{model_path}: replacement table hash mismatch: the model was trained "
-            "with a different normalization table"
-        )
+    path = _require(settings, "corpus")
+    try:
+        table = _table(settings)
+        model_path = _require(settings, "model")
+        model, vocab, saved_hash = load_model(model_path)
+        if saved_hash != table.table_hash():
+            raise ValueError(
+                f"{model_path}: replacement table hash mismatch: the model was trained "
+                "with a different normalization table"
+            )
+    except (ValueError, OSError):
+        load_corpus(path)  # a fault of the corpus is reported first
+        raise
+
+    def label(part: Corpus) -> tuple[str, np.ndarray, int]:
+        """A part's output lines, class tally and records with no in-vocabulary term."""
+        _, counts = count_ngrams(part.texts, table, vocab=vocab)
+        predicted = predict_many(model, counts).argmax(axis=1)
+        lines = "".join(record_lines(dataclasses.replace(part, y=predicted)))
+        no_term = int(np.count_nonzero(np.diff(counts.indptr) == 0))
+        return lines, np.bincount(predicted, minlength=len(LABEL_ORDER)), no_term
+
+    parts = map_corpus(path, label)
     out = _out_dir(settings)
-    _, counts = count_ngrams(corpus.texts, table, vocab=vocab)
-    predicted = predict_many(model, counts).argmax(axis=1)
-    write_corpus(dataclasses.replace(corpus, y=predicted), out / "classified.jsonl")
-    tally = _tally(np.bincount(predicted, minlength=len(LABEL_ORDER)))
-    no_term = int(np.count_nonzero(np.diff(counts.indptr) == 0))
+    with open(out / "classified.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(lines for lines, _, _ in parts)
+    counts = sum(part_counts for _, part_counts, _ in parts)
+    tally, n, no_term = _tally(counts), int(counts.sum()), sum(no_term for *_, no_term in parts)
     log.info(
         "classify: %s; %d of %d records (%.1f%%) hold no in-vocabulary term",
-        tally, no_term, len(corpus), 100 * no_term / max(len(corpus), 1),
+        tally, no_term, n, 100 * no_term / max(n, 1),
     )
-    print(f"classified {len(corpus)} records: {tally}")
+    print(f"classified {n} records: {tally}")
     return 0
 
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+import logging
 import math
+import os
+import pickle
 import re
+import signal
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
@@ -13,7 +18,7 @@ from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import NoneType
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -29,6 +34,8 @@ __all__ = [
     "write_follower_graph",
     "load_exclusions",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class Label(str, Enum):
@@ -259,15 +266,21 @@ def load_corpus(path: str | Path) -> Corpus:
     Only a block that fails is read again one line at a time, which words the
     error of its first bad line.
     """
+    with open_utf8(path) as fh:
+        return _read_records(path, fh)
+
+
+def _read_records(path: str | Path, lines: Iterable[str]) -> Corpus:
+    """load_corpus of the corpus at path whose text lines are lines."""
     columns: list[list] = [[], [], [], [], [], []]
     seen: set[str] = set()
     start = 1  # the number of the block's first line
-    with open_utf8(path) as fh:
-        while block := list(islice(fh, _BLOCK)):
-            block_columns = _read_block(block, seen) or _read_lines(path, block, start, seen)
-            for column, values in zip(columns, block_columns):
-                column += values
-            start += len(block)
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK)):
+        block_columns = _read_block(block, seen) or _read_lines(path, block, start, seen)
+        for column, values in zip(columns, block_columns):
+            column += values
+        start += len(block)
     return Corpus(*map(tuple, columns[:4]), *(np.array(c, dtype=np.int64) for c in columns[4:]))
 
 
@@ -371,17 +384,142 @@ def _block_columns(objs: list, escaped: bool) -> tuple[list, ...]:
     return ids, users, texts, created_at, y, [-1 if n is None else n for n in totals]
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write records as JSONL in corpus order: each line is json.dumps(obj,
-    ensure_ascii=False) of the record's fields in order, absent optional ones left out."""
-    quote = json.encoder.encode_basestring
+# most bytes of corpus file in a part of map_corpus
+_PART_BYTES = 1 << 20
+
+
+def map_corpus(path: str | Path, work: Callable[[Corpus], object]) -> list:
+    """[work(part) for each part of the corpus at path], in file order.
+
+    The file is cut at line ends into one part per core this process may run on,
+    at most one per _PART_BYTES. _in_processes reads each part in its own process,
+    as strict UTF-8 with text mode's line ends, and checks it as load_corpus checks
+    a file; work gets the part's records as a Corpus. A part sends back only work's
+    result and its ids' hashes, never its records. With one part, or when a part is
+    not a corpus or two parts share an id hash, the result is
+    [work(load_corpus(path))], so an error names the same line for any part count.
+    """
+    cuts = _cuts(path)
+
+    def read(i: int) -> tuple[np.ndarray, object] | None:
+        with open(path, "rb") as fh:
+            fh.seek(cuts[i])
+            data = fh.read(cuts[i + 1] - cuts[i])
+        try:
+            part = _read_records(path, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        except ValueError:  # load_corpus below words it
+            return None
+        # a forked process hashes strings as this one does
+        return np.fromiter(map(hash, part.ids), np.int64, len(part)), work(part)
+
+    parts = [None]  # one part: load_corpus reads it below
+    if len(cuts) > 2:
+        parts = _in_processes(read, len(cuts) - 1, "corpus-reading", "part")
+    hashes = None if None in parts else np.concatenate([ids for ids, _ in parts])
+    if hashes is None or len(np.unique(hashes)) < len(hashes):
+        corpus = load_corpus(path)
+        parts = [(corpus.ids, work(corpus))]
+    log.info("map_corpus: %d parts on %d processes; records per part: %s",
+             len(parts), _jobs(len(parts)), " ".join(str(len(ids)) for ids, _ in parts))
+    return [result for _, result in parts]
+
+
+def _cuts(path: str | Path) -> list[int]:
+    """The offsets of map_corpus's parts of the file at path: 0, the start of each
+    later part, which follows a line feed, and the file's size."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        n = _jobs(-(-size // _PART_BYTES))
+        cuts = {0, size}
+        for k in range(1, n):
+            fh.seek(k * size // n)
+            fh.readline()
+            cuts.add(fh.tell())
+    return sorted(cuts)
+
+
+def _jobs(n: int) -> int:
+    """The processes that make n items: one per core this process may run on (so
+    `taskset` limits them), at most one per item; 1 without os.fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n)
+
+
+def _in_processes(work: Callable[[int], object], n: int, role: str, item: str) -> list:
+    """[work(0), ..., work(n - 1)] over _jobs(n) processes: process j makes items
+    j, j + jobs and so on; this process is process 0 and the others are forked.
+
+    A child sends its items, or its exception, back through a pipe as one pickle
+    and leaves through os._exit, so no atexit handler runs and no inherited stdio
+    buffer is flushed. Its exception is raised again here, and a child that ends
+    without its items becomes a ValueError naming how it ended: "a {role} process
+    ... before sending its {item}s". If this process fails first, it kills and
+    reaps every child still running.
+    """
+    jobs = _jobs(n)
+    children = {}  # pid -> the read end of its pipe, until the child is reaped
+    try:
+        for j in range(1, jobs):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        result = (True, [work(i) for i in range(j, n, jobs)])
+                    except Exception as exc:  # handed to the parent, which raises it again
+                        result = (False, exc)
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = os.fdopen(read, "rb")
+        shares = [[work(i) for i in range(0, n, jobs)]]
+        for pid, pipe in list(children.items()):
+            data = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:  # a child that exits 0 has written its whole result
+                how = (f"exited with status {code}" if code > 0
+                       else f"was killed by {signal.Signals(-code).name}")
+                raise ValueError(f"a {role} process {how} before sending its {item}s")
+            ok, share = pickle.loads(data)
+            if not ok:
+                raise share
+            shares.append(share)
+        return [shares[i % jobs][i // jobs] for i in range(n)]
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def record_lines(corpus: Corpus) -> Iterator[str]:
+    """Each record as a JSONL line, in corpus order: json.dumps(obj, ensure_ascii=False)
+    of the record's fields in order, absent optional ones left out, then a line end."""
+    quote = encode_basestring
     # indexed by class id; -1, no label, picks the empty last entry
     labels = [f', "label": "{label.value}"' for label in LABEL_ORDER] + [""]
+    for i, u, t, c, y, n in corpus._rows():
+        total = "" if n < 0 else f', "user_total_tweets": {n}'
+        yield (f'{{"id": {quote(i)}, "user": {quote(u)}, "text": {quote(t)}, '
+               f'"created_at": {quote(c)}{labels[y]}{total}}}\n')
+
+
+def write_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Write records as JSONL in corpus order, one record_lines line each."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, u, t, c, y, n in corpus._rows():
-            total = "" if n < 0 else f', "user_total_tweets": {n}'
-            fh.write(f'{{"id": {quote(i)}, "user": {quote(u)}, "text": {quote(t)}, '
-                     f'"created_at": {quote(c)}{labels[y]}{total}}}\n')
+        fh.writelines(record_lines(corpus))
 
 
 def load_follower_graph(path: str | Path) -> FollowerGraph:

@@ -8,8 +8,8 @@ Growth and prediction read the count matrix's nonzeros only; no step builds a
 rows x vocabulary array.
 
 `train_rf` grows its trees on one process per core it may run on (see
-`_in_processes`), forked once the column copy is built, so they inherit it and
-nothing is pickled into them. Each process hands its trees back as flat
+`corpus._in_processes`), forked once the column copy is built, so they inherit
+it and nothing is pickled into them. Each process hands its trees back as flat
 preorder lists, which pickle at any depth, and they are kept in tree order, so
 the model is the same for any process count. Those lists are the model: the
 model file holds them as they are, and prediction routes rows by node index.
@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import corpus
 from .corpus import has_shape, require_all_classes
 from .text import CountMatrix, spans
 
@@ -254,71 +252,6 @@ def _grow_tree(
     return (feature, threshold, right, np.array(leaf)), deepest
 
 
-def _jobs(n_trees: int) -> int:
-    """The processes that grow a forest of n_trees: one per core this process may
-    run on (so `taskset` limits them), at most one per tree; 1 without os.fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_trees)
-
-
-def _in_processes(work: Callable[[int], object], n: int) -> list:
-    """[work(0), ..., work(n - 1)] over _jobs(n) processes: process j makes items
-    j, j + jobs and so on; this process is process 0 and the others are forked.
-
-    A child sends its items, or its exception, back through a pipe as one pickle
-    and leaves through os._exit, so no atexit handler runs and no inherited stdio
-    buffer is flushed. Its exception is raised again here, and a child that ends
-    without its items becomes a ValueError naming how it ended. If this process
-    fails first, it kills and reaps every child still running.
-    """
-    jobs = _jobs(n)
-    children = {}  # pid -> the read end of its pipe, until the child is reaped
-    try:
-        for j in range(1, jobs):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    try:
-                        result = (True, [work(i) for i in range(j, n, jobs)])
-                    except Exception as exc:  # handed to the parent, which raises it again
-                        result = (False, exc)
-                    with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children[pid] = os.fdopen(read, "rb")
-        shares = [[work(i) for i in range(0, n, jobs)]]
-        for pid, pipe in list(children.items()):
-            data = pipe.read()
-            pipe.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            if code != 0:  # a child that exits 0 has written its whole result
-                how = (f"exited with status {code}" if code > 0
-                       else f"was killed by {signal.Signals(-code).name}")
-                raise ValueError(f"a tree-growing process {how} before sending its trees")
-            ok, share = pickle.loads(data)
-            if not ok:
-                raise share
-            shares.append(share)
-        return [shares[i % jobs][i // jobs] for i in range(n)]
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     """Fit n_trees bagged Gini trees, each on a size-n bootstrap resample.
 
@@ -326,7 +259,7 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
     best (feature, threshold) pair by impurity decrease wins, with ties going
     to the lowest feature id and then the lowest threshold. Tree t draws from
     default_rng([seed, t]) alone, so the processes that grow the trees (see
-    _in_processes) do not change the forest.
+    corpus._in_processes) do not change the forest.
     """
     if n_trees < 1:
         raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -344,10 +277,10 @@ def train_rf(data: "LabeledDataset", n_trees: int, seed: int) -> RfModel:
         boot = rng.integers(0, n, size=n)
         return _grow_tree(columns, data.y, boot, m, rng)
 
-    trees, depths = zip(*_in_processes(grow, n_trees))
+    trees, depths = zip(*corpus._in_processes(grow, n_trees, "tree-growing", "tree"))
     log.info(
         "train_rf: %d trees, %d nodes, deepest leaf at depth %d; %d processes",
-        n_trees, sum(len(tree[0]) for tree in trees), max(depths), _jobs(n_trees),
+        n_trees, sum(len(tree[0]) for tree in trees), max(depths), corpus._jobs(n_trees),
     )
     return RfModel(trees, m, seed)
 

@@ -1254,7 +1254,7 @@ RF_TRIGRAM = {
 
 
 def at_most_processes(monkeypatch, jobs):
-    monkeypatch.setattr(forest_module, "_jobs", lambda n_trees: min(jobs, n_trees))
+    monkeypatch.setattr(corpus_module, "_jobs", lambda n: min(jobs, n))
 
 
 @pytest.mark.parametrize("inputs", ["pipeline", "rf_trigram"])
@@ -1316,14 +1316,14 @@ def test_train_classify_and_eval_build_no_tree_nodes(pipeline, tmp_path, capsys,
 # train with 2 processes, the child's trees grown by a _grow_tree that fails
 FAILING_CHILD = """
 import os, signal, sys
-from sensor_rank import cli, forest
+from sensor_rank import cli, corpus, forest
 parent, grow = os.getpid(), forest._grow_tree
 def grow_or_fail(*args):
     if os.getpid() != parent:
         {fault}
     return grow(*args)
 forest._grow_tree = grow_or_fail
-forest._jobs = lambda n_trees: min(2, n_trees)
+corpus._jobs = lambda n: min(2, n)
 sys.exit(cli.main(sys.argv[1:]))
 """
 

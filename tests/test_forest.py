@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensor_rank import forest
+from sensor_rank import corpus, forest
 from sensor_rank.classify import LabeledDataset, predict_many, save_model, smote
 from sensor_rank.corpus import LABEL_ORDER, Label
 from sensor_rank.forest import RfModel, _grow_tree, predict_proba, train_rf
@@ -356,7 +356,7 @@ def test_trees_past_500_levels_come_back_from_a_child(monkeypatch, caplog, tmp_p
     data = zika_chain(700)
     files = []
     for jobs in (1, 2):
-        monkeypatch.setattr(forest, "_jobs", lambda n_trees, jobs=jobs: min(jobs, n_trees))
+        monkeypatch.setattr(corpus, "_jobs", lambda n_trees, jobs=jobs: min(jobs, n_trees))
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="sensor_rank"):
             model = train_rf(data, n_trees=2, seed=1)
@@ -382,7 +382,7 @@ def test_a_failure_here_kills_and_reaps_the_children(monkeypatch):
         return grow(*args)
 
     monkeypatch.setattr(forest, "_grow_tree", grow_or_fail)
-    monkeypatch.setattr(forest, "_jobs", lambda n_trees: min(2, n_trees))
+    monkeypatch.setattr(corpus, "_jobs", lambda n_trees: min(2, n_trees))
     start = time.monotonic()
     with pytest.raises(ValueError, match="no tree here"):
         train_rf(separable_data(np.random.default_rng(1)), n_trees=4, seed=1)
@@ -392,13 +392,13 @@ def test_a_failure_here_kills_and_reaps_the_children(monkeypatch):
 
 
 def at_most_processes(monkeypatch, jobs):
-    monkeypatch.setattr(forest, "_jobs", lambda n: min(jobs, n))
+    monkeypatch.setattr(corpus, "_jobs", lambda n: min(jobs, n))
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_in_processes_maps_in_order_with_every_jobs_th_item_per_process(monkeypatch, jobs):
     at_most_processes(monkeypatch, jobs)
-    got = forest._in_processes(lambda i: (i, os.getpid()), 7)
+    got = corpus._in_processes(lambda i: (i, os.getpid()), 7, "test", "item")
     assert [i for i, _ in got] == list(range(7))
     pids = [pid for _, pid in got]
     assert pids[0] == os.getpid()
@@ -417,7 +417,7 @@ def test_in_processes_raises_a_childs_exception_here(monkeypatch):
         return i
 
     with pytest.raises(KeyError, match="no item 2"):
-        forest._in_processes(work, 6)
+        corpus._in_processes(work, 6, "test", "item")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -442,7 +442,7 @@ def test_a_failed_fork_closes_its_pipe_and_kills_the_children(monkeypatch):
     fds = sorted(os.listdir("/proc/self/fd"))
     start = time.monotonic()
     with pytest.raises(OSError) as raised:
-        forest._in_processes(work, 3)
+        corpus._in_processes(work, 3, "test", "item")
     assert raised.value.errno == errno.EAGAIN
     assert time.monotonic() - start < 10  # the first child was killed, not waited for
     assert sorted(os.listdir("/proc/self/fd")) == fds
