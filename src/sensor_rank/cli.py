@@ -266,12 +266,12 @@ def cmd_classify(settings: dict) -> int:
         no_term = int(np.count_nonzero(np.diff(counts.indptr) == 0))
         return lines, np.bincount(predicted, minlength=len(LABEL_ORDER)), no_term
 
-    parts = map_corpus(path, label)
+    lines, tallies, no_terms = zip(*map_corpus(path, label))
     out = _out_dir(settings)
     with open(out / "classified.jsonl", "w", encoding="utf-8") as fh:
-        fh.writelines(lines for lines, _, _ in parts)
-    counts = sum(part_counts for _, part_counts, _ in parts)
-    tally, n, no_term = _tally(counts), int(counts.sum()), sum(no_term for *_, no_term in parts)
+        fh.writelines(lines)
+    counts, no_term = sum(tallies), sum(no_terms)
+    tally, n = _tally(counts), int(counts.sum())
     log.info(
         "classify: %s; %d of %d records (%.1f%%) hold no in-vocabulary term",
         tally, no_term, n, 100 * no_term / max(n, 1),
