@@ -10,6 +10,7 @@ import os
 import pickle
 import re
 import signal
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
@@ -426,15 +427,19 @@ def map_corpus(path: str | Path, work: Callable[[Corpus], object]) -> list:
 
 def _cuts(path: str | Path) -> list[int]:
     """The offsets of map_corpus's parts of the file at path: 0, the start of each
-    later part, which follows a line feed, and the file's size."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        n = _jobs(-(-size // _PART_BYTES))
-        cuts = {0, size}
-        for k in range(1, n):
-            fh.seek(k * size // n)
-            fh.readline()
-            cuts.add(fh.tell())
+    later part, which follows a line feed, and the file's size. A file that is not
+    a regular file, such as a named pipe, is one part and is not opened here: it
+    may be readable only once."""
+    info = os.stat(path)
+    size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+    n = _jobs(-(-size // _PART_BYTES))
+    cuts = {0, size}
+    if n > 1:
+        with open(path, "rb") as fh:
+            for k in range(1, n):
+                fh.seek(k * size // n)
+                fh.readline()
+                cuts.add(fh.tell())
     return sorted(cuts)
 
 

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import signal
+import threading
 
 import pytest
 
@@ -136,6 +137,35 @@ def test_the_parts_are_cut_at_line_ends_near_equal_shares(tmp_path, monkeypatch)
         assert all(abs(c - k * share) < 400 for k, c in enumerate(cuts))
     monkeypatch.setattr(corpus_module, "_PART_BYTES", len(text))  # too few bytes for two
     assert corpus_module._cuts(corpus) == [0, len(text)]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_named_pipe_is_read_once_in_one_part(tmp_path, capsys, caplog, monkeypatch):
+    data = "".join(lines(800)).encode("utf-8")
+    assert len(data) > 1 << 16  # more than a pipe holds, so a writer waits for its reader
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    broken = []
+
+    def write():
+        while True:  # a reader that closes the pipe unread breaks it; write to the next
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(data)
+                return
+            except BrokenPipeError:
+                broken.append(1)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    in_parts(monkeypatch, 2)
+    argv = ["train", "--corpus", str(fifo), "--model", "{model}", *MNNB]
+    got, parts = run(argv, tmp_path / "fifo", capsys, caplog)
+    writer.join(timeout=10)
+    assert not writer.is_alive() and broken == [] and parts == [1]
+    (tmp_path / "plain.jsonl").write_bytes(data)
+    argv[2] = str(tmp_path / "plain.jsonl")
+    assert got == run(argv, tmp_path / "file", capsys, caplog)[0]
 
 
 # a fault on the last line, always in the last part
