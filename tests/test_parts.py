@@ -7,7 +7,10 @@ import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +169,36 @@ def test_a_named_pipe_is_read_once_in_one_part(tmp_path, capsys, caplog, monkeyp
     (tmp_path / "plain.jsonl").write_bytes(data)
     argv[2] = str(tmp_path / "plain.jsonl")
     assert got == run(argv, tmp_path / "file", capsys, caplog)[0]
+
+
+# Run in a fresh interpreter: main(argv[2:]) over at most argv[1] parts; prints the
+# exit code and every module loaded in this process.
+_MODULES = """
+import json, sys
+from sensor_rank import corpus
+from sensor_rank.cli import main
+corpus._PART_BYTES = 1
+corpus._jobs = lambda n: min(int(sys.argv[1]), n)
+code = main(sys.argv[2:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("name", ["classify mnnb", "train mnnb"])
+def test_joining_the_parts_loads_no_module_one_part_does_not(models, tmp_path, name):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(CORPORA["plain"], encoding="utf-8")
+    path = [str(Path(corpus_module.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    runs = []
+    for jobs in (1, 2):
+        argv = [a.format(out=tmp_path / str(jobs), model=tmp_path / f"{jobs}.json")
+                for a in command(name, corpus, models)]
+        proc = subprocess.run([sys.executable, "-c", _MODULES, str(jobs), *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
 
 
 # a fault on the last line, always in the last part
