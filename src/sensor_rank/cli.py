@@ -281,17 +281,20 @@ def cmd_classify(settings: dict) -> int:
 
 
 def _rank_pipeline(settings: dict):
-    from .rank import (
-        RankConfig, build_transition, candidate_filter, compute_user_stats, twitterrank,
-    )
+    from .rank import (RankConfig, build_transition, candidate_filter, merge_user_tallies,
+                       twitterrank, user_tally)
 
     rcfg = _config(RankConfig, settings)
-    corpus = load_corpus(_require(settings, "corpus"))
+    tallies = map_corpus(_require(settings, "corpus"), user_tally)
     graph = load_follower_graph(_require(settings, "graph"))
-    stats = compute_user_stats(corpus)
+    stats = merge_user_tallies(tallies)
     path = settings.get("exclusions")
     candidates = candidate_filter(stats, rcfg, load_exclusions(path) if path else frozenset())
     matrix = build_transition(candidates, graph)
+    edges, kept = len(graph.edges), len(matrix.rows)
+    log.info("rank: %d users, %d totals defaulted; %d candidates; %d graph edges, %d kept "
+             "between candidates, %d dropped", len(stats), np.count_nonzero(stats.defaulted),
+             len(candidates), edges, kept, edges - kept)
     return matrix, rcfg, candidates, twitterrank(matrix, candidates, rcfg)
 
 

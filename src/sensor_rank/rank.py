@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -163,24 +163,46 @@ class RankingReport:
 
 
 def compute_user_stats(corpus: Corpus) -> UserStats:
-    """Aggregate R/T_K/T per author of a classified corpus, in user-id order.
+    """R/T_K/T per author of a classified corpus: merge_user_tallies of one part."""
+    return merge_user_tallies([user_tally(corpus)])
 
-    The total comes from the largest user_total_tweets seen for the user;
-    when that is missing or smaller than the harvest itself, the harvest count
-    is used and the defaulted flag is set.
-    """
-    if (corpus.y < 0).any():
-        rid = corpus.ids[np.argmax(corpus.y < 0)]
-        raise ValueError(f"record {rid} has no label; classify the corpus first")
-    if not len(corpus):
-        raise ValueError("no classified records to aggregate")
+
+def user_tally(corpus: Corpus) -> tuple:
+    """A part's counts for merge_user_tallies: its distinct users in increasing order
+    as an object array, their int64 relevant, harvest and declared counts (the largest
+    user_total_tweets, -1 when none is given), and the id of its first record with no
+    label, or None. It never raises: merge_user_tallies reports such a record."""
     users, author = np.unique(np.array(corpus.users, dtype=object), return_inverse=True)
     harvest = np.bincount(author, minlength=len(users))
     relevant = np.bincount(author[corpus.y == _RELEVANT], minlength=len(users))
-    declared = np.full(len(users), -1, dtype=np.int64)  # -1: no total declared
+    declared = np.full(len(users), -1, dtype=np.int64)
     np.maximum.at(declared, author, corpus.user_total_tweets)
-    total = np.maximum(declared, harvest)
-    return UserStats(tuple(users.tolist()), relevant, harvest, total, declared < harvest)
+    unlabeled = corpus.y < 0
+    first = corpus.ids[unlabeled.argmax()] if unlabeled.any() else None
+    return users, relevant, harvest, declared, first
+
+
+def merge_user_tallies(tallies: Sequence[tuple]) -> UserStats:
+    """The UserStats of a corpus from the user_tally of each of its parts, in file order.
+
+    Counts add up over the parts. The total comes from the largest
+    user_total_tweets seen for the user; when that is missing or smaller than
+    the harvest itself, the harvest count is used and the defaulted flag is set.
+    """
+    names, *columns, unlabeled = zip(*tallies)
+    first = next((rid for rid in unlabeled if rid is not None), None)
+    if first is not None:
+        raise ValueError(f"record {first} has no label; classify the corpus first")
+    # not plain np.unique, which imports numpy.ma
+    users, at = np.unique(np.concatenate(names), return_inverse=True)
+    if not len(users):
+        raise ValueError("no classified records to aggregate")
+    counts = [np.full(len(users), start, dtype=np.int64) for start in (0, 0, -1)]
+    for out, ufunc, parts in zip(counts, (np.add, np.add, np.maximum), columns):
+        ufunc.at(out, at, np.concatenate(parts))
+    relevant, harvest, declared = counts
+    return UserStats(tuple(users.tolist()), relevant, harvest, np.maximum(declared, harvest),
+                     declared < harvest)
 
 
 def candidate_filter(

@@ -8,8 +8,10 @@ influencers (known leaders for ranking-recovery tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,14 +88,15 @@ class SynthConfig:
     """Everything the generator needs; a config plus seed fixes the output.
 
     Planted influencer counts must exceed the organic "20+" draw ceiling (30)
-    so the leader is strictly the most active candidate by construction.
+    so the leader is strictly the most active candidate by construction. The
+    config holds a read-only copy of tail_histogram and hashes it by its items.
     """
 
     seed: int
     n_users: int = 14000
     class_vocabularies: tuple[tuple[str, ...], ...] = DEFAULT_CLASS_VOCABULARIES
     class_mix: tuple[float, float, float] = (0.121, 0.506, 0.373)
-    tail_histogram: dict[str, int] = field(
+    tail_histogram: Mapping[str, int] = field(
         default_factory=lambda: dict(DEFAULT_TAIL_HISTOGRAM)
     )
     planted_influencers: tuple[tuple[str, int, int], ...] = (
@@ -109,6 +112,7 @@ class SynthConfig:
             tuple(tuple(str(t) for t in vocab) for vocab in self.class_vocabularies),
         )
         object.__setattr__(self, "class_mix", tuple(float(x) for x in self.class_mix))
+        object.__setattr__(self, "tail_histogram", MappingProxyType(dict(self.tail_histogram)))
         object.__setattr__(
             self,
             "planted_influencers",
@@ -160,6 +164,14 @@ class SynthConfig:
         if r_max > MAX_TWEETS * self.class_mix[0]:
             raise ValueError(f"tweet budget too large: up to {r_max} relevant tweets at a "
                              f"relevant share of {self.class_mix[0]} exceed {MAX_TWEETS}")
+
+    def __hash__(self) -> int:
+        values = [getattr(self, f.name) for f in fields(self)]
+        return hash(tuple(frozenset(v.items()) if v is self.tail_histogram else v for v in values))
+
+    def __reduce__(self) -> tuple:  # for pickle and deepcopy: a mappingproxy does not pickle
+        values = [getattr(self, f.name) for f in fields(self)]
+        return type(self), tuple(dict(v) if v is self.tail_histogram else v for v in values)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthConfig":

@@ -674,6 +674,28 @@ def test_info_logs_leave_stdout_and_files_unchanged(pipeline, tmp_path, capsys, 
         assert expected in info_log
 
 
+@pytest.mark.parametrize("command", ["rank", "report"])
+def test_rank_and_report_log_their_counts_at_info(pipeline, tmp_path, capsys, caplog, command):
+    corpus = load_corpus(pipeline["classified"])
+    harvest, declared, relevant = {}, {}, {}
+    for u, y, n in zip(corpus.users, corpus.y.tolist(), corpus.user_total_tweets.tolist()):
+        harvest[u] = harvest.get(u, 0) + 1
+        declared[u] = max(declared.get(u, -1), n)
+        relevant[u] = relevant.get(u, 0) + (y == 0)  # class 0 is Relevant
+    candidates = {u for u, r in relevant.items() if r >= RankConfig().min_relevant}
+    defaulted = sum(declared[u] < harvest[u] for u in harvest)
+    pairs = [line.split(",") for line in pipeline["graph"].read_text().splitlines()]
+    kept = sum(a in candidates and b in candidates for a, b in pairs)
+    out = ["--out", str(tmp_path / "out")] if command == "rank" else []
+    caplog.set_level(logging.INFO, logger="sensor_rank")
+    assert main([command, "--corpus", str(pipeline["classified"]),
+                 "--graph", str(pipeline["graph"]), *out]) == 0
+    capsys.readouterr()
+    assert (f"rank: {len(harvest)} users, {defaulted} totals defaulted; {len(candidates)} "
+            f"candidates; {len(pairs)} graph edges, {kept} kept between candidates, "
+            f"{len(pairs) - kept} dropped") in caplog.messages
+
+
 def test_log_env_values(tmp_path):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text(json.dumps({

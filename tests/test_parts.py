@@ -1,5 +1,5 @@
-"""train, eval and classify read their corpus in parts, one process each (see
-corpus.map_corpus): any part count writes the same bytes and fails the same way."""
+"""train, eval, classify, rank and report read their corpus in parts, one process each
+(see corpus.map_corpus): any part count writes the same bytes and fails the same way."""
 
 import json
 import logging
@@ -16,6 +16,7 @@ import pytest
 
 from sensor_rank import classify as classify_module
 from sensor_rank import corpus as corpus_module
+from sensor_rank import rank as rank_module
 from sensor_rank import text as text_module
 from sensor_rank.cli import main
 
@@ -74,13 +75,20 @@ def run(argv, tmp_path, capsys, caplog):
     return (code, out, err, files), parts
 
 
+# follow edges among the 17 users, with some to and from users outside the corpus
+GRAPH = "".join(f"u{i},u{(i + d) % 17}\n" for i in range(17) for d in (1, 5, 6)) + \
+    "x1,u3\nu4,x2\nx1,x2\n"
+
+
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
-    """An MNNB and a forest model, trained on the plain corpus in one part."""
+    """An MNNB and a forest model, trained on the plain corpus in one part, and the
+    follower graph."""
     root = tmp_path_factory.mktemp("models")
     corpus = root / "corpus.jsonl"
     corpus.write_text(CORPORA["plain"], encoding="utf-8")
-    paths = {}
+    paths = {"graph": root / "graph.csv"}
+    paths["graph"].write_text(GRAPH, encoding="utf-8")
     for name, flags in (("mnnb", MNNB), ("rf", RF)):
         paths[name] = root / f"{name}.json"
         assert main(["train", "--corpus", str(corpus), "--model", str(paths[name]), *flags]) == 0
@@ -93,7 +101,10 @@ COMMANDS = {
     "train mnnb": ["train", "--model", "{model}", *MNNB],
     "train rf smote": ["train", "--model", "{model}", *RF],
     "eval": ["eval", "--out", "{out}", "--folds", "2", *MNNB],
+    "rank": ["rank", "--graph", "<graph>", "--out", "{out}"],
+    "report": ["report", "--graph", "<graph>"],
 }
+RANKS = ["rank", "report"]
 
 
 def command(name, corpus, models):
@@ -114,8 +125,12 @@ def test_any_part_count_writes_the_same_bytes(models, tmp_path, capsys, caplog, 
         got, parts = run(argv, tmp_path / str(jobs), capsys, caplog)
         assert (parts == [1]) if jobs == 1 else (parts[0] > 1)
         runs.append(got)
-    fails = form == "fewer lines than processes" and not name.startswith("classify")
-    assert runs[0][0] == (2 if fails else 0)  # too few records to train on
+    # too few records to train on or to rank; no label to rank by
+    fails = (form == "fewer lines than processes" and not name.startswith("classify")
+             or form == "unlabelled tail" and name in RANKS)
+    assert runs[0][0] == (2 if fails else 0)
+    if form == "unlabelled tail" and name in RANKS:
+        assert runs[0][2] == "error: record t60 has no label; classify the corpus first\n"
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
@@ -184,7 +199,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-@pytest.mark.parametrize("name", ["classify mnnb", "train mnnb"])
+@pytest.mark.parametrize("name", ["classify mnnb", "train mnnb", "rank"])
 def test_joining_the_parts_loads_no_module_one_part_does_not(models, tmp_path, name):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(CORPORA["plain"], encoding="utf-8")
@@ -216,7 +231,7 @@ def corpus_bytes(fault):
     return CORPORA["plain"].encode("utf-8") + FAULTS[fault]
 
 
-@pytest.mark.parametrize("name", ["classify mnnb", "train mnnb", "eval"])
+@pytest.mark.parametrize("name", ["classify mnnb", "train mnnb", "eval", *RANKS])
 @pytest.mark.parametrize("fault", FAULTS)
 def test_a_fault_in_the_last_part_is_the_one_part_error(models, tmp_path, capsys, caplog,
                                                         monkeypatch, fault, name):
@@ -289,19 +304,23 @@ def fail(how):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-@pytest.mark.parametrize("name", ["classify mnnb", "train mnnb", "eval"])
+@pytest.mark.parametrize("name", ["classify mnnb", "train mnnb", "eval", *RANKS])
 @pytest.mark.parametrize("how", PART_FAULTS)
 def test_a_failing_part_process_ends_the_command(models, tmp_path, capsys, caplog, monkeypatch,
                                                  how, name):
-    parent, count = os.getpid(), text_module.count_ngrams
+    parent = os.getpid()
 
-    def count_or_fail(*args, **kwargs):
-        if os.getpid() != parent:
-            fail(how)
-        return count(*args, **kwargs)
+    def or_fail(work):
+        def work_or_fail(*args, **kwargs):
+            if os.getpid() != parent:
+                fail(how)
+            return work(*args, **kwargs)
+        return work_or_fail
 
-    monkeypatch.setattr(text_module, "count_ngrams", count_or_fail)
-    monkeypatch.setattr(classify_module, "count_ngrams", count_or_fail)
+    # the work a part process does: counting its texts, or tallying its users
+    for module, attr in ((text_module, "count_ngrams"), (classify_module, "count_ngrams"),
+                         (rank_module, "user_tally")):
+        monkeypatch.setattr(module, attr, or_fail(getattr(module, attr)))
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(CORPORA["plain"], encoding="utf-8")
     in_parts(monkeypatch, 2)
@@ -310,3 +329,22 @@ def test_a_failing_part_process_ends_the_command(models, tmp_path, capsys, caplo
     assert (code, out, err, files) == (2, "", f"error: {PART_FAULTS[how]}\n", {})
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", RANKS)
+def test_a_bad_graph_wins_over_an_unlabelled_corpus(models, tmp_path, capsys, caplog,
+                                                    monkeypatch, name):
+    corpus, graph = tmp_path / "corpus.jsonl", tmp_path / "graph.csv"
+    corpus.write_text(CORPORA["unlabelled tail"], encoding="utf-8")
+    graph.write_text("u1,u2\nu3\n", encoding="utf-8")
+    argv = command(name, corpus, models)
+    argv[argv.index("--graph") + 1] = str(graph)
+    runs = []
+    for jobs in (1, 2):
+        in_parts(monkeypatch, jobs)
+        got, parts = run(argv, tmp_path / str(jobs), capsys, caplog)
+        assert parts == [jobs]
+        runs.append(got)
+    assert runs[0] == (2, "", f"error: {graph}: line 2: expected 'follower_id,friend_id', "
+                              "got 'u3'\n", {})
+    assert runs[1] == runs[0]

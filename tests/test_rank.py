@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sensor_rank import rank
 from sensor_rank.corpus import FollowerGraph, Label
@@ -18,11 +20,13 @@ from sensor_rank.rank import (
     compute_user_stats,
     connected_components,
     overall_focus,
+    merge_user_tallies,
     ranking_report,
     report_to_json,
     report_to_tsv,
     topic_focus,
     twitterrank,
+    user_tally,
     write_report,
 )
 
@@ -33,6 +37,7 @@ from oracles import (
     oracle_linear_solve,
     oracle_ranking_report,
     oracle_transition,
+    records_of,
 )
 
 R, N, Z = Label.RELEVANT, Label.NEWS, Label.NOISE
@@ -189,6 +194,45 @@ def test_compute_user_stats_clamps_small_declared_totals():
 def test_compute_user_stats_empty():
     with pytest.raises(ValueError, match="no classified"):
         compute_user_stats(classified([]))
+
+
+def parts_of(corpus, cuts):
+    """The corpus cut before each record position in cuts, as one corpus per part."""
+    records, bounds = records_of(corpus), [0, *sorted(cuts), len(corpus)]
+    return [from_records(records[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+# (user, label, declared total or None) per record; with few users, a declared total
+# may be absent, below the user's harvest or above it
+@given(rows=st.lists(st.tuples(st.sampled_from(["ana", "bob", "cid", "dé", "Ed"]),
+                               st.sampled_from([R, N, Z]), st.none() | st.integers(0, 12)),
+                     max_size=40),
+       cuts=st.lists(st.integers(0, 40), max_size=4))
+@example(rows=[("ana", R, None), ("ana", N, None), ("bob", R, 1), ("bob", Z, 1),
+               ("bob", N, None), ("cid", R, 50)], cuts=[1, 3, 3])
+def test_merged_part_tallies_are_the_whole_corpus_stats(rows, cuts):
+    corpus = classified((record(i, u, total), label) for i, (u, label, total) in enumerate(rows))
+    tallies = [user_tally(part) for part in parts_of(corpus, [min(c, len(rows)) for c in cuts])]
+    if not rows:
+        with pytest.raises(ValueError, match="no classified records"):
+            merge_user_tallies(tallies)
+        return
+    whole, merged = compute_user_stats(corpus), merge_user_tallies(tallies)
+    assert merged.users == whole.users
+    for name in ("relevant", "harvest", "total", "defaulted", "v"):
+        got, want = getattr(merged, name), getattr(whole, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_merged_tallies_name_the_first_unlabelled_record_in_part_order():
+    parts = [classified([(record(1, "ana"), R)]),
+             classified([(record(2, "bob"), R), (record(3, "ana"), None),
+                         (record(4, "bob"), None)]),
+             classified([(record(5, "cid"), None)])]
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="^record t3 has no label"):
+            merge_user_tallies([user_tally(part) for part in parts[:n]])
+    assert user_tally(parts[2])[4] == "t5"
 
 
 def test_candidate_filter_threshold_exclusion_and_shares():

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +45,24 @@ def small_config(seed=11, **overrides):
 
 def stats_by_user(corpus, gold):
     return compute_user_stats(replace(corpus, y=class_ids(gold[i] for i in corpus.ids)))
+
+
+def test_configs_hash_by_value_and_hold_a_read_only_histogram():
+    histogram = dict(SMALL_HISTOGRAM)
+    config = small_config(tail_histogram=histogram)
+    histogram["1"] = 0  # the config holds a copy
+    assert config.tail_histogram == SMALL_HISTOGRAM
+    with pytest.raises(TypeError):
+        config.tail_histogram["1"] = 0
+    reordered = small_config(tail_histogram=dict(reversed(SMALL_HISTOGRAM.items())))
+    assert config == reordered and hash(config) == hash(reordered)
+    assert config == replace(config) and config != small_config(seed=12)
+    assert config != small_config(tail_histogram={**SMALL_HISTOGRAM, "1": 41})
+    assert len({config, reordered, small_config(seed=12)}) == 2
+    assert hash(SynthConfig(seed=1)) == hash(SynthConfig(seed=1))
+    for copied in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+        assert copied == config and hash(copied) == hash(config)
+        assert type(copied.tail_histogram) is type(config.tail_histogram)
 
 
 def test_config_validation():
