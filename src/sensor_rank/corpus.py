@@ -15,11 +15,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import NoneType
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -263,9 +263,9 @@ _SURROGATE = re.compile(r"[\ud800-\udfff]")
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSONL corpus into columns; any malformed line fails with its line number.
 
-    Lines are decoded _BLOCK at a time as one JSON array and checked as columns.
-    Only a block that fails is read again one line at a time, which words the
-    error of its first bad line.
+    Lines are decoded _BLOCK at a time as one JSON array and checked as columns,
+    blank lines skipped. Only a block that fails is read again one line at a time,
+    which words the error of its first bad line.
     """
     with open_utf8(path) as fh:
         return _read_records(path, fh)
@@ -290,17 +290,18 @@ _BLOCK = 1024
 
 
 def _read_block(block: list[str], seen: set[str]) -> tuple[list, ...] | None:
-    """The columns of a block of corpus lines decoded as one JSON array, their ids
-    added to seen; None when some line is not a record or repeats an id."""
-    # No JSON string holds a raw line break. So when each line starts with "{"
-    # and the array holds one flat object per line, each object is one line's,
-    # with at most whitespace after it.
-    if not all(map(str.startswith, block, repeat("{"))):
+    """The columns of a block's non-blank corpus lines decoded as one JSON array, their
+    ids added to seen; None when some line is not a record or repeats an id."""
+    # No JSON string holds a raw line break. So when each non-blank line starts
+    # with "{" after whitespace and the array holds one flat object per such line,
+    # each object is one line's, with at most whitespace around it.
+    lines = list(filterfalse(str.isspace, block))
+    if not all(map(str.startswith, map(str.lstrip, lines), repeat("{"))):
         return None
     try:
-        text = ",".join(block)
+        text = ",".join(lines)
         objs = json.loads(f"[{text}]")
-        if len(objs) != len(block):
+        if len(objs) != len(lines):
             return None
         columns = _block_columns(objs, "\\u" in text)
     except (ValueError, RecursionError):  # not JSON, an integer too long, or a bad record
@@ -312,27 +313,25 @@ def _read_block(block: list[str], seen: set[str]) -> tuple[list, ...] | None:
     return columns
 
 
-def _read_lines(
-    path: str | Path, block: list[str], start: int, seen: set[str]
-) -> tuple[list, ...]:
-    """_read_block one line at a time, its first line numbered start: the first bad
-    line fails with its number."""
-    objs = []
+def _read_lines(path: str | Path, block: list[str], start: int, seen: set[str]) -> NoReturn:
+    """Raise the error of the first bad line of a block _read_block refused, its first
+    line numbered start. _read_block takes any block of records with new, distinct ids,
+    and each of its checks fails only where some line alone would, so one line does."""
     for lineno, line in enumerate(block, start):
         if not line.strip():
             continue
         try:
-            objs.append(json.loads(line))
+            obj = json.loads(line)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
         try:
-            record_id = _block_columns(objs[-1:], "\\u" in line)[0][0]
+            record_id = _block_columns([obj], "\\u" in line)[0][0]
             if record_id in seen:
                 raise ValueError(f"duplicate record id {record_id!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         seen.add(record_id)
-    return _block_columns(objs, "\\u" in "".join(block))
+    raise AssertionError(f"{path}: _read_block refused the block at line {start}")
 
 
 def _block_columns(objs: list, escaped: bool) -> tuple[list, ...]:

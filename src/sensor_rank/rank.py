@@ -172,14 +172,16 @@ def user_tally(corpus: Corpus) -> tuple:
     as an object array, their int64 relevant, harvest and declared counts (the largest
     user_total_tweets, -1 when none is given), and the id of its first record with no
     label, or None. It never raises: merge_user_tallies reports such a record."""
-    users, author = np.unique(np.array(corpus.users, dtype=object), return_inverse=True)
+    users = sorted(set(corpus.users))
+    index = dict(zip(users, range(len(users))))
+    author = np.fromiter(map(index.__getitem__, corpus.users), np.int64, len(corpus))
     harvest = np.bincount(author, minlength=len(users))
     relevant = np.bincount(author[corpus.y == _RELEVANT], minlength=len(users))
     declared = np.full(len(users), -1, dtype=np.int64)
     np.maximum.at(declared, author, corpus.user_total_tweets)
     unlabeled = corpus.y < 0
     first = corpus.ids[unlabeled.argmax()] if unlabeled.any() else None
-    return users, relevant, harvest, declared, first
+    return np.array(users, dtype=object), relevant, harvest, declared, first
 
 
 def merge_user_tallies(tallies: Sequence[tuple]) -> UserStats:

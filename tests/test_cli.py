@@ -87,11 +87,22 @@ def _columns(corpus):
             "user_total_tweets": corpus.user_total_tweets.tolist()}
 
 
-def test_written_files_are_read_in_bulk(pipeline, monkeypatch):
-    """The files synth and classify write load without walking their lines, in
-    blocks of any size, into what oracle_load_corpus and the hand-read graph give."""
+def test_written_files_are_read_in_bulk(pipeline, monkeypatch, tmp_path):
+    """The files synth and classify write, and the classified file with blank and
+    whitespace-only lines and whitespace-padded records, load without walking their
+    lines, in blocks of any size, into what oracle_load_corpus and the hand-read
+    graph give."""
     corpora = [pipeline["corpus"], pipeline["classified"]]
     want = [oracle_load_corpus(path) for path in corpora]
+    # the classified records again, some padded, with blank lines among them
+    lines = pipeline["classified"].read_text(encoding="utf-8").split("\n")[:-1]
+    pads = ["", " ", "\t", "", "  \t", ""]
+    blanks = ["", "\n", "", "  \t\n", "\u2028\n", "\x85\r\n", "\x0b \x0c\n", "\r\n"]
+    corpora.append(tmp_path / "padded.jsonl")
+    corpora[2].write_bytes("".join(
+        f"{pads[i % 6]}{line}{pads[i % 5]}\n{blanks[i % 8]}" for i, line in enumerate(lines)
+    ).encode("utf-8"))
+    want.append(want[1])
     pairs, bad_line = stripped_line_pairs(pipeline["graph"].read_text(encoding="utf-8"))
     assert bad_line is None
     want_graph = FollowerGraph.from_pairs(pairs)
@@ -101,7 +112,7 @@ def test_written_files_are_read_in_bulk(pipeline, monkeypatch):
 
     monkeypatch.setattr(corpus_module, "_read_lines", unread)
     monkeypatch.setattr(corpus_module, "stripped_lines", unread)
-    for block in (corpus_module._BLOCK, 100):
+    for block in (corpus_module._BLOCK, 100, 2):
         monkeypatch.setattr(corpus_module, "_BLOCK", block)
         assert [_columns(load_corpus(path)) for path in corpora] == want
     assert corpus_module.load_follower_graph(pipeline["graph"]) == want_graph
@@ -164,6 +175,33 @@ def test_synth_rejects_a_negative_class_share(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "error: class_mix shares must be finite and >= 0, got (0.5, 0.6, -0.1)\n")
+    assert not out.exists()
+
+
+# a tail histogram with no user outside the core, so every core user has the same
+# in-degree at edge_density 1, whatever the seed
+_CORE_ONLY = {"n_users": 25, "tail_histogram": {"3": 10, "4": 6, "5-9": 6, "10-19": 2, "20+": 1}}
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"class_vocabularies": [[], ["jornal"], ["bom"]]},
+     "class_vocabularies must be three nonempty term sets"),
+    ({"class_mix": [0, 0.5, 0.5]}, "class_mix must give the relevant class positive mass"),
+    ({"class_mix": [0.99, 0.005, 0.005]},
+     "class_mix leaves too few non-relevant tweets for the harvest filler"),
+    ({**_CORE_ONLY, "edge_density": 1.0},
+     "edge_density too high: an organic candidate out-ranks a planted influencer's fan-in"),
+    ({"n_users": 1, "tail_histogram": {"20+": 1}},
+     "no users available to absorb non-relevant volume"),
+    ([SYNTH], "{cfg}: config must be a JSON object"),
+])
+def test_synth_refuses_a_config_it_cannot_generate(tmp_path, capsys, config, error):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({**SYNTH, **config} if isinstance(config, dict) else config),
+                   encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error.format(cfg=cfg)}\n"
     assert not out.exists()
 
 
@@ -319,6 +357,14 @@ def test_unknown_config_key_rejected(pipeline, tmp_path, capsys):
     cfg.write_text('{"corups": "typo.jsonl"}', encoding="utf-8")
     assert main(["report", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_an_object_is_rejected(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('[{"k": 3}]', encoding="utf-8")
+    assert main(["report", "--config", str(cfg), "--corpus", str(pipeline["classified"]),
+                 "--graph", str(pipeline["graph"])]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}: config must be a JSON object\n")
 
 
 def test_missing_required_flag(capsys):

@@ -1,6 +1,8 @@
 """train, eval, classify, rank and report read their corpus in parts, one process each
 (see corpus.map_corpus): any part count writes the same bytes and fails the same way."""
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -11,14 +13,19 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sensor_rank import classify as classify_module
+from sensor_rank import cli
 from sensor_rank import corpus as corpus_module
 from sensor_rank import rank as rank_module
 from sensor_rank import text as text_module
 from sensor_rank.cli import main
+from sensor_rank.text import ReplacementTable
 
 # Most texts hold 2-byte and 4-byte UTF-8 characters, so a cut has them next to it,
 # and some hold U+2028, which ends a str.splitlines line but not a text-mode line.
@@ -49,6 +56,7 @@ CORPORA = {
     "blank lines": "".join(line + "\n  \r\n" for line in lines()),
     "unlabelled tail": "".join(lines(60)) + "".join(record(i, label=None) + "\n"
                                                    for i in range(60, 240)),
+    "no label": "".join(record(i, label=None) + "\n" for i in range(240)),
     # the first line holds most bytes, so 2 and 3 processes both cut after it
     "fewer lines than processes": record(0, text="zika " * 200) + "\n" + record(1) + "\n",
 }
@@ -125,12 +133,15 @@ def test_any_part_count_writes_the_same_bytes(models, tmp_path, capsys, caplog, 
         got, parts = run(argv, tmp_path / str(jobs), capsys, caplog)
         assert (parts == [1]) if jobs == 1 else (parts[0] > 1)
         runs.append(got)
-    # too few records to train on or to rank; no label to rank by
-    fails = (form == "fewer lines than processes" and not name.startswith("classify")
+    # too few records to train on or to rank; no label to train or rank by
+    fails = (form in ("fewer lines than processes", "no label") and not name.startswith("classify")
              or form == "unlabelled tail" and name in RANKS)
     assert runs[0][0] == (2 if fails else 0)
-    if form == "unlabelled tail" and name in RANKS:
-        assert runs[0][2] == "error: record t60 has no label; classify the corpus first\n"
+    if form in ("unlabelled tail", "no label") and name in RANKS:
+        first = 60 if form == "unlabelled tail" else 0
+        assert runs[0][2] == f"error: record t{first} has no label; classify the corpus first\n"
+    elif form == "no label" and fails:
+        assert runs[0][2] == "error: corpus contains no labeled records\n"
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
@@ -347,4 +358,107 @@ def test_a_bad_graph_wins_over_an_unlabelled_corpus(models, tmp_path, capsys, ca
         runs.append(got)
     assert runs[0] == (2, "", f"error: {graph}: line 2: expected 'follower_id,friend_id', "
                               "got 'u3'\n", {})
+    assert runs[1] == runs[0]
+
+
+# Lines of no record: each is blank to str.strip, though json.loads refuses U+2028,
+# U+0085, \x0b and \x0c around a record.
+BLANKS = ["", " ", "\t", " \t ", "\u2028", "\x85", "\x0b\x0c"]
+
+
+def fault(i):
+    """Record lines that load_corpus refuses, as bytes."""
+    return [b"{not json}", record(i, text="zi@ka").replace("@", "\\ud800").encode(),
+            record(i, text="zi@ka").encode().replace(b"@", b"\xff"),
+            ("\ufeff" + record(i)).encode(), record(i, label="Spam").encode(),
+            record(i, created_at="yesterday").encode()]
+
+
+@st.composite
+def cut_corpus(draw):
+    """Corpus bytes, and 1-3 offsets after line feeds where its later parts begin;
+    none when no line feed has a byte after it."""
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["record"] * 8 + ["blank", "repeat", "fault"]))
+        if kind == "blank":
+            line = draw(st.sampled_from(BLANKS)).encode()
+        elif kind == "fault":
+            line = draw(st.sampled_from(fault(i)))
+        else:
+            # text with 2- and 4-byte characters and U+2028; written escaped, the
+            # 4-byte one is a surrogate pair; no label leaves the record unlabelled
+            rid = draw(st.integers(0, i - 1)) if kind == "repeat" and i else i
+            line = record(rid, label=draw(st.sampled_from([*LABELS, None])))
+            if draw(st.booleans()):
+                line = json.dumps(json.loads(line))
+            pad = draw(st.sampled_from(["", "", " ", "\t", " \t"]))
+            line = (pad + line + draw(st.sampled_from(["", "", pad]))).encode()
+        lines.append(line + draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"])))
+    data = b"".join(lines)
+    if data and draw(st.booleans()):  # no final line end
+        data = data[:-1]
+    feeds = [i + 1 for i in range(len(data) - 1) if data[i] == ord("\n")]
+    if not feeds:
+        return data, []
+    return data, sorted(draw(st.lists(st.sampled_from(feeds), min_size=1, max_size=3,
+                                      unique=True)))
+
+
+def merged_results(corpus, model, out):
+    """The merged results of each command's part function over corpus: _dataset's
+    counts, classify's output, and the user stats from rank.user_tally; a fault is
+    its `error:` line."""
+    def outcome(call, view):
+        try:
+            return view(call())
+        except ValueError as exc:
+            return f"error: {exc}"
+
+    def dataset():
+        return cli._dataset({"corpus": str(corpus)}, ReplacementTable.default(), 2)
+
+    def stats():
+        return rank_module.merge_user_tallies(corpus_module.map_corpus(corpus,
+                                                                       rank_module.user_tally))
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["classify", "--corpus", str(corpus), "--model", str(model),
+                     "--out", str(out)])
+    written = out / "classified.jsonl"
+    return [
+        outcome(dataset, lambda d: (d.matrix.indptr.tolist(), d.matrix.indices.tolist(),
+                                    d.matrix.data.tolist(), d.y.tolist(), d.vocab.term_to_id)),
+        (code, stdout.getvalue(), stderr.getvalue(), written.exists() and written.read_bytes()),
+        outcome(stats, lambda u: (u.users, u.relevant.tolist(), u.harvest.tolist(),
+                                  u.total.tolist(), u.defaulted.tolist())),
+    ]
+
+
+def in_process(work, n, role, item):
+    return [work(i) for i in range(n)]
+
+
+# the first part of each @example below: one holds an id that the second part
+# repeats, the other a padded record before a part of lone-CR lines
+_HEAD = (record(0) + "\n \n").encode()
+_PADDED_HEAD = ("\t" + record(0) + " \r\n").encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_corpus())
+@example(drawn=(_HEAD + (record(1) + "\n" + record(0) + "\n").encode(), [len(_HEAD)]))
+@example(drawn=(_PADDED_HEAD + ("\u2028\r" + record(1, label=None) + "\r").encode(),
+                [len(_PADDED_HEAD)]))
+def test_parts_read_in_process_merge_into_the_one_part_result(models, tmp_path_factory, drawn):
+    data, cuts = drawn
+    root = tmp_path_factory.mktemp("cut")
+    corpus = root / "corpus.jsonl"
+    corpus.write_bytes(data)
+    runs = []
+    for offsets in ([], cuts):
+        with (mock.patch.object(corpus_module, "_cuts", lambda path: [0, *offsets, len(data)]),
+              mock.patch.object(corpus_module, "_in_processes", in_process)):
+            runs.append(merged_results(corpus, models["mnnb"], root / f"out{len(offsets)}"))
     assert runs[1] == runs[0]
