@@ -1,4 +1,4 @@
-"""Three-class relevance model: Multinomial Naive Bayes, rebalancing, ranking, evaluation.
+"""Three-class relevance model: Multinomial Naive Bayes, rebalancing, evaluation.
 
 The Random Forest learner lives in `forest`; `predict_many`, `cross_validate`,
 and the model file I/O here accept either kind, and each kind writes and reads
@@ -210,9 +210,10 @@ def train_mnnb(data: LabeledDataset, alpha: float = 1.0) -> MnnbModel:
     require_all_classes(data.y)
     v_size = len(data.vocab)
     X = data.matrix
-    counts = np.zeros((3, v_size))
-    # unbuffered, in row then entry order: the same float sums as a plain loop
-    np.add.at(counts, (np.repeat(data.y, np.diff(X.indptr)), X.indices), X.data)
+    # one bincount over class x vocabulary + term codes adds the entries in row then
+    # entry order from 0.0: the same float sums as a plain loop
+    codes = np.repeat(data.y, np.diff(X.indptr)) * v_size + X.indices
+    counts = np.bincount(codes, weights=X.data, minlength=3 * v_size).reshape(3, v_size)
     class_log_prior = np.log(data.class_counts() / len(data))
     totals = counts.sum(axis=1, keepdims=True)
     term_log_prob = np.log((counts + alpha) / (totals + alpha * v_size))

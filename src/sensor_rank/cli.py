@@ -45,14 +45,13 @@ log = logging.getLogger("sensor_rank")
 
 
 class _Key(NamedTuple):
-    """One settings key: its value type, help text, allowed values, and whether
-    it is also a command-line flag (else it is read from --config only)."""
+    """One settings key, both a flag and a config key: its value type, help text
+    and allowed values."""
 
     name: str
     type: type  # str, int, float, or list (of strings)
     help: str
     choices: tuple | None = None
-    flag: bool = True
 
 
 _KEYS = {
@@ -77,10 +76,10 @@ _KEYS = {
         _Key("spread_ratio", float, "majority sub-sampling ratio cap (default: off)"),
         _Key("folds", int, "cross-validation folds (default 10)"),
         _Key("exclusions", str, "file with one excluded user id per line"),
-        _Key("table", str, "replacement table CSV (from,to)", flag=False),
-        _Key("stopwords", str, "stopword file, one term per line", flag=False),
-        _Key("seeds", list, "seed keywords", flag=False),
-        _Key("metric", str, "report metric: tr, tf or of", ("tr", "tf", "of"), flag=False),
+        _Key("table", str, "replacement table CSV (from,to)"),
+        _Key("stopwords", str, "stopword file, one term per line"),
+        _Key("seeds", list, "seed keywords"),
+        _Key("metric", str, "report metric: tr, tf or of; tr when unset", ("tr", "tf", "of")),
     )
 }
 
@@ -107,10 +106,8 @@ def _settings(args: argparse.Namespace) -> dict:
                 settings[name] = float(value)
     else:
         settings = {}
-    for key in _KEYS.values():  # config-only keys have no attribute on args
-        flag = getattr(args, key.name, None)
-        if flag is not None:
-            settings[key.name] = flag
+    flags = {name: getattr(args, name) for name in _KEYS}
+    settings.update((name, v) for name, v in flags.items() if v is not None)  # flags win
     if settings.get("seed", 0) < 0:
         raise ValueError(f"seed must be >= 0, got {settings['seed']}")
     return settings
@@ -356,7 +353,7 @@ _COMMANDS = {
     "eval": (cmd_eval, "stratified cross-validation report for a labeled corpus"),
     "classify": (cmd_classify, "label a corpus with a saved model"),
     "rank": (cmd_rank, "rank candidate users and write all three metric reports"),
-    "report": (cmd_report, "print one ranking report (config key 'metric': tr/tf/of) to stdout"),
+    "report": (cmd_report, "print one ranking report (--metric tr/tf/of) to stdout"),
     "synth": (cmd_synth, "generate a synthetic corpus and follower graph"),
 }
 
@@ -374,12 +371,12 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         if name != command:
             continue
         sp.add_argument("--config", help="JSON config file; flags override it")
-        for key in _KEYS.values():
-            if key.flag:
-                sp.add_argument(
-                    "--" + key.name.replace("_", "-"), type=key.type, choices=key.choices,
-                    help=key.help,
-                )
+        for key in _KEYS.values():  # a list key takes one or more words
+            many = key.type is list
+            sp.add_argument(
+                "--" + key.name.replace("_", "-"), type=str if many else key.type,
+                nargs="+" if many else None, choices=key.choices, help=key.help,
+            )
     return parser
 
 

@@ -614,10 +614,10 @@ def oracle_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file; flags override it")
-        for key in _KEYS.values():
-            if key.flag:
-                sp.add_argument(
-                    "--" + key.name.replace("_", "-"), type=key.type, choices=key.choices,
-                    help=key.help,
-                )
+        for key in _KEYS.values():  # a list key takes one or more words
+            many = key.type is list
+            sp.add_argument(
+                "--" + key.name.replace("_", "-"), type=str if many else key.type,
+                nargs="+" if many else None, choices=key.choices, help=key.help,
+            )
     return parser

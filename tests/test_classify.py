@@ -97,6 +97,8 @@ LABELS = [label.value for label in (R, N, Z)]
 def test_dataset_length_mismatch():
     with pytest.raises(ValueError, match="vectors"):
         make_data([{0: 1}], [R, N], 2)
+    with pytest.raises(ValueError, match="^2 columns vs 3 vocabulary terms$"):
+        LabeledDataset(matrix([{0: 1}], 2), class_ids([R]), make_vocab(3))
 
 
 @pytest.mark.parametrize("y, match", [
@@ -211,9 +213,14 @@ def test_predict_tie_prefers_earlier_class():
     assert LABEL_ORDER[probs.argmax()] is N
 
 
-def test_predict_rejects_unknown_model():
+def test_predict_rejects_unknown_model(tmp_path):
+    """predict_many and save_model refuse a model of neither kind; save_model writes nothing."""
     with pytest.raises(TypeError):
         predict_many(object(), matrix([{0: 1.0}]))
+    path = tmp_path / "model.json"
+    with pytest.raises(TypeError, match="^unsupported model type: object$"):
+        save_model(object(), make_vocab(1), "h", path)
+    assert not path.exists()
 
 
 def test_predict_many_matches_single_mnnb():
@@ -517,6 +524,8 @@ def test_subsample_spread_keeps_original_order_and_minority():
 def test_subsample_spread_validation():
     with pytest.raises(ValueError, match="max_ratio"):
         subsample_spread(toy_data(), 0.5, 1)
+    with pytest.raises(ValueError, match="^cannot subsample an empty dataset$"):
+        subsample_spread(make_data([], [], 2), 2.0, 1)
 
 
 def test_subsample_spread_deterministic():

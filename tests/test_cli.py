@@ -262,6 +262,31 @@ def test_classify_is_byte_deterministic(pipeline, tmp_path, capsys):
     assert (out / "classified.jsonl").read_bytes() == pipeline["classified"].read_bytes()
 
 
+def test_table_flag_and_config_key_train_and_classify_alike(pipeline, tmp_path, capsys):
+    """--table, the config key "table", and --table over a config naming another
+    table write byte-identical models, labels and stdout."""
+    table, decoy = tmp_path / "table.csv", tmp_path / "decoy.csv"
+    table.write_text("zika,zikavirus\n", encoding="utf-8")
+    decoy.write_text("dengue,denguevirus\n", encoding="utf-8")
+    cfg, decoy_cfg = tmp_path / "cfg.json", tmp_path / "decoy.json"
+    cfg.write_text(json.dumps({"table": str(table)}), encoding="utf-8")
+    decoy_cfg.write_text(json.dumps({"table": str(decoy)}), encoding="utf-8")
+    runs = []
+    for i, how in enumerate([["--table", str(table)], ["--config", str(cfg)],
+                             ["--config", str(decoy_cfg), "--table", str(table)]]):
+        model, out = tmp_path / f"model{i}.json", tmp_path / f"cls{i}"
+        assert main(["train", "--corpus", str(pipeline["corpus"]), "--model", str(model),
+                     *TRAIN_FLAGS, *how]) == 0
+        assert main(["classify", "--corpus", str(pipeline["corpus"]), "--model", str(model),
+                     "--out", str(out), *how]) == 0
+        runs.append((model.read_bytes(), (out / "classified.jsonl").read_bytes(),
+                     capsys.readouterr().out))
+    assert runs[0] == runs[1] == runs[2]
+    # the table was applied: the model pins its hash, not the default table's
+    assert load_model(tmp_path / "model0.json")[2] == ReplacementTable.from_csv(table).table_hash()
+    assert runs[0][0] != pipeline["model"].read_bytes()
+
+
 def test_classify_rejects_table_mismatch(pipeline, tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text("zika,zikavirus\n", encoding="utf-8")
@@ -327,18 +352,24 @@ def test_report_prints_tsv(pipeline, capsys):
     assert len(lines) == 4
 
 
-def test_report_metric_config_key(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize("via", ["flag", "config", "flag over config"])
+@pytest.mark.parametrize("metric", ["tr", "tf", "of"])
+def test_report_metric_config_key(pipeline, tmp_path, capsys, metric, via):
+    """report prints the table rank wrote for the metric set by --metric or by the
+    config key, and --metric wins over the config key."""
     cfg = tmp_path / "cfg.json"
+    other = "of" if metric == "tr" else "tr"
     cfg.write_text(json.dumps({
-        "metric": "tf",
+        "metric": other if via == "flag over config" else metric,
         "corpus": str(pipeline["classified"]),
         "graph": str(pipeline["graph"]),
-        "k": 5,
     }), encoding="utf-8")
-    assert main(["report", "--config", str(cfg)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
-    assert lines[1].split("\t")[0] == "sentinela001"  # unique 100% topic focus
+    flag = [] if via == "config" else ["--metric", metric]
+    assert main(["report", "--config", str(cfg), *flag]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == (pipeline["rank"] / f"report_{metric}.tsv").read_text(encoding="utf-8")
+    if metric == "tf":
+        assert stdout.splitlines()[1].split("\t")[0] == "sentinela001"  # unique 100% focus
 
 
 def test_flags_override_config(pipeline, tmp_path, capsys):
@@ -560,8 +591,15 @@ def test_keywords_respects_stopwords(tmp_path, capsys):
     assert "comum" in stdout
 
 
-@pytest.mark.parametrize("key", ["seeds", "stopwords"])
-def test_keywords_blocks_seeds_and_stopwords_as_tokens(tmp_path, capsys, key):
+@pytest.mark.parametrize("key, via", [
+    pytest.param("seeds", "config", id="seeds"),
+    pytest.param("stopwords", "config", id="stopwords"),
+    pytest.param("seeds", "flag", id="seeds-flag"),
+    pytest.param("stopwords", "flag", id="stopwords-flag"),
+])
+def test_keywords_blocks_seeds_and_stopwords_as_tokens(tmp_path, capsys, key, via):
+    """Seeds and stopwords block the same tokens whether the config key sets them or
+    the flag does, over a config value that would block others."""
     corpus = tmp_path / "kw.jsonl"
     rows = [
         {"id": "t1", "user": "a", "text": "zika surto surto",
@@ -572,13 +610,17 @@ def test_keywords_blocks_seeds_and_stopwords_as_tokens(tmp_path, capsys, key):
     corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     stop = tmp_path / "stop.txt"
     stop.write_text("Súrto\n", encoding="utf-8")
+    decoy = tmp_path / "decoy.txt"
+    decoy.write_text("comum\n", encoding="utf-8")
     # the same spelling either way, canonicalized to the token "surto"
-    config = {"seeds": ["zika", " Súrto"]} if key == "seeds" else {"stopwords": str(stop)}
+    value = ["zika", " Súrto"] if key == "seeds" else str(stop)
+    config = {key: ["comum"] if key == "seeds" else str(decoy)} if via == "flag" else {key: value}
+    flag = [f"--{key}", *([value] if key == "stopwords" else value)] if via == "flag" else []
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "kw"
     assert main(["keywords", "--config", str(cfg), "--corpus", str(corpus), "--k", "1",
-                 "--out", str(out)]) == 0
+                 "--out", str(out), *flag]) == 0
     lines = capsys.readouterr().out.splitlines()
     at = lines.index("expansion candidates (top 1):")
     assert lines[at + 1].split("\t")[0] == "  comum"
@@ -1158,6 +1200,7 @@ def test_classify_accepts_handwritten_forest(pipeline, tmp_path, capsys):
     lambda d: (forest(split())(d), d["params"].update(seed="0")),
     lambda d: (forest(split())(d), d["params"].update(seed=False)),
     lambda d: (forest(split())(d), d["params"].update(trees={"0": split()})),
+    lambda d: d.update(label_order=d["label_order"][::-1]),
 ])
 def test_classify_rejects_malformed_model(pipeline, tmp_path, capsys, edit):
     doc = json.loads(pipeline["model"].read_text(encoding="utf-8"))
